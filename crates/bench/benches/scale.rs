@@ -1,34 +1,32 @@
-//! Continent-scale benchmark: the sharded grid index and the rect-bounded
+//! Continent-scale benchmark: the flat grid index and the rect-bounded
 //! prepare phase at 1M+ nodes — the tier where prepare and solve costs
-//! actually compete and the PR 3–5 solve wins become credible.
+//! actually compete.
 //!
-//! Like `batch_throughput` this is a plain harness emitting a
-//! machine-readable `BENCH_scale.json` (path overridable via
-//! `LCMSR_BENCH_OUT`) that CI archives.  Over an NY-like network at
+//! A plain harness emitting a machine-readable `BENCH_scale.json` (path
+//! overridable via `LCMSR_BENCH_OUT`).  Over an NY-like network at
 //! `LCMSR_SCALE` (CI's `scale-smoke` job runs `huge`, ~1M nodes) it measures:
 //!
-//! * **index build** — `ObjectCollection::build_with_workers` at 1 worker vs
-//!   `LCMSR_SCALE_WORKERS` (default 4): the lock-per-shard parallel grid fill
-//!   against the sequential insert loop, same vocabulary, same postings;
-//! * **prepare** — `LcmsrEngine::prepare_with` at 1 prepare worker vs the
-//!   parallel fan-out (sharded scoring + row-banded `RegionView`), per query,
-//!   with the grid-score/graph-build split from `PrepareBreakdown`;
-//! * **peak prepare RSS** — `VmHWM` deltas around each prepare pass (peak is
-//!   reset via `/proc/self/clear_refs` where the kernel allows it);
+//! * **index build** — `ObjectCollection::build` over the dataset's objects
+//!   (best of `LCMSR_SCALE_BUILD_ROUNDS`);
+//! * **prepare** — `LcmsrEngine::prepare_with` per query on a warm workspace
+//!   (best of `LCMSR_SCALE_ROUNDS` passes over `LCMSR_SCALE_QUERIES`
+//!   queries), with the grid-score/graph-build split from
+//!   `PrepareBreakdown`;
+//! * **peak RSS** — the process's absolute `VmHWM` after the index build and
+//!   at the end of the run;
 //! * **scratch locality** — the prepare scratch (`member_table_len`) must
 //!   stay within the widest query rect's member-id band (the epoch table is
 //!   offset-rebased at the smallest member id), never the network size.
 //!
-//! Parallel-path output is asserted bit-identical to the sequential path
-//! (query-graph CSR content and node weights compared via `to_bits`).  With
-//! `LCMSR_BENCH_STRICT` set and ≥ `LCMSR_SCALE_WORKERS` CPUs available, the
-//! run fails when the parallel prepare speedup stays below
-//! `LCMSR_BENCH_MIN_PREPARE_SPEEDUP` (default 2.0) after one noise
-//! re-measure; on smaller machines the measured ratio is reported only.
+//! Every sampled query's keyword scores are asserted bit-identical
+//! (`to_bits`) to a naive reference that scans every object.
 
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_geotext::collection::ObjectCollection;
+use lcmsr_geotext::vsm::{object_norm, tf_weight, QueryVector};
+use lcmsr_roadnet::geo::Rect;
+use std::collections::BTreeMap;
 
 /// Peak resident set (`VmHWM`) in KiB, when the platform exposes it.
 fn peak_rss_kib() -> Option<u64> {
@@ -37,47 +35,47 @@ fn peak_rss_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Resets the peak-RSS watermark so the next [`peak_rss_kib`] reading covers
-/// only the work in between.  Best-effort: a kernel that rejects the write
-/// leaves the watermark monotone, which only ever over-reports the peak.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
+/// `(id, score bits)` per node and per object, from a scan over every
+/// object: inside `rect`, `Σ w_{Q.ψ,t} · wto(t)` in query-term order, node
+/// sums in ascending object-id order.
+type ScoreBits = (Vec<(u32, u64)>, Vec<(u64, u64)>);
 
-/// Per-node (global id, weight bits, scaled weight) in CSR order plus
-/// per-edge (a, b, length bits).
-type GraphFingerprint = (Vec<(u32, u64, u64)>, Vec<(u32, u32, u64)>);
-
-/// Bit-exact content of a prepared query graph: per-node (global id, weight
-/// bits, scaled weight) in CSR order plus every edge with its length bits.
-fn graph_fingerprint(graph: &QueryGraph) -> GraphFingerprint {
-    let nodes = graph
-        .node_indices()
-        .map(|v| {
-            (
-                graph.global_node(v).0,
-                graph.weight(v).to_bits(),
-                graph.scaled_weight(v),
-            )
-        })
-        .collect();
-    let edges = graph
-        .edges()
-        .iter()
-        .map(|e| (e.a, e.b, e.length.to_bits()))
-        .collect();
-    (nodes, edges)
+fn naive_scores(collection: &ObjectCollection, query: &QueryVector, rect: &Rect) -> ScoreBits {
+    let mut by_object = BTreeMap::new();
+    if query.norm > 0.0 {
+        for object in collection.objects() {
+            if !rect.contains(&object.point) {
+                continue;
+            }
+            let mut partial = 0.0;
+            for term in query.terms.iter().filter(|t| t.weight != 0.0) {
+                if let Some(&tf) = object.terms.get(&term.text) {
+                    partial += term.weight * (tf_weight(tf) / object_norm(object));
+                }
+            }
+            let score = partial / query.norm;
+            if score > 0.0 {
+                by_object.insert(object.id, score);
+            }
+        }
+    }
+    let mut by_node = BTreeMap::new();
+    for (&id, &score) in &by_object {
+        let node = collection.node_of(id).expect("scored object is indexed");
+        *by_node.entry(node).or_insert(0.0) += score;
+    }
+    (
+        by_node.iter().map(|(n, w)| (n.0, w.to_bits())).collect(),
+        by_object.iter().map(|(o, w)| (o.0, w.to_bits())).collect(),
+    )
 }
 
 fn main() {
     let scale = scale_from_env();
     let num_queries = env_usize("LCMSR_SCALE_QUERIES", 8).max(1);
-    let workers = env_usize("LCMSR_SCALE_WORKERS", 4).max(1);
     let rounds = env_usize("LCMSR_SCALE_ROUNDS", 2).max(1);
     let build_rounds = env_usize("LCMSR_SCALE_BUILD_ROUNDS", 1).max(1);
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let min_speedup = env_f64("LCMSR_BENCH_MIN_PREPARE_SPEEDUP", 2.0);
 
     println!("scale (building NY-like dataset at {scale:?}…)");
     let gen_start = std::time::Instant::now();
@@ -85,48 +83,27 @@ fn main() {
     let gen_secs = gen_start.elapsed().as_secs_f64();
     let node_count = dataset.network.node_count();
     let object_count = dataset.collection.len();
+    let postings = dataset.collection.grid().posting_count();
     println!(
-        "  dataset         : {} nodes, {} edges, {object_count} objects in {gen_secs:.1} s",
+        "  dataset         : {} nodes, {} edges, {object_count} objects ({postings} postings) in {gen_secs:.1} s",
         node_count,
         dataset.network.edge_count()
     );
 
-    // -- index build: sequential insert loop vs lock-per-shard parallel fill --
-    // Both paths re-clone the object set inside the timed closure, so the
-    // clone overhead cancels in the ratio.
+    // -- index build ---------------------------------------------------------
+    // The object clone sits inside the timed closure (the build consumes
+    // its input); it is a small share of the build.
     let objects = dataset.collection.objects().to_vec();
     let cell_size = dataset.config.cell_size;
-    let build_seq = best_secs(build_rounds, || {
-        let built =
-            ObjectCollection::build_with_workers(&dataset.network, objects.clone(), cell_size, 1)
-                .expect("sequential build");
+    let index_build_secs = best_secs(build_rounds, || {
+        let built = ObjectCollection::build(&dataset.network, objects.clone(), cell_size)
+            .expect("index build");
         assert_eq!(built.len(), object_count);
     });
-    let mut parallel_collection = None;
-    let build_par = best_secs(build_rounds, || {
-        let built = ObjectCollection::build_with_workers(
-            &dataset.network,
-            objects.clone(),
-            cell_size,
-            workers,
-        )
-        .expect("parallel build");
-        parallel_collection = Some(built);
-    });
-    let build_speedup = build_seq / build_par.max(1e-12);
     drop(objects);
-    // The parallel build must index identically: same postings mass per node
-    // on a full-extent probe (the dedicated grid/collection tests cover the
-    // per-shard bit-identity; this guards the huge-scale instantiation).
-    let parallel_collection = parallel_collection.expect("parallel build ran");
-    assert_eq!(parallel_collection.len(), object_count);
-    assert_eq!(
-        parallel_collection.keyword_count(),
-        dataset.collection.keyword_count()
-    );
-    drop(parallel_collection);
+    let build_peak_kib = peak_rss_kib().unwrap_or(0);
 
-    // -- prepare: sequential vs parallel fan-out ------------------------------
+    // -- prepare -------------------------------------------------------------
     let params = dataset.default_query_params(2026);
     let queries = make_workload(
         &dataset,
@@ -140,20 +117,36 @@ fn main() {
     let engine = LcmsrEngine::new(&dataset.network, &dataset.collection);
     let alpha = default_tgen_alpha(&dataset, &queries);
 
-    // Reference pass: sequential fingerprints and scratch size (cold).
+    // The flat scorer must reproduce the naive scan bit for bit.
+    let collection = &dataset.collection;
+    let mut matches_reference = true;
+    for q in &queries {
+        let query = collection.query_vector(&q.keywords);
+        let weights = collection.node_weights(&query, &q.region_of_interest);
+        let flat: ScoreBits = (
+            weights
+                .by_node()
+                .iter()
+                .map(|(n, w)| (n.0, w.to_bits()))
+                .collect(),
+            weights
+                .by_object()
+                .iter()
+                .map(|(o, w)| (o.0, w.to_bits()))
+                .collect(),
+        );
+        matches_reference &= flat == naive_scores(collection, &query, &q.region_of_interest);
+    }
+
+    // Cold pass, then a warm split pass: the grid-score / graph-build
+    // breakdown on reused scratch, comparable to the timed passes below.
     let mut workspace = QueryWorkspace::new();
-    engine.set_prepare_workers(1);
-    let mut reference = Vec::new();
     for q in &queries {
         let graph = engine
             .prepare_with(&mut workspace, q, alpha)
             .expect("prepare");
-        reference.push(graph_fingerprint(&graph));
         engine.release(&mut workspace, graph);
     }
-    // Warm split pass: the grid-score / graph-build breakdown on reused
-    // scratch, comparable to the timed passes below (the cold reference pass
-    // pays page faults that would drown the split).
     let mut grid_score_secs = 0.0;
     let mut graph_build_secs = 0.0;
     for q in &queries {
@@ -167,10 +160,18 @@ fn main() {
     }
     grid_score_secs /= queries.len() as f64;
     graph_build_secs /= queries.len() as f64;
+    let prepare_secs = best_secs(rounds, || {
+        for q in &queries {
+            let g = engine
+                .prepare_with(&mut workspace, q, alpha)
+                .expect("prepare");
+            engine.release(&mut workspace, g);
+        }
+    }) / queries.len() as f64;
+
     // The rect-bounded scratch contract: after preparing every query, the
     // member table covers the largest query rect's cell cover — not the
-    // network.  At scale the workload rect is a small fraction of the extent,
-    // so the scratch must be far below the node count.
+    // network.
     let member_table_len = workspace.member_table_len();
     let mut rect_nodes = 0usize;
     let mut rect_id_band = 0usize;
@@ -188,92 +189,34 @@ fn main() {
         rect_id_band = rect_id_band.max(band);
     }
     let scratch_ratio = member_table_len as f64 / node_count.max(1) as f64;
-
-    // Timed passes, strict gate with one noise re-measure.
-    let mut seq_secs = 0.0;
-    let mut par_secs = 0.0;
-    let mut speedup = 0.0;
-    let mut seq_peak_kib = 0u64;
-    let mut par_peak_kib = 0u64;
-    for attempt in 0..2 {
-        engine.set_prepare_workers(1);
-        reset_peak_rss();
-        let rss_floor = peak_rss_kib().unwrap_or(0);
-        seq_secs = best_secs(rounds, || {
-            for q in &queries {
-                let g = engine
-                    .prepare_with(&mut workspace, q, alpha)
-                    .expect("prepare");
-                engine.release(&mut workspace, g);
-            }
-        }) / queries.len() as f64;
-        seq_peak_kib = peak_rss_kib().unwrap_or(0).saturating_sub(rss_floor);
-        engine.set_prepare_workers(workers);
-        reset_peak_rss();
-        let rss_floor = peak_rss_kib().unwrap_or(0);
-        par_secs = best_secs(rounds, || {
-            for q in &queries {
-                let g = engine
-                    .prepare_with(&mut workspace, q, alpha)
-                    .expect("prepare");
-                engine.release(&mut workspace, g);
-            }
-        }) / queries.len() as f64;
-        par_peak_kib = peak_rss_kib().unwrap_or(0).saturating_sub(rss_floor);
-        speedup = seq_secs / par_secs.max(1e-12);
-        if !strict || speedup >= min_speedup || cpus < workers {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!("  speedup {speedup:.2}x below {min_speedup:.1}x target; re-measuring once");
-        }
-    }
-
-    // Parallel prepare must be bit-identical to the sequential reference.
-    engine.set_prepare_workers(workers);
-    let mut identical = true;
-    for (q, expect) in queries.iter().zip(&reference) {
-        let graph = engine
-            .prepare_with(&mut workspace, q, alpha)
-            .expect("prepare");
-        if &graph_fingerprint(&graph) != expect {
-            identical = false;
-        }
-        engine.release(&mut workspace, graph);
-    }
+    let peak_kib = peak_rss_kib().unwrap_or(0);
 
     println!(
-        "scale (scale {scale:?}, {} queries, {workers} workers, {cpus} CPUs)",
+        "scale (scale {scale:?}, {} queries, {cpus} CPUs)",
         queries.len()
     );
-    println!(
-        "  index build     : {build_seq:>10.2} s sequential, {build_par:.2} s at {workers} workers  ({build_speedup:.2}x)"
-    );
-    println!("  prepare seq     : {:>10.1} µs/query", seq_secs * 1e6);
-    println!(
-        "  prepare par({workers})  : {:>10.1} µs/query  ({speedup:.2}x)",
-        par_secs * 1e6
-    );
+    println!("  index build     : {index_build_secs:>10.2} s");
+    println!("  prepare         : {:>10.1} µs/query", prepare_secs * 1e6);
     println!(
         "  prepare split   : {:>10.1} µs grid score + {:.1} µs graph build",
         grid_score_secs * 1e6,
         graph_build_secs * 1e6
     );
     println!(
-        "  peak prepare RSS: {:>10.1} MiB sequential, {:.1} MiB parallel",
-        seq_peak_kib as f64 / 1024.0,
-        par_peak_kib as f64 / 1024.0
+        "  peak RSS        : {:>10.1} MiB after the index build, {:.1} MiB at the end",
+        build_peak_kib as f64 / 1024.0,
+        peak_kib as f64 / 1024.0
     );
     println!(
         "  scratch         : {member_table_len} member-table entries for ≤ {rect_nodes} rect nodes \
          (id band {rect_id_band}; {:.2}% of {node_count} network nodes)",
         scratch_ratio * 100.0
     );
-    println!("  results identical: {identical}");
+    println!("  matches naive reference: {matches_reference}");
 
     assert!(
-        identical,
-        "parallel prepare must be bit-identical to the sequential path"
+        matches_reference,
+        "flat scorer must be bit-identical to the naive reference scan"
     );
     // The scratch stays bounded by the rect's member-id band: the epoch table
     // never touches node ids outside the widest query band, and on large
@@ -290,22 +233,14 @@ fn main() {
              below the network ({node_count} nodes)"
         );
     }
-    if strict && cpus >= workers {
-        assert!(
-            speedup >= min_speedup,
-            "parallel prepare speedup {speedup:.2}x below the {min_speedup:.1}x target \
-             with {cpus} CPUs"
-        );
-    }
 
     let out_path =
         std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"scale\": \"{scale:?}\",\n  \"nodes\": {node_count},\n  \"edges\": {},\n  \"objects\": {object_count},\n  \"queries\": {},\n  \"workers\": {workers},\n  \"cpus\": {cpus},\n  \"dataset_build_s\": {gen_secs:.3},\n  \"index_build_seq_s\": {build_seq:.3},\n  \"index_build_par_s\": {build_par:.3},\n  \"index_build_speedup\": {build_speedup:.4},\n  \"prepare_seq_us_per_query\": {:.3},\n  \"prepare_par_us_per_query\": {:.3},\n  \"prepare_speedup\": {speedup:.4},\n  \"grid_score_us_per_query\": {:.3},\n  \"graph_build_us_per_query\": {:.3},\n  \"prepare_peak_rss_seq_kib\": {seq_peak_kib},\n  \"prepare_peak_rss_par_kib\": {par_peak_kib},\n  \"member_table_len\": {member_table_len},\n  \"max_rect_nodes\": {rect_nodes},\n  \"max_rect_id_band\": {rect_id_band},\n  \"scratch_vs_network\": {scratch_ratio:.6},\n  \"identical_results\": {identical}\n}}\n",
+        "{{\n  \"bench\": \"scale\",\n  \"scale\": \"{scale:?}\",\n  \"nodes\": {node_count},\n  \"edges\": {},\n  \"objects\": {object_count},\n  \"postings\": {postings},\n  \"queries\": {},\n  \"cpus\": {cpus},\n  \"dataset_build_s\": {gen_secs:.3},\n  \"index_build_s\": {index_build_secs:.3},\n  \"prepare_us_per_query\": {:.3},\n  \"grid_score_us_per_query\": {:.3},\n  \"graph_build_us_per_query\": {:.3},\n  \"peak_rss_after_index_build_kib\": {build_peak_kib},\n  \"peak_rss_kib\": {peak_kib},\n  \"member_table_len\": {member_table_len},\n  \"max_rect_nodes\": {rect_nodes},\n  \"max_rect_id_band\": {rect_id_band},\n  \"scratch_vs_network\": {scratch_ratio:.6},\n  \"matches_naive_reference\": {matches_reference}\n}}\n",
         dataset.network.edge_count(),
         queries.len(),
-        seq_secs * 1e6,
-        par_secs * 1e6,
+        prepare_secs * 1e6,
         grid_score_secs * 1e6,
         graph_build_secs * 1e6,
     );

@@ -1,13 +1,12 @@
-//! Substrate micro-benchmarks: the indexing layer the paper's Section 3
-//! describes (grid + per-cell inverted lists on a paged B⁺-tree) and the
-//! object→node weight computation that precedes every query.
+//! Substrate micro-benchmarks: keyword scoring against the indexing layer
+//! the paper's Section 3 describes (grid + per-cell inverted lists, here one
+//! flat CSR) — the object→node weight computation that precedes every query.
 //!
 //! These do not correspond to a single figure; they quantify the fixed
 //! per-query indexing cost that all three algorithms share.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcmsr_bench::*;
-use lcmsr_geotext::btree::BPlusTree;
 use std::hint::black_box;
 
 fn bench_node_weights(c: &mut Criterion) {
@@ -38,35 +37,5 @@ fn bench_node_weights(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_btree_inserts_and_lookups(c: &mut Criterion) {
-    let mut group = c.benchmark_group("substrate_bptree");
-    group.sample_size(20);
-    for n in [1_000u32, 10_000] {
-        group.bench_with_input(BenchmarkId::new("insert", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut t: BPlusTree<u32, u64> = BPlusTree::new();
-                for i in 0..n {
-                    t.insert(i.wrapping_mul(2654435761) % n, i as u64);
-                }
-                black_box(t.len())
-            });
-        });
-        let mut tree: BPlusTree<u32, u64> = BPlusTree::new();
-        for i in 0..n {
-            tree.insert(i, i as u64);
-        }
-        group.bench_with_input(BenchmarkId::new("lookup", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for i in (0..n).step_by(7) {
-                    acc += *tree.get(&i).unwrap();
-                }
-                black_box(acc)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_node_weights, bench_btree_inserts_and_lookups);
+criterion_group!(benches, bench_node_weights);
 criterion_main!(benches);

@@ -457,7 +457,8 @@ pub struct PrepareBreakdown {
 /// to decide delta-eligibility of the next one, plus the keyword scores it
 /// would reuse.  The scores depend only on `(epoch, keywords)` per object —
 /// the rectangle merely filters them — so survivors of a pan are reused
-/// verbatim and stay bit-identical to a cold rescore.
+/// verbatim and stay bit-identical to a cold rescore.  `weights` is a
+/// [`NodeWeights::snapshot`]: the answer only, never the scoring scratch.
 #[derive(Debug, Clone)]
 struct SessionState {
     epoch: u64,
@@ -597,18 +598,14 @@ impl WorkspacePool {
 /// (`Arc<LcmsrEngine>`, `&'static LcmsrEngine`, or scoped borrows) by a
 /// serving front-end whose scheduler and handler threads run queries
 /// concurrently.  All interior mutability is confined to the
-/// [`WorkspacePool`]'s mutex and the network/collection indexes' atomics;
-/// the network and collection themselves are only read.  A compile-time
+/// [`WorkspacePool`]'s and [`ResponseCache`]'s mutexes and the epoch
+/// counter; the network and collection are only read.  A compile-time
 /// audit lives in this module's tests (`engine_is_send_and_sync`).
 #[derive(Debug)]
 pub struct LcmsrEngine<'a> {
     network: &'a RoadNetwork,
     collection: &'a ObjectCollection,
     pool: WorkspacePool,
-    /// Threads the prepare phase may fan grid scoring and `Q.Λ` extraction
-    /// out across.  1 = fully sequential; any value yields bit-identical
-    /// results (sharded scoring and banded gathering merge deterministically).
-    prepare_workers: AtomicUsize,
     /// Completed responses keyed by canonical request fingerprints, consulted
     /// by cache-mode requests ([`QueryOptions::cache`]).
     cache: ResponseCache,
@@ -625,7 +622,6 @@ impl<'a> LcmsrEngine<'a> {
             network,
             collection,
             pool: WorkspacePool::new(),
-            prepare_workers: AtomicUsize::new(1),
             cache: ResponseCache::new(),
             epoch: AtomicU64::new(0),
         }
@@ -655,25 +651,6 @@ impl<'a> LcmsrEngine<'a> {
     pub fn with_cache_limits(mut self, max_entries: usize, max_bytes: usize) -> Self {
         self.cache = ResponseCache::with_limits(max_entries, max_bytes);
         self
-    }
-
-    /// Sets the prepare-phase worker count (builder style).
-    pub fn with_prepare_workers(self, workers: usize) -> Self {
-        self.set_prepare_workers(workers);
-        self
-    }
-
-    /// Sets the number of threads the prepare phase fans out across.  The
-    /// output of every query is bit-identical for any value; this only trades
-    /// latency for cores.  Clamped to at least 1.
-    pub fn set_prepare_workers(&self, workers: usize) {
-        self.prepare_workers
-            .store(workers.max(1), AtomicOrdering::Relaxed);
-    }
-
-    /// The configured prepare-phase worker count.
-    pub fn prepare_workers(&self) -> usize {
-        self.prepare_workers.load(AtomicOrdering::Relaxed)
     }
 
     /// The engine's workspace pool (diagnostics/tests).
@@ -727,7 +704,6 @@ impl<'a> LcmsrEngine<'a> {
         session: bool,
     ) -> Result<QueryGraph> {
         query.validate()?;
-        let workers = self.prepare_workers();
         let epoch = self.dataset_epoch();
         let prepare_span = workspace.tracer.start("prepare");
         let delta_session = if session {
@@ -757,11 +733,10 @@ impl<'a> LcmsrEngine<'a> {
                 &mut workspace.weights,
             )
         } else {
-            self.collection.node_weights_into_with_workers(
+            self.collection.node_weights_into(
                 &q,
                 &query.region_of_interest,
                 &mut workspace.weights,
-                workers,
             );
             0
         };
@@ -772,16 +747,15 @@ impl<'a> LcmsrEngine<'a> {
                 epoch,
                 keywords: query.keywords.clone(),
                 rect: query.region_of_interest,
-                weights: workspace.weights.clone(),
+                weights: workspace.weights.snapshot(),
             });
         }
         let build_span = workspace.tracer.start("graph_build");
         let build_start = crate::cancel::now();
-        let view = RegionView::new_reusing_with_workers(
+        let view = RegionView::new_reusing(
             self.network,
             query.region_of_interest,
             &mut workspace.region,
-            workers,
         );
         let graph = workspace
             .builder
@@ -1242,17 +1216,17 @@ impl<'a> LcmsrEngine<'a> {
         let weights = self
             .collection
             .node_weights_for_keywords(&query.keywords, &query.region_of_interest);
-        if weights.by_object.is_empty() {
+        if weights.by_object().is_empty() {
             return Ok(None);
         }
-        // Weighted points of the relevant objects.
-        let mut ids: Vec<ObjectId> = weights.by_object.keys().copied().collect();
-        ids.sort_unstable();
-        let points: Vec<(lcmsr_roadnet::geo::Point, f64)> = ids
+        // Weighted points of the relevant objects, ascending id.
+        let ids: Vec<ObjectId> = weights.by_object().iter().map(|&(id, _)| id).collect();
+        let points: Vec<(lcmsr_roadnet::geo::Point, f64)> = weights
+            .by_object()
             .iter()
-            .map(|id| {
-                let o = self.collection.object(*id).expect("scored object exists");
-                (o.point, weights.by_object[id])
+            .map(|&(id, score)| {
+                let o = self.collection.object(id).expect("scored object exists");
+                (o.point, score)
             })
             .collect();
         let Some(result) = max_range_sum(&points, width, height) else {
@@ -1267,7 +1241,7 @@ impl<'a> LcmsrEngine<'a> {
         nodes.dedup();
         let weight: f64 = objects
             .iter()
-            .map(|o| weights.by_object.get(o).copied().unwrap_or(0.0))
+            .map(|&o| weights.object_score(o).unwrap_or(0.0))
             .sum();
         let (connecting_length, connected) = self.connecting_length(query, &nodes);
         Ok(Some(MaxRsRegion {
@@ -1615,33 +1589,16 @@ mod tests {
     }
 
     #[test]
-    fn prepare_workers_never_change_results_and_fill_the_timing_split() {
+    fn prepare_fills_the_timing_split() {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
-        assert_eq!(engine.prepare_workers(), 1);
-        let queries = mixed_workload(&network);
         let algorithm = Algorithm::Tgen(TgenParams { alpha: 1.0 });
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| run1(&engine, q, &algorithm).unwrap())
-            .collect();
-        for workers in [2usize, 4, 7] {
-            let parallel = LcmsrEngine::new(&network, &collection).with_prepare_workers(workers);
-            assert_eq!(parallel.prepare_workers(), workers);
-            for (i, (q, seq)) in queries.iter().zip(&sequential).enumerate() {
-                let out = run1(&parallel, q, &algorithm).unwrap();
-                assert_eq!(
-                    out.region, seq.region,
-                    "query {i} diverged with {workers} prepare workers"
-                );
-                assert_eq!(out.stats.nodes_in_region, seq.stats.nodes_in_region);
-                assert_eq!(out.stats.relevant_nodes, seq.stats.relevant_nodes);
-                assert!(
-                    out.stats.grid_score_time + out.stats.graph_build_time
-                        <= out.stats.prepare_time,
-                    "split must be contained in prepare_time"
-                );
-            }
+        for q in &mixed_workload(&network) {
+            let out = run1(&engine, q, &algorithm).unwrap();
+            assert!(
+                out.stats.grid_score_time + out.stats.graph_build_time <= out.stats.prepare_time,
+                "split must be contained in prepare_time"
+            );
         }
     }
 
@@ -2023,10 +1980,11 @@ mod tests {
         b.add_edge(a, c, 10.0).unwrap();
         b.add_edge(c, d, 1.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.3);
-        weights.by_node.insert(NodeId(1), 0.16);
-        weights.by_node.insert(NodeId(2), 0.16);
+        let weights = NodeWeights::from_node_weights([
+            (NodeId(0), 0.3),
+            (NodeId(1), 0.16),
+            (NodeId(2), 0.16),
+        ]);
         let view = RegionView::whole(&network);
         let alpha = Algorithm::Exact.alpha();
         let qg = QueryGraph::build(&view, &weights, 5.0, alpha).unwrap();

@@ -400,9 +400,7 @@ mod tests {
         let c = b.add_node(Point::new(10.0, 0.0));
         b.add_edge(a, c, 10.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.9);
-        weights.by_node.insert(NodeId(1), 0.3);
+        let weights = NodeWeights::from_node_weights([(NodeId(0), 0.9), (NodeId(1), 0.3)]);
         let view = RegionView::whole(&network);
         let qg = QueryGraph::build(&view, &weights, 5.0, 0.5).unwrap();
         let mut arena = TupleArena::new();
@@ -534,9 +532,7 @@ mod tests {
         let c = b.add_node(Point::new(10.0, 0.0));
         b.add_edge(a, c, 10.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.9);
-        weights.by_node.insert(NodeId(1), 0.3);
+        let weights = NodeWeights::from_node_weights([(NodeId(0), 0.9), (NodeId(1), 0.3)]);
         let view = RegionView::whole(&network);
         // ∆ smaller than the connecting edge: only single nodes are feasible.
         let qg = QueryGraph::build(&view, &weights, 5.0, 0.5).unwrap();
@@ -563,9 +559,7 @@ mod tests {
         b.add_edge(n0, n1, 1.0).unwrap();
         b.add_edge(n1, n2, 1.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.5);
-        weights.by_node.insert(NodeId(1), 0.5);
+        let weights = NodeWeights::from_node_weights([(NodeId(0), 0.5), (NodeId(1), 0.5)]);
         let view = RegionView::whole(&network);
         let qg = QueryGraph::build(&view, &weights, 10.0, 0.5).unwrap();
         let mut arena = TupleArena::new();

@@ -408,9 +408,7 @@ mod tests {
             b.add_edge(w[0], w[1], 10.0).unwrap();
         }
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 1.0);
-        weights.by_node.insert(NodeId(5), 1.0);
+        let weights = NodeWeights::from_node_weights([(NodeId(0), 1.0), (NodeId(5), 1.0)]);
         let view = RegionView::whole(&network);
         let qg = QueryGraph::build(&view, &weights, 100.0, 0.5).unwrap();
         let mut arena = TupleArena::new();

@@ -366,10 +366,8 @@ mod tests {
         b.add_edge(v1, v2, 4.0).unwrap();
         b.add_edge(v1, v3, 5.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.2);
-        weights.by_node.insert(NodeId(1), 0.2);
-        weights.by_node.insert(NodeId(2), 0.4);
+        let weights =
+            NodeWeights::from_node_weights([(NodeId(0), 0.2), (NodeId(1), 0.2), (NodeId(2), 0.4)]);
         let view = RegionView::whole(&network);
         // α chosen so weights scale 100× (θ = 0.004·... we pick α = 0.03:
         // θ = 0.03·0.4/3 = 0.004 → scaled weights 50/50/100).  To match the

@@ -362,11 +362,14 @@ impl QueryGraphBuilder {
         qg.node_ids.extend_from_slice(view.nodes());
         qg.node_points
             .extend(qg.node_ids.iter().map(|&id| graph.point(id)));
-        qg.weights.extend(
-            qg.node_ids
-                .iter()
-                .map(|&id| node_weights.weight(id).max(0.0)),
-        );
+        // One merge walk: view nodes and weighted nodes are both id-sorted.
+        let mut weighted = node_weights.by_node().iter().peekable();
+        qg.weights.extend(qg.node_ids.iter().map(|&id| {
+            while weighted.next_if(|&&(node, _)| node < id).is_some() {}
+            weighted
+                .next_if(|&&(node, _)| node == id)
+                .map_or(0.0, |&(_, w)| w.max(0.0))
+        }));
         qg.sigma_max = qg.weights.iter().fold(0.0f64, |a, &b| a.max(b));
         qg.delta = delta;
 
@@ -469,11 +472,13 @@ pub(crate) mod test_support {
         b.add_edge(v2, v6, 1.6).unwrap();
         b.add_edge(v3, v5, 3.4).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
         let values = [0.2, 0.2, 0.4, 0.4, 0.3, 0.2];
-        for (i, &w) in values.iter().enumerate() {
-            weights.by_node.insert(NodeId(i as u32), w);
-        }
+        let weights = NodeWeights::from_node_weights(
+            values
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| (NodeId(i as u32), w)),
+        );
         (network, weights)
     }
 

@@ -736,11 +736,12 @@ mod tests {
         b.add_edge(a, c, 1.0).unwrap();
         b.add_edge(d, e, 1.0).unwrap();
         let network = b.build().unwrap();
-        let mut weights = NodeWeights::default();
-        weights.by_node.insert(NodeId(0), 0.1);
-        weights.by_node.insert(NodeId(1), 0.1);
-        weights.by_node.insert(NodeId(2), 0.5);
-        weights.by_node.insert(NodeId(3), 0.5);
+        let weights = NodeWeights::from_node_weights([
+            (NodeId(0), 0.1),
+            (NodeId(1), 0.1),
+            (NodeId(2), 0.5),
+            (NodeId(3), 0.5),
+        ]);
         let view = RegionView::whole(&network);
         let qg = QueryGraph::build(&view, &weights, 5.0, 0.1).unwrap();
         let mut arena = TupleArena::new();

@@ -1,18 +1,30 @@
 //! [`ObjectCollection`]: the assembled geo-textual data set.
 //!
-//! A collection owns the objects, the corpus vocabulary, the spatial grid
-//! index with per-cell inverted lists, and the object→road-node mapping.  It is
-//! the query-time entry point that turns a set of query keywords plus a region
-//! of interest into *node weights* — the `σ_v` values the LCMSR algorithms
-//! consume.
+//! A collection owns the objects, the corpus vocabulary, the flat grid index
+//! and the object→road-node mapping.  It is the query-time entry point that
+//! turns a set of query keywords plus a region of interest into *node
+//! weights* — the `σ_v` values the LCMSR algorithms consume.
+//!
+//! # Scoring
+//!
+//! [`ObjectCollection::node_weights_into`] walks the postings of the grid
+//! cells covering `Q.Λ` and adds each posting's `w_{Q.ψ,t} · wto(t)` into
+//! epoch-stamped dense per-slot scratch held by the caller's
+//! [`NodeWeights`], so a reused `NodeWeights` scores a query without
+//! allocating or clearing anything proportional to the collection.  Two
+//! summation orders are fixed, which makes every score bit-reproducible:
+//!
+//! * an object's partial score sums from 0.0 in query-term order;
+//! * a node's weight sums its objects' scores in ascending [`ObjectId`] order.
 
 use crate::error::Result;
-use crate::grid::{CellId, GridIndex, DEFAULT_SHARD_COUNT};
+use crate::grid::GridIndex;
 use crate::mapping::map_points_to_nodes;
 use crate::object::{GeoTextObject, ObjectId};
 use crate::vocab::{TermId, Vocabulary};
 use crate::vsm::QueryVector;
-use lcmsr_roadnet::geo::Rect;
+use lcmsr_roadnet::epoch::EpochMap;
+use lcmsr_roadnet::geo::{Point, Rect};
 use lcmsr_roadnet::graph::RoadNetwork;
 use lcmsr_roadnet::node::NodeId;
 use std::collections::BTreeMap;
@@ -22,23 +34,101 @@ pub const DEFAULT_CELL_SIZE: f64 = 500.0;
 
 /// Per-node relevance weights for one query (the `σ_v` of the paper), together
 /// with per-object scores for inspection.
+///
+/// Both are vectors sorted by id.  A `NodeWeights` filled by an
+/// [`ObjectCollection`] also keeps that query's dense scoring scratch, so
+/// reusing one across queries allocates nothing once the scratch has grown;
+/// [`NodeWeights::snapshot`] copies the answer without it.
 #[derive(Debug, Clone, Default)]
 pub struct NodeWeights {
-    /// Relevance weight per node; only nodes with a positive weight appear.
-    pub by_node: BTreeMap<NodeId, f64>,
-    /// Relevance score per matching object.
-    pub by_object: BTreeMap<ObjectId, f64>,
+    /// `(node, σ_v)`, ascending node; only nodes hosting a scored object.
+    by_node: Vec<(NodeId, f64)>,
+    /// `(object, score)`, ascending object id; only objects scoring above 0.
+    by_object: Vec<(ObjectId, f64)>,
+    /// Collection slot of each `by_object` entry (the delta path reads it).
+    object_slots: Vec<u32>,
+    scratch: ScoreScratch,
+}
+
+/// One object that made the cut: id, host node, slot and score.
+type Scored = (ObjectId, NodeId, u32, f64);
+
+/// Dense per-query scoring scratch: epoch-stamped slot accumulators plus the
+/// list of scored objects.  Cleared in O(1) per query; the epoch table spans
+/// the slot band of the cells scored, not the collection.
+#[derive(Debug, Clone, Default)]
+struct ScoreScratch {
+    /// Slot → position in `partials`, live for the current query only.
+    touched: EpochMap,
+    /// `(slot, Σ w_{Q.ψ,t}·wto(t))` per touched slot, in first-touch order.
+    partials: Vec<(u32, f64)>,
+    /// Objects kept for the answer, in no particular order.
+    kept: Vec<Scored>,
+}
+
+impl ScoreScratch {
+    /// Starts a query whose smallest touched slot is expected at `first_slot`.
+    fn begin(&mut self, first_slot: usize) {
+        self.touched.begin_at(first_slot);
+        self.partials.clear();
+        self.kept.clear();
+    }
+
+    /// Adds one posting's contribution to `slot`'s partial score.
+    #[inline]
+    fn add(&mut self, slot: u32, x: f64) {
+        match self.touched.get(slot as usize) {
+            Some(i) => self.partials[i as usize].1 += x,
+            None => {
+                self.touched
+                    .insert(slot as usize, self.partials.len() as u32);
+                // `0.0 + x` equals `x` for every x but -0.0, and a -0.0
+                // partial never survives the score > 0 filter.
+                self.partials.push((slot, x));
+            }
+        }
+    }
 }
 
 impl NodeWeights {
+    /// Weights given directly per node, for test fixtures and callers that
+    /// weight nodes themselves.  A node listed twice keeps its last weight.
+    pub fn from_node_weights(weights: impl IntoIterator<Item = (NodeId, f64)>) -> Self {
+        let by_node: BTreeMap<NodeId, f64> = weights.into_iter().collect();
+        NodeWeights {
+            by_node: by_node.into_iter().collect(),
+            ..Self::default()
+        }
+    }
+
     /// Weight of a node (0 if it hosts no relevant object).
     pub fn weight(&self, node: NodeId) -> f64 {
-        self.by_node.get(&node).copied().unwrap_or(0.0)
+        self.by_node
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .map_or(0.0, |i| self.by_node[i].1)
+    }
+
+    /// Score of an object, if it is relevant to the query.
+    pub fn object_score(&self, object: ObjectId) -> Option<f64> {
+        self.by_object
+            .binary_search_by_key(&object, |&(o, _)| o)
+            .ok()
+            .map(|i| self.by_object[i].1)
+    }
+
+    /// `(node, σ_v)` pairs of the relevant nodes, ascending node id.
+    pub fn by_node(&self) -> &[(NodeId, f64)] {
+        &self.by_node
+    }
+
+    /// `(object, score)` pairs of the relevant objects, ascending object id.
+    pub fn by_object(&self) -> &[(ObjectId, f64)] {
+        &self.by_object
     }
 
     /// The largest node weight (`σ_max`), or 0 when no node is relevant.
     pub fn max_weight(&self) -> f64 {
-        self.by_node.values().fold(0.0f64, |a, &b| a.max(b))
+        self.by_node.iter().fold(0.0f64, |a, &(_, b)| a.max(b))
     }
 
     /// Number of nodes with a positive weight.
@@ -48,106 +138,153 @@ impl NodeWeights {
 
     /// Total weight over all relevant nodes.
     pub fn total_weight(&self) -> f64 {
-        self.by_node.values().sum()
+        self.by_node.iter().map(|&(_, w)| w).sum()
     }
 
     /// Whether no node is relevant to the query.
     pub fn is_empty(&self) -> bool {
         self.by_node.is_empty()
     }
+
+    /// A copy of the answer — node and object scores — without the scoring
+    /// scratch.
+    pub fn snapshot(&self) -> NodeWeights {
+        NodeWeights {
+            by_node: self.by_node.clone(),
+            by_object: self.by_object.clone(),
+            object_slots: self.object_slots.clone(),
+            scratch: ScoreScratch::default(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.by_node.clear();
+        self.by_object.clear();
+        self.object_slots.clear();
+    }
+
+    /// Turns the scratch's kept objects into the answer: `by_object` in
+    /// ascending id order, and each node's weight summed over its objects in
+    /// ascending id order.
+    fn finish(&mut self) {
+        let kept = &mut self.scratch.kept;
+        kept.sort_unstable_by_key(|&(id, ..)| id);
+        self.by_object
+            .extend(kept.iter().map(|&(id, _, _, score)| (id, score)));
+        self.object_slots
+            .extend(kept.iter().map(|&(_, _, slot, _)| slot));
+        kept.sort_unstable_by_key(|&(id, node, ..)| (node, id));
+        for &(_, node, _, score) in kept.iter() {
+            match self.by_node.last_mut() {
+                Some(last) if last.0 == node => last.1 += score,
+                _ => self.by_node.push((node, score)),
+            }
+        }
+    }
 }
 
 /// A complete geo-textual data set bound to a road network.
 #[derive(Debug, Clone)]
 pub struct ObjectCollection {
+    /// The indexed objects, in input order.
     objects: Vec<GeoTextObject>,
     vocabulary: Vocabulary,
     grid: GridIndex,
-    /// Node each object is mapped to, aligned with `objects`.
-    object_nodes: Vec<NodeId>,
-    /// Objects hosted by each node.
-    node_objects: BTreeMap<NodeId, Vec<ObjectId>>,
-    /// Position of each object id in `objects` (ids need not be dense).
-    object_index: BTreeMap<ObjectId, usize>,
+    /// Per grid slot: the object's id, location and mapped node.
+    slot_ids: Vec<ObjectId>,
+    slot_points: Vec<Point>,
+    slot_nodes: Vec<NodeId>,
+    /// Slots in ascending object-id order, for lookups by id.
+    slots_by_id: Vec<u32>,
+    /// `node_objects[node_offsets[n]..node_offsets[n + 1]]` are the objects
+    /// mapped to node `n`, in input order.
+    node_offsets: Vec<u32>,
+    node_objects: Vec<ObjectId>,
 }
 
 impl ObjectCollection {
-    /// Builds a collection: registers every object in the vocabulary, inserts
-    /// it into the grid index, and maps it to its nearest road-network node.
+    /// Builds a collection: registers every object in the vocabulary, indexes
+    /// it in the grid, and maps it to its nearest road-network node.
     ///
     /// Objects with empty descriptions or locations outside the network's
-    /// bounding box (expanded by one cell) are skipped rather than rejected, so
-    /// noisy synthetic or crawled data does not abort the build; the number of
-    /// skipped objects is available via [`ObjectCollection::skipped_objects`].
+    /// bounding box (expanded by one cell) are skipped rather than rejected,
+    /// so noisy synthetic or crawled data does not abort the build; so is
+    /// every object repeating the id of an earlier kept object.
+    /// [`ObjectCollection::len`] counts the objects kept.
     pub fn build(
         network: &RoadNetwork,
         objects: Vec<GeoTextObject>,
         cell_size: f64,
     ) -> Result<Self> {
-        Self::build_with_workers(network, objects, cell_size, 1)
-    }
-
-    /// Like [`ObjectCollection::build`], filling the grid's column-band shards
-    /// on up to `workers` scoped threads.  The vocabulary is registered by a
-    /// sequential pass first (term ids depend on encounter order), then the
-    /// shards — disjoint by construction — are indexed concurrently against
-    /// the now-read-only vocabulary.  The resulting collection is
-    /// bit-identical to a single-threaded build.
-    pub fn build_with_workers(
-        network: &RoadNetwork,
-        objects: Vec<GeoTextObject>,
-        cell_size: f64,
-        workers: usize,
-    ) -> Result<Self> {
-        Self::build_sharded(network, objects, cell_size, DEFAULT_SHARD_COUNT, workers)
-    }
-
-    /// Like [`ObjectCollection::build_with_workers`], with an explicit grid
-    /// shard count.  Sharding is a layout detail: every shard count produces
-    /// bit-identical postings and scores (each object lives in exactly one
-    /// cell, so per-shard score maps are key-disjoint and merge exactly);
-    /// `tests/sharded_prepare.rs` holds this property under proptest.
-    pub fn build_sharded(
-        network: &RoadNetwork,
-        objects: Vec<GeoTextObject>,
-        cell_size: f64,
-        shard_count: usize,
-        workers: usize,
-    ) -> Result<Self> {
         let extent = network
             .bounding_rect()
             .unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0))
             .expanded(cell_size.max(1.0));
-        let mut grid = GridIndex::new_sharded(extent, cell_size, shard_count)?;
-        let mut vocabulary = Vocabulary::new();
-        let mut kept: Vec<GeoTextObject> = Vec::with_capacity(objects.len());
-        for o in objects {
-            if o.is_empty() || !o.point.is_finite() || !extent.contains(&o.point) {
-                continue;
-            }
-            vocabulary.register_document(o.terms.keys().map(String::as_str));
-            kept.push(o);
+        let usable: Vec<GeoTextObject> = objects
+            .into_iter()
+            .filter(|o| !o.is_empty() && o.point.is_finite() && extent.contains(&o.point))
+            .collect();
+        // The first object of each id wins.
+        let mut first: Vec<(ObjectId, usize)> =
+            usable.iter().enumerate().map(|(i, o)| (o.id, i)).collect();
+        first.sort_unstable();
+        first.dedup_by_key(|&mut (id, _)| id);
+        let mut keep = vec![false; usable.len()];
+        for (_, i) in first {
+            keep[i] = true;
         }
-        grid.bulk_insert_preinterned(&vocabulary, &kept, workers)?;
-        let points: Vec<_> = kept.iter().map(|o| o.point).collect();
-        let object_nodes = if kept.is_empty() {
+        let objects: Vec<GeoTextObject> = usable
+            .into_iter()
+            .zip(keep)
+            .filter_map(|(o, keep)| keep.then_some(o))
+            .collect();
+
+        let mut vocabulary = Vocabulary::new();
+        let grid = GridIndex::build(extent, cell_size, &objects, &mut vocabulary)?;
+        let points: Vec<Point> = objects.iter().map(|o| o.point).collect();
+        let object_nodes = if objects.is_empty() {
             Vec::new()
         } else {
             map_points_to_nodes(network, &points)
         };
-        let mut node_objects: BTreeMap<NodeId, Vec<ObjectId>> = BTreeMap::new();
-        let mut object_index = BTreeMap::new();
-        for (i, o) in kept.iter().enumerate() {
-            object_index.insert(o.id, i);
-            node_objects.entry(object_nodes[i]).or_default().push(o.id);
+
+        let slot_object = |s: usize| grid.slot_object(s);
+        let slot_ids: Vec<ObjectId> = (0..objects.len())
+            .map(|s| objects[slot_object(s)].id)
+            .collect();
+        let slot_points = (0..objects.len()).map(|s| points[slot_object(s)]).collect();
+        let slot_nodes = (0..objects.len())
+            .map(|s| object_nodes[slot_object(s)])
+            .collect();
+        let mut slots_by_id: Vec<u32> = (0..objects.len() as u32).collect();
+        slots_by_id.sort_unstable_by_key(|&s| slot_ids[s as usize]);
+
+        // Objects per node by counting sort (input order within a node).
+        let mut node_offsets = vec![0u32; network.node_count() + 1];
+        for node in &object_nodes {
+            node_offsets[node.index() + 1] += 1;
         }
+        for n in 1..node_offsets.len() {
+            node_offsets[n] += node_offsets[n - 1];
+        }
+        let mut cursor = node_offsets.clone();
+        let mut node_objects = vec![ObjectId::default(); objects.len()];
+        for (object, node) in objects.iter().zip(&object_nodes) {
+            let at = &mut cursor[node.index()];
+            node_objects[*at as usize] = object.id;
+            *at += 1;
+        }
+
         Ok(ObjectCollection {
-            objects: kept,
+            objects,
             vocabulary,
             grid,
-            object_nodes,
+            slot_ids,
+            slot_points,
+            slot_nodes,
+            slots_by_id,
+            node_offsets,
             node_objects,
-            object_index,
         })
     }
 
@@ -166,7 +303,7 @@ impl ObjectCollection {
         self.objects.is_empty()
     }
 
-    /// The indexed objects.
+    /// The indexed objects, in input order.
     pub fn objects(&self) -> &[GeoTextObject] {
         &self.objects
     }
@@ -186,21 +323,34 @@ impl ObjectCollection {
         self.vocabulary.len()
     }
 
+    /// The grid slot of an object id.
+    fn slot_of(&self, object: ObjectId) -> Option<usize> {
+        self.slots_by_id
+            .binary_search_by_key(&object, |&s| self.slot_ids[s as usize])
+            .ok()
+            .map(|i| self.slots_by_id[i] as usize)
+    }
+
     /// The node an object is mapped to, if the object exists.
     pub fn node_of(&self, object: ObjectId) -> Option<NodeId> {
-        self.object_index
-            .get(&object)
-            .map(|&i| self.object_nodes[i])
+        self.slot_of(object).map(|s| self.slot_nodes[s])
     }
 
     /// Objects hosted by a node.
     pub fn objects_at(&self, node: NodeId) -> &[ObjectId] {
-        self.node_objects.get(&node).map_or(&[], Vec::as_slice)
+        match (
+            self.node_offsets.get(node.index()),
+            self.node_offsets.get(node.index() + 1),
+        ) {
+            (Some(&lo), Some(&hi)) => &self.node_objects[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 
     /// An object by id.
     pub fn object(&self, id: ObjectId) -> Option<&GeoTextObject> {
-        self.object_index.get(&id).map(|&i| &self.objects[i])
+        self.slot_of(id)
+            .map(|s| &self.objects[self.grid.slot_object(s)])
     }
 
     /// Builds the query vector for a set of keywords against this corpus.
@@ -223,55 +373,49 @@ impl ObjectCollection {
     }
 
     /// Like [`ObjectCollection::node_weights`], but writes into a caller-owned
-    /// [`NodeWeights`].  Batched query engines
-    /// score thousands of queries against the same collection; recycling the
-    /// output avoids rebuilding both maps from scratch every time.
+    /// [`NodeWeights`], reusing its output vectors and scoring scratch.
     pub fn node_weights_into(&self, query: &QueryVector, rect: &Rect, out: &mut NodeWeights) {
-        self.node_weights_into_with_workers(query, rect, out, 1);
-    }
-
-    /// Like [`ObjectCollection::node_weights_into`], fanning the grid scoring
-    /// out across up to `workers` threads (one per intersecting column-band
-    /// shard at most).  Bit-identical to the sequential path — see
-    /// [`GridIndex::accumulate_scores_in_rect_with_workers`].
-    pub fn node_weights_into_with_workers(
-        &self,
-        query: &QueryVector,
-        rect: &Rect,
-        out: &mut NodeWeights,
-        workers: usize,
-    ) {
-        out.by_node.clear();
-        out.by_object.clear();
+        out.clear();
         if query.norm == 0.0 {
             return;
         }
+        self.score_cells(query, rect, self.grid.cover_cells(rect), &mut out.scratch);
+        out.finish();
+    }
+
+    /// Sums the Equation-2 partial of every slot the postings of `cells`
+    /// (ascending occupied-cell indices) touch, then keeps the objects that
+    /// lie inside `rect` (cells only approximate it) and score above 0.
+    fn score_cells(
+        &self,
+        query: &QueryVector,
+        rect: &Rect,
+        cells: impl IntoIterator<Item = usize>,
+        scratch: &mut ScoreScratch,
+    ) {
         let query_terms: Vec<(TermId, f64)> = query
             .terms
             .iter()
             .filter_map(|t| t.id.map(|id| (id, t.weight)))
             .collect();
-        // Accumulate in ascending object-id order: per-node weights are sums
-        // of floating-point scores, and a deterministic summation order makes
-        // repeated (and batched) runs of the same query bit-identical.  The
-        // grid returns a BTreeMap, so its iteration order *is* that order.
-        for (object_id, partial) in
+        let mut cells = cells.into_iter().peekable();
+        scratch.begin(cells.peek().map_or(0, |&c| self.grid.slot_range(c).start));
+        for c in cells {
             self.grid
-                .accumulate_scores_in_rect_with_workers(rect, &query_terms, workers)
-        {
-            let Some(&idx) = self.object_index.get(&object_id) else {
+                .accumulate_cell(c, &query_terms, |slot, x| scratch.add(slot, x));
+        }
+        for &(slot, partial) in &scratch.partials {
+            let s = slot as usize;
+            if !rect.contains(&self.slot_points[s]) {
                 continue;
-            };
-            let object = &self.objects[idx];
-            if !rect.contains(&object.point) {
-                continue; // the cell overlapped Q.Λ but the object itself is outside
             }
             let score = partial / query.norm;
             if score <= 0.0 {
                 continue;
             }
-            out.by_object.insert(object_id, score);
-            *out.by_node.entry(self.object_nodes[idx]).or_insert(0.0) += score;
+            scratch
+                .kept
+                .push((self.slot_ids[s], self.slot_nodes[s], slot, score));
         }
     }
 
@@ -285,8 +429,8 @@ impl ObjectCollection {
     /// Bit-identical to a cold [`ObjectCollection::node_weights_into`] over
     /// `new_rect`: an object's Equation-2 partial accumulates entirely within
     /// its single grid cell, so per-object scores are rect-independent, and
-    /// the per-node sums are rebuilt by iterating the merged object map in
-    /// the same ascending-id order the cold pass uses.
+    /// the per-node sums are rebuilt in the same ascending-id order the cold
+    /// pass uses.
     pub fn node_weights_delta_into(
         &self,
         query: &QueryVector,
@@ -295,62 +439,33 @@ impl ObjectCollection {
         prev: &NodeWeights,
         out: &mut NodeWeights,
     ) -> usize {
-        out.by_node.clear();
-        out.by_object.clear();
+        out.clear();
         if query.norm == 0.0 {
             return 0;
-        }
-        // Survivors: per-object scores are independent of the rect (only the
-        // inside-the-rect filter depends on it), so any previously scored
-        // object still inside the new rect keeps its score bit-for-bit.
-        for (&object_id, &score) in &prev.by_object {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            if new_rect.contains(&self.objects[idx].point) {
-                out.by_object.insert(object_id, score);
-            }
         }
         // Rescan: cells the new rect covers that the old rect did not fully
         // contain.  Fully-contained cells were already scored exhaustively
         // (every object of theirs passed the old inside-the-rect filter or
         // scored zero, which the cold pass also drops).
-        let query_terms: Vec<(TermId, f64)> = query
-            .terms
-            .iter()
-            .filter_map(|t| t.id.map(|id| (id, t.weight)))
-            .collect();
-        let fresh: Vec<CellId> = self
+        let fresh: Vec<usize> = self
             .grid
-            .cells_intersecting(new_rect)
-            .into_iter()
-            .filter(|&c| !old_rect.contains_rect(&self.grid.cell_rect(c)))
+            .cover_cells(new_rect)
+            .filter(|&c| !old_rect.contains_rect(&self.grid.cell_rect(self.grid.cell_id(c))))
             .collect();
-        let rescanned = fresh.len();
-        for (object_id, partial) in self.grid.accumulate_scores_in_cells(&fresh, &query_terms) {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            if !new_rect.contains(&self.objects[idx].point) {
-                continue;
-            }
-            let score = partial / query.norm;
-            if score <= 0.0 {
+        let scratch = &mut out.scratch;
+        self.score_cells(query, new_rect, fresh.iter().copied(), scratch);
+        // Survivors: a previously scored object still inside the new rect
+        // keeps its score bit for bit.  One in a rescanned cell was touched
+        // by the rescan, which recomputed the identical score.
+        for (&(id, score), &slot) in prev.by_object.iter().zip(&prev.object_slots) {
+            let s = slot as usize;
+            if scratch.touched.contains(s) || !new_rect.contains(&self.slot_points[s]) {
                 continue;
             }
-            // An object both surviving and rescanned recomputes the identical
-            // score, so overwriting is safe.
-            out.by_object.insert(object_id, score);
+            scratch.kept.push((id, self.slot_nodes[s], slot, score));
         }
-        // Rebuild per-node sums in ascending object-id order — the exact
-        // summation order of the cold pass, so the float sums are identical.
-        for (&object_id, &score) in &out.by_object {
-            let Some(&idx) = self.object_index.get(&object_id) else {
-                continue;
-            };
-            *out.by_node.entry(self.object_nodes[idx]).or_insert(0.0) += score;
-        }
-        rescanned
+        out.finish();
+        fresh.len()
     }
 
     /// Convenience wrapper: computes node weights from raw keyword strings.
@@ -379,7 +494,8 @@ impl ObjectCollection {
     /// score is its rating/popularity when it matches at least one query
     /// keyword, and zero otherwise, so the region score represents the
     /// popularity of a relevant region.  Objects without a rating count as
-    /// `default_rating`.
+    /// `default_rating`.  Node weights sum in ascending object-id order, as
+    /// in [`ObjectCollection::node_weights`].
     pub fn node_weights_by_rating(
         &self,
         keywords: &[impl AsRef<str>],
@@ -395,21 +511,26 @@ impl ObjectCollection {
         if normalized.is_empty() {
             return weights;
         }
-        for (i, object) in self.objects.iter().enumerate() {
-            if !rect.contains(&object.point) {
-                continue;
+        for c in self.grid.cover_cells(rect) {
+            for slot in self.grid.slot_range(c) {
+                if !rect.contains(&self.slot_points[slot]) {
+                    continue;
+                }
+                let object = &self.objects[self.grid.slot_object(slot)];
+                if !normalized.iter().any(|k| object.contains_term(k)) {
+                    continue;
+                }
+                let score = object.rating.unwrap_or(default_rating).max(0.0);
+                if score <= 0.0 {
+                    continue;
+                }
+                weights
+                    .scratch
+                    .kept
+                    .push((object.id, self.slot_nodes[slot], slot as u32, score));
             }
-            let matches = normalized.iter().any(|k| object.contains_term(k));
-            if !matches {
-                continue;
-            }
-            let score = object.rating.unwrap_or(default_rating).max(0.0);
-            if score <= 0.0 {
-                continue;
-            }
-            weights.by_object.insert(object.id, score);
-            *weights.by_node.entry(self.object_nodes[i]).or_insert(0.0) += score;
         }
+        weights.finish();
         weights
     }
 }
@@ -418,9 +539,8 @@ impl ObjectCollection {
 mod tests {
     use super::*;
     use lcmsr_roadnet::builder::GraphBuilder;
-    use lcmsr_roadnet::geo::Point;
 
-    fn network_and_objects() -> (RoadNetwork, Vec<GeoTextObject>) {
+    fn line_network() -> RoadNetwork {
         // A 5-node line network with 100 m segments.
         let mut b = GraphBuilder::new();
         let ids: Vec<NodeId> = (0..5)
@@ -429,7 +549,10 @@ mod tests {
         for w in ids.windows(2) {
             b.add_edge(w[0], w[1], 100.0).unwrap();
         }
-        let network = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    fn network_and_objects() -> (RoadNetwork, Vec<GeoTextObject>) {
         let objects = vec![
             GeoTextObject::from_keywords(0u64, Point::new(5.0, 5.0), ["restaurant", "italian"]),
             GeoTextObject::from_keywords(1u64, Point::new(102.0, -3.0), ["restaurant", "pizza"]),
@@ -438,7 +561,12 @@ mod tests {
             GeoTextObject::from_keywords(4u64, Point::new(250.0, 2.0), Vec::<String>::new()),
             GeoTextObject::from_keywords(5u64, Point::new(9999.0, 9999.0), ["restaurant"]),
         ];
-        (network, objects)
+        (line_network(), objects)
+    }
+
+    /// `(id, bits)` of every entry, for bit-exact comparisons.
+    fn bits<K: Copy>(entries: &[(K, f64)]) -> Vec<(K, u64)> {
+        entries.iter().map(|&(k, w)| (k, w.to_bits())).collect()
     }
 
     #[test]
@@ -451,6 +579,53 @@ mod tests {
         assert_eq!(coll.keyword_count(), 4);
         assert!(coll.object(ObjectId(5)).is_none());
         assert!(coll.object(ObjectId(0)).is_some());
+        // Input order is preserved.
+        let ids: Vec<ObjectId> = coll.objects().iter().map(|o| o.id).collect();
+        assert_eq!(
+            ids,
+            vec![ObjectId(0), ObjectId(1), ObjectId(2), ObjectId(3)]
+        );
+    }
+
+    #[test]
+    fn duplicate_ids_keep_the_first_object_only() {
+        // Two `cafe` objects share id 7, at nodes 0 and 4.  Indexing both
+        // would merge their partials under one id at the second object's
+        // point and node: a score of 2.0 (a cosine score cannot exceed 1)
+        // on node 4, and nothing for a rect around the first object only.
+        let network = line_network();
+        let objects = vec![
+            GeoTextObject::from_keywords(7u64, Point::new(1.0, 1.0), ["cafe"]),
+            GeoTextObject::from_keywords(8u64, Point::new(200.0, 1.0), ["museum"]),
+            GeoTextObject::from_keywords(7u64, Point::new(399.0, 1.0), ["cafe"]),
+        ];
+        let coll = ObjectCollection::build(&network, objects, 50.0).unwrap();
+        assert_eq!(coll.len(), 2);
+        assert_eq!(
+            coll.object(ObjectId(7)).unwrap().point,
+            Point::new(1.0, 1.0)
+        );
+        assert_eq!(coll.node_of(ObjectId(7)), Some(NodeId(0)));
+        assert!(coll.objects_at(NodeId(4)).is_empty());
+        // The vocabulary counts the kept objects only: |D| = 2, f_cafe = 1.
+        assert_eq!(coll.vocabulary().document_count(), 2);
+
+        let whole = network.bounding_rect().unwrap().expanded(10.0);
+        let w = coll.node_weights_for_keywords(&["cafe"], &whole);
+        assert_eq!(bits(w.by_node()), bits(&[(NodeId(0), 1.0)]));
+        assert_eq!(bits(w.by_object()), bits(&[(ObjectId(7), 1.0)]));
+        let first_only = Rect::new(-5.0, -5.0, 20.0, 5.0);
+        let w = coll.node_weights_for_keywords(&["cafe"], &first_only);
+        assert_eq!(w.object_score(ObjectId(7)), Some(1.0));
+        assert_eq!(w.weight(NodeId(0)), 1.0);
+        // A duplicate of a skipped object is not a duplicate: the first
+        // usable occurrence is kept.
+        let objects = vec![
+            GeoTextObject::from_keywords(3u64, Point::new(1.0, 1.0), Vec::<String>::new()),
+            GeoTextObject::from_keywords(3u64, Point::new(399.0, 1.0), ["cafe"]),
+        ];
+        let coll = ObjectCollection::build(&network, objects, 50.0).unwrap();
+        assert_eq!(coll.node_of(ObjectId(3)), Some(NodeId(4)));
     }
 
     #[test]
@@ -461,8 +636,10 @@ mod tests {
         assert_eq!(coll.node_of(ObjectId(1)), Some(NodeId(1)));
         assert_eq!(coll.node_of(ObjectId(2)), Some(NodeId(1)));
         assert_eq!(coll.node_of(ObjectId(3)), Some(NodeId(4)));
-        assert_eq!(coll.objects_at(NodeId(1)).len(), 2);
+        assert_eq!(coll.node_of(ObjectId(9)), None);
+        assert_eq!(coll.objects_at(NodeId(1)), &[ObjectId(1), ObjectId(2)]);
         assert!(coll.objects_at(NodeId(2)).is_empty());
+        assert!(coll.objects_at(NodeId(99)).is_empty());
     }
 
     #[test]
@@ -481,7 +658,11 @@ mod tests {
         // so node 4 carries the largest weight among single-object nodes.
         assert!(w.weight(NodeId(4)) >= w.weight(NodeId(0)));
         assert!(w.max_weight() > 0.0);
-        assert!((w.total_weight() - w.by_node.values().sum::<f64>()).abs() < 1e-12);
+        let sum: f64 = w.by_node().iter().map(|&(_, x)| x).sum();
+        assert!((w.total_weight() - sum).abs() < 1e-12);
+        // Both views come out id-sorted.
+        assert!(w.by_node().windows(2).all(|p| p[0].0 < p[1].0));
+        assert!(w.by_object().windows(2).all(|p| p[0].0 < p[1].0));
     }
 
     #[test]
@@ -520,8 +701,8 @@ mod tests {
         let w = coll.node_weights_for_keywords(&["restaurant", "pizza"], &rect);
         // Object 1 (restaurant+pizza) on node 1 scores higher than object 0
         // (restaurant+italian) on node 0.
-        let s1 = w.by_object.get(&ObjectId(1)).copied().unwrap_or(0.0);
-        let s0 = w.by_object.get(&ObjectId(0)).copied().unwrap_or(0.0);
+        let s1 = w.object_score(ObjectId(1)).unwrap_or(0.0);
+        let s0 = w.object_score(ObjectId(0)).unwrap_or(0.0);
         assert!(s1 > s0);
     }
 
@@ -539,7 +720,7 @@ mod tests {
         // Object 1 (restaurant, no rating) falls back to the default rating.
         assert!((w.weight(NodeId(1)) - 1.0).abs() < 1e-12);
         // The cafe does not match and contributes nothing.
-        assert!(!w.by_object.contains_key(&ObjectId(2)));
+        assert!(w.object_score(ObjectId(2)).is_none());
         // No keywords → empty; unknown keywords → empty.
         assert!(coll
             .node_weights_by_rating(&Vec::<String>::new(), &rect, 1.0)
@@ -558,37 +739,33 @@ mod tests {
         for keywords in [vec!["restaurant"], vec!["cafe", "pizza"], vec!["spaceship"]] {
             let fresh = coll.node_weights_for_keywords(&keywords, &rect);
             coll.node_weights_for_keywords_into(&keywords, &rect, &mut reused);
-            assert_eq!(fresh.by_node, reused.by_node);
-            assert_eq!(fresh.by_object, reused.by_object);
+            assert_eq!(bits(fresh.by_node()), bits(reused.by_node()));
+            assert_eq!(bits(fresh.by_object()), bits(reused.by_object()));
         }
         // Stale entries from a previous query never leak into the next one.
         coll.node_weights_for_keywords_into(&["restaurant"], &rect, &mut reused);
         coll.node_weights_for_keywords_into(&["spaceship"], &rect, &mut reused);
         assert!(reused.is_empty());
+        assert!(reused.by_object().is_empty());
     }
 
     #[test]
-    fn parallel_build_and_scoring_match_the_sequential_path() {
-        let (network, objects) = network_and_objects();
-        let sequential = ObjectCollection::build(&network, objects.clone(), 200.0).unwrap();
-        let rect = network.bounding_rect().unwrap().expanded(50.0);
-        let q = sequential.query_vector(&["restaurant", "pizza"]);
-        let reference = sequential.node_weights(&q, &rect);
-        for workers in [2usize, 4, 7] {
-            let parallel =
-                ObjectCollection::build_with_workers(&network, objects.clone(), 200.0, workers)
-                    .unwrap();
-            assert_eq!(parallel.len(), sequential.len());
-            assert_eq!(parallel.keyword_count(), sequential.keyword_count());
-            let mut w = NodeWeights::default();
-            parallel.node_weights_into_with_workers(&q, &rect, &mut w, workers);
-            assert_eq!(w.by_node.len(), reference.by_node.len());
-            for ((na, sa), (nb, sb)) in reference.by_node.iter().zip(&w.by_node) {
-                assert_eq!(na, nb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "workers={workers} node={na:?}");
-            }
-            assert_eq!(w.by_object, reference.by_object);
-        }
+    fn fixture_weights_and_snapshots() {
+        let w = NodeWeights::from_node_weights([
+            (NodeId(3), 0.5),
+            (NodeId(1), 0.25),
+            (NodeId(3), 0.75),
+        ]);
+        assert_eq!(
+            bits(w.by_node()),
+            bits(&[(NodeId(1), 0.25), (NodeId(3), 0.75)])
+        );
+        assert_eq!(w.weight(NodeId(3)), 0.75);
+        assert_eq!(w.weight(NodeId(2)), 0.0);
+        assert_eq!(w.relevant_node_count(), 2);
+        assert!(w.by_object().is_empty());
+        let snap = w.snapshot();
+        assert_eq!(bits(snap.by_node()), bits(w.by_node()));
     }
 
     #[test]
@@ -606,31 +783,26 @@ mod tests {
             Rect::new(300.0, -20.0, 420.0, 20.0), // disjoint-ish jump
         ];
         let mut prev_rect = rects[0];
-        let mut prev = coll.node_weights(&q, &prev_rect);
+        let mut prev = coll.node_weights(&q, &prev_rect).snapshot();
+        let mut delta = NodeWeights::default();
         for rect in &rects[1..] {
             let cold = coll.node_weights(&q, rect);
-            let mut delta = NodeWeights::default();
             let rescanned = coll.node_weights_delta_into(&q, &prev_rect, rect, &prev, &mut delta);
             assert!(rescanned <= coll.grid().cells_intersecting(rect).len());
-            assert_eq!(cold.by_object.len(), delta.by_object.len(), "rect={rect:?}");
-            for ((oa, sa), (ob, sb)) in cold.by_object.iter().zip(&delta.by_object) {
-                assert_eq!(oa, ob);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "rect={rect:?} obj={oa:?}");
-            }
-            assert_eq!(cold.by_node.len(), delta.by_node.len());
-            for ((na, sa), (nb, sb)) in cold.by_node.iter().zip(&delta.by_node) {
-                assert_eq!(na, nb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "rect={rect:?} node={na:?}");
-            }
+            assert_eq!(
+                bits(cold.by_object()),
+                bits(delta.by_object()),
+                "rect={rect:?}"
+            );
+            assert_eq!(bits(cold.by_node()), bits(delta.by_node()), "rect={rect:?}");
             prev_rect = *rect;
-            prev = cold;
+            prev = delta.snapshot();
         }
-        // A fully-contained re-query rescans only boundary cells; an
-        // identical rect rescans only the cells the rect does not fully
-        // contain (possibly zero).
+        // An identical rect rescans only the cells it does not fully contain
+        // (possibly zero) and reproduces the previous answer.
         let mut same = NodeWeights::default();
         coll.node_weights_delta_into(&q, &prev_rect, &prev_rect, &prev, &mut same);
-        assert_eq!(same.by_object, prev.by_object);
+        assert_eq!(bits(same.by_object()), bits(prev.by_object()));
         // An unknown-keyword query yields empty output either way.
         let empty_q = coll.query_vector(&["spaceship"]);
         let mut out = NodeWeights::default();

@@ -26,11 +26,6 @@ pub enum GeoTextError {
         /// Explanation of the configuration failure.
         message: String,
     },
-    /// The B+-tree page size is too small to hold even a single entry.
-    InvalidPageSize {
-        /// The rejected page capacity.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for GeoTextError {
@@ -45,9 +40,6 @@ impl fmt::Display for GeoTextError {
             }
             GeoTextError::InvalidGridConfig { message } => {
                 write!(f, "invalid grid configuration: {message}")
-            }
-            GeoTextError::InvalidPageSize { capacity } => {
-                write!(f, "B+-tree page capacity {capacity} is too small")
             }
         }
     }
@@ -78,8 +70,5 @@ mod tests {
         }
         .to_string()
         .contains("cell size"));
-        assert!(GeoTextError::InvalidPageSize { capacity: 1 }
-            .to_string()
-            .contains('1'));
     }
 }

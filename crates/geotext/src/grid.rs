@@ -1,4 +1,4 @@
-//! The uniform spatial grid index of Section 3, sharded into column bands.
+//! The uniform spatial grid index of Section 3, stored as one flat CSR.
 //!
 //! "We use a grid index to organize the geo-textual objects.  We partition the
 //! entire space according to a uniform grid, and each object is stored in the
@@ -7,34 +7,28 @@
 //! cell."
 //!
 //! [`GridIndex`] partitions the bounding extent into square cells of a
-//! configurable size; each cell holds its objects' ids plus an
-//! [`InvertedIndex`] backed by the paged B⁺-tree.
+//! configurable size.  All per-cell inverted lists share one
+//! compressed-sparse-row layout, built once:
 //!
-//! # Sharding
+//! ```text
+//! occupied cells (ascending CellId)
+//!   → the cell's terms (ascending TermId)
+//!     → the term's postings (slot, wto(t)), ascending slot
+//! ```
 //!
-//! The cell columns are split into contiguous **column bands** (shards), each
-//! owning its own cell map.  Because every object lives in exactly one cell —
-//! and hence exactly one shard — shards are mutually disjoint: the build
-//! phase can fill them concurrently behind independent locks
-//! ([`GridIndex::bulk_insert_preinterned`]), and keyword scoring can fan a
-//! query rectangle's shard range out across threads and merge per-shard
-//! accumulators in ascending shard order with a result bit-identical to the
-//! sequential pass ([`GridIndex::accumulate_scores_in_rect_with_workers`]).
-//! A rectangle's cover maps to a *contiguous* shard range, so a query touches
-//! only the shards its columns intersect.
+//! Objects are renumbered into cell-major **slots**: the objects of one cell
+//! occupy a contiguous slot range, in input order.  Postings name slots, so a
+//! caller scoring a query accumulates into dense per-slot scratch and keeps
+//! each slot's object id, point and node in parallel arrays.  Only occupied
+//! cells are stored, so memory tracks the objects and their postings, never
+//! `extent / cell_size`.
 
 use crate::error::{GeoTextError, Result};
-use crate::inverted::InvertedIndex;
-use crate::object::{GeoTextObject, ObjectId};
+use crate::object::GeoTextObject;
 use crate::vocab::{TermId, Vocabulary};
+use crate::vsm::{object_norm, tf_weight};
 use lcmsr_roadnet::geo::{Point, Rect};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Default number of column-band shards for [`GridIndex::new`] (clamped to
-/// the column count, so small grids degenerate to one shard per column).
-pub const DEFAULT_SHARD_COUNT: usize = 8;
+use std::ops::Range;
 
 /// Identifier of a grid cell as (column, row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -43,25 +37,6 @@ pub struct CellId {
     pub col: u32,
     /// Row index (y direction).
     pub row: u32,
-}
-
-/// One cell of the grid: the objects whose location falls inside it and the
-/// cell-local inverted index over their keywords.
-#[derive(Debug, Clone, Default)]
-pub struct GridCell {
-    /// Ids of the objects stored in this cell.
-    pub objects: Vec<ObjectId>,
-    /// Inverted lists over the cell's objects.
-    pub inverted: InvertedIndex,
-}
-
-/// One column band of the grid: the occupied cells of a contiguous column
-/// range.  Shards never share a cell, so they can be built and queried
-/// independently.
-#[derive(Debug, Clone, Default)]
-struct GridShard {
-    cells: BTreeMap<CellId, GridCell>,
-    object_count: usize,
 }
 
 /// The inclusive cell range of a query rectangle.
@@ -73,28 +48,45 @@ struct Cover {
     row_hi: u32,
 }
 
-/// A uniform grid index over geo-textual objects, sharded by column band.
+/// A uniform grid index over geo-textual objects with flat per-cell
+/// inverted lists (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     extent: Rect,
     cell_size: f64,
     cols: u32,
     rows: u32,
-    shards: Vec<GridShard>,
-    object_count: usize,
+    /// Occupied cells, ascending.
+    cells: Vec<CellId>,
+    /// `cell_slots[c]..cell_slots[c + 1]` are the slots of occupied cell `c`.
+    cell_slots: Vec<u32>,
+    /// `cell_terms[c]..cell_terms[c + 1]` index cell `c`'s entries in `terms`.
+    cell_terms: Vec<u32>,
+    /// One entry per (cell, term), ascending term within a cell.
+    terms: Vec<TermId>,
+    /// `term_postings[e]..term_postings[e + 1]` are term entry `e`'s postings.
+    term_postings: Vec<u32>,
+    /// Posting payload: the object's slot and its `wto(t)`.
+    posting_slots: Vec<u32>,
+    posting_weights: Vec<f64>,
+    /// Position in the build input of the object in each slot.
+    slot_objects: Vec<u32>,
 }
 
 impl GridIndex {
-    /// Creates an empty grid over `extent` with square cells of `cell_size`
-    /// metres and the default shard count.
-    pub fn new(extent: Rect, cell_size: f64) -> Result<Self> {
-        Self::new_sharded(extent, cell_size, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Creates an empty grid with an explicit number of column-band shards.
-    /// The count is clamped to `1..=cols`, so every shard owns at least one
-    /// column; the shard layout never changes results, only parallelism.
-    pub fn new_sharded(extent: Rect, cell_size: f64, shard_count: usize) -> Result<Self> {
+    /// Builds the index over `objects` with square cells of `cell_size`
+    /// metres covering `extent`, registering every object as a document of
+    /// `vocabulary` in input order (so term ids follow encounter order).
+    ///
+    /// Fails, before touching `vocabulary`, on a non-positive cell size, an
+    /// empty extent, or an object that is empty, has a non-finite location
+    /// or lies outside the extent.
+    pub fn build(
+        extent: Rect,
+        cell_size: f64,
+        objects: &[GeoTextObject],
+        vocabulary: &mut Vocabulary,
+    ) -> Result<Self> {
         if !(cell_size.is_finite() && cell_size > 0.0) {
             return Err(GeoTextError::InvalidGridConfig {
                 message: format!("cell size must be positive, got {cell_size}"),
@@ -105,17 +97,89 @@ impl GridIndex {
                 message: "extent must have positive width and height".into(),
             });
         }
-        let cols = (extent.width() / cell_size).ceil().max(1.0) as u32;
-        let rows = (extent.height() / cell_size).ceil().max(1.0) as u32;
-        let shard_count = shard_count.clamp(1, cols as usize);
-        Ok(GridIndex {
+        let mut grid = GridIndex {
             extent,
             cell_size,
-            cols,
-            rows,
-            shards: vec![GridShard::default(); shard_count],
-            object_count: 0,
-        })
+            cols: (extent.width() / cell_size).ceil().max(1.0) as u32,
+            rows: (extent.height() / cell_size).ceil().max(1.0) as u32,
+            cells: Vec::new(),
+            cell_slots: Vec::new(),
+            cell_terms: vec![0],
+            terms: Vec::new(),
+            term_postings: Vec::new(),
+            posting_slots: Vec::new(),
+            posting_weights: Vec::new(),
+            slot_objects: Vec::with_capacity(objects.len()),
+        };
+
+        let mut located = Vec::with_capacity(objects.len());
+        for (i, object) in objects.iter().enumerate() {
+            located.push((grid.validate_and_locate(object)?, i as u32));
+        }
+        // Each object's postings in input order — its term ids, interned
+        // once, and their `wto(t)`: entries `term_offsets[i]..term_offsets[i
+        // + 1]` of `term_ids`/`term_weights` for object `i`.
+        let mut term_offsets = Vec::with_capacity(objects.len() + 1);
+        let mut term_ids = Vec::new();
+        let mut term_weights = Vec::new();
+        let mut document = Vec::new();
+        term_offsets.push(0);
+        for object in objects {
+            let norm = object_norm(object);
+            document.clear();
+            for (term, &tf) in &object.terms {
+                document.push(vocabulary.intern(term));
+                term_weights.push(tf_weight(tf) / norm);
+            }
+            term_ids.extend_from_slice(&document);
+            term_offsets.push(term_ids.len());
+            vocabulary.register_ids(&mut document);
+        }
+        // Every object has a posting, so this bounds the slots too.
+        assert!(
+            u32::try_from(term_ids.len()).is_ok(),
+            "the grid index addresses postings and slots with u32"
+        );
+
+        // Slots: objects sorted by (cell, input position).
+        located.sort_unstable();
+        for (slot, &(cell, i)) in located.iter().enumerate() {
+            if grid.cells.last() != Some(&cell) {
+                grid.cells.push(cell);
+                grid.cell_slots.push(slot as u32);
+            }
+            grid.slot_objects.push(i);
+        }
+        grid.cell_slots.push(objects.len() as u32);
+        drop(located);
+
+        // Postings, one cell at a time: gather the cell's (term, slot, wto)
+        // triples in slot order; a stable sort by term then groups them while
+        // keeping each term's postings in slot order.
+        let mut cell_postings: Vec<(TermId, u32, f64)> = Vec::new();
+        for c in 0..grid.cells.len() {
+            cell_postings.clear();
+            for slot in grid.cell_slots[c]..grid.cell_slots[c + 1] {
+                let i = grid.slot_objects[slot as usize] as usize;
+                let entries = term_offsets[i]..term_offsets[i + 1];
+                for (&id, &weight) in term_ids[entries.clone()].iter().zip(&term_weights[entries]) {
+                    cell_postings.push((id, slot, weight));
+                }
+            }
+            cell_postings.sort_by_key(|&(term, _, _)| term);
+            let first_entry = grid.terms.len();
+            for &(term, slot, weight) in &cell_postings {
+                if grid.terms.len() == first_entry || grid.terms.last() != Some(&term) {
+                    grid.terms.push(term);
+                    grid.term_postings.push(grid.posting_slots.len() as u32);
+                }
+                grid.posting_slots.push(slot);
+                grid.posting_weights.push(weight);
+            }
+            grid.cell_terms.push(grid.terms.len() as u32);
+        }
+        grid.term_postings.push(grid.posting_slots.len() as u32);
+        Ok(grid)
     }
 
     /// The extent covered by the grid.
@@ -133,41 +197,24 @@ impl GridIndex {
         (self.cols, self.rows)
     }
 
-    /// Number of column-band shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of cells that contain at least one object.
     pub fn occupied_cells(&self) -> usize {
-        self.shards.iter().map(|s| s.cells.len()).sum()
+        self.cells.len()
     }
 
-    /// Total number of indexed objects.
+    /// Total number of indexed objects (= slots).
     pub fn object_count(&self) -> usize {
-        self.object_count
+        self.slot_objects.len()
     }
 
-    /// The shard owning column `col` (caller guarantees `col < cols`).
-    /// Column bands are assigned by even division, so the mapping is
-    /// monotone: a contiguous column range maps to a contiguous shard range.
-    fn shard_of_col(&self, col: u32) -> usize {
-        let shard = u64::from(col) * self.shards.len() as u64 / u64::from(self.cols);
-        (shard as usize).min(self.shards.len() - 1)
+    /// Total number of postings (one per object and distinct term).
+    pub fn posting_count(&self) -> usize {
+        self.posting_slots.len()
     }
 
-    /// First column owned by `shard`.
-    fn shard_col_lo(&self, shard: usize) -> u32 {
-        ((shard as u64 * u64::from(self.cols)).div_ceil(self.shards.len() as u64)) as u32
-    }
-
-    /// Last column owned by `shard` (inclusive).
-    fn shard_col_hi(&self, shard: usize) -> u32 {
-        if shard + 1 == self.shards.len() {
-            self.cols - 1
-        } else {
-            self.shard_col_lo(shard + 1) - 1
-        }
+    /// Position in the build input of the object stored in `slot`.
+    pub(crate) fn slot_object(&self, slot: usize) -> usize {
+        self.slot_objects[slot] as usize
     }
 
     /// The cell id containing `p`, or `None` if `p` lies outside the extent.
@@ -192,7 +239,7 @@ impl GridIndex {
         )
     }
 
-    /// Validates an object and resolves its cell, without inserting.
+    /// Validates an object and resolves its cell.
     fn validate_and_locate(&self, object: &GeoTextObject) -> Result<CellId> {
         if !object.point.is_finite() {
             return Err(GeoTextError::InvalidLocation {
@@ -210,93 +257,32 @@ impl GridIndex {
             })
     }
 
-    /// Inserts an object, interning its terms into `vocabulary`.
-    ///
-    /// Objects outside the grid extent or with non-finite coordinates are
-    /// rejected; objects with empty descriptions are rejected as well since
-    /// they can never contribute to a query result.
-    pub fn insert(
-        &mut self,
-        vocabulary: &mut Vocabulary,
-        object: &GeoTextObject,
-    ) -> Result<CellId> {
-        let cell_id = self.validate_and_locate(object)?;
-        let shard_index = self.shard_of_col(cell_id.col);
-        let shard = &mut self.shards[shard_index];
-        let cell = shard.cells.entry(cell_id).or_default();
-        cell.objects.push(object.id);
-        cell.inverted.add_object(vocabulary, object);
-        shard.object_count += 1;
-        self.object_count += 1;
-        Ok(cell_id)
+    /// Slot range of occupied cell index `c`.
+    pub(crate) fn slot_range(&self, c: usize) -> Range<usize> {
+        self.cell_slots[c] as usize..self.cell_slots[c + 1] as usize
     }
 
-    /// Bulk-inserts objects whose terms were **already interned** into
-    /// `vocabulary` (by a [`Vocabulary::register_document`] pass over the
-    /// same objects, in the same order).  Objects are routed to their shards
-    /// in input order, then the shards — each behind its own lock — are
-    /// filled by up to `workers` scoped threads pulling whole shards off a
-    /// shared cursor.  One shard is only ever touched by one worker, and
-    /// per-cell object order equals input order, so the resulting index is
-    /// bit-identical to a sequential [`GridIndex::insert`] loop.
-    ///
-    /// Fails (without mutating the grid) on the first invalid object, with
-    /// the same error [`GridIndex::insert`] would report.
-    pub fn bulk_insert_preinterned<'a, I>(
-        &mut self,
-        vocabulary: &Vocabulary,
-        objects: I,
-        workers: usize,
-    ) -> Result<usize>
-    where
-        I: IntoIterator<Item = &'a GeoTextObject>,
-    {
-        let mut routed: Vec<Vec<(CellId, &GeoTextObject)>> = vec![Vec::new(); self.shards.len()];
-        let mut total = 0usize;
-        for object in objects {
-            let cell_id = self.validate_and_locate(object)?;
-            routed[self.shard_of_col(cell_id.col)].push((cell_id, object));
-            total += 1;
-        }
-        let workers = workers.clamp(1, self.shards.len());
-        if workers <= 1 {
-            for (shard, batch) in self.shards.iter_mut().zip(&routed) {
-                fill_shard(shard, vocabulary, batch);
-            }
-        } else {
-            // Each shard pairs with its batch behind an independent lock;
-            // workers claim shard indices from the cursor, so a lock is only
-            // ever taken by the single worker that claimed it.
-            type ShardSlot<'s, 'o> = Mutex<(&'s mut GridShard, &'s [(CellId, &'o GeoTextObject)])>;
-            let slots: Vec<ShardSlot<'_, '_>> = self
-                .shards
-                .iter_mut()
-                .zip(routed.iter().map(Vec::as_slice))
-                .map(Mutex::new)
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = slots.get(i) else { break };
-                        let mut guard = slot.lock().expect("grid shard lock poisoned");
-                        let (shard, batch) = &mut *guard;
-                        fill_shard(shard, vocabulary, batch);
-                    });
-                }
-            });
-        }
-        self.object_count += total;
-        Ok(total)
+    /// The id of occupied cell index `c`.
+    pub(crate) fn cell_id(&self, c: usize) -> CellId {
+        self.cells[c]
     }
 
-    /// The cell with the given id, if it holds any objects.
-    pub fn cell(&self, id: CellId) -> Option<&GridCell> {
-        if id.col >= self.cols {
-            return None;
-        }
-        self.shards[self.shard_of_col(id.col)].cells.get(&id)
+    /// Indices of the occupied cells intersecting `rect`, ascending: per
+    /// covered column, the run of occupied cells inside the row range.
+    pub(crate) fn cover_cells(&self, rect: &Rect) -> impl Iterator<Item = usize> + '_ {
+        let mut from = 0;
+        self.cover_of(rect)
+            .into_iter()
+            .flat_map(|c| {
+                (c.col_lo..=c.col_hi)
+                    .map(move |col| (CellId { col, row: c.row_lo }, CellId { col, row: c.row_hi }))
+            })
+            .flat_map(move |(first, last)| {
+                let lo = from + self.cells[from..].partition_point(|&id| id < first);
+                let hi = lo + self.cells[lo..].partition_point(|&id| id <= last);
+                from = hi;
+                lo..hi
+            })
     }
 
     /// The inclusive cell range intersecting `rect`, or `None` when disjoint.
@@ -314,152 +300,46 @@ impl GridIndex {
 
     /// Ids of the occupied cells whose rectangle intersects `rect`.
     pub fn cells_intersecting(&self, rect: &Rect) -> Vec<CellId> {
-        let Some(cover) = self.cover_of(rect) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for col in cover.col_lo..=cover.col_hi {
-            let cells = &self.shards[self.shard_of_col(col)].cells;
-            for row in cover.row_lo..=cover.row_hi {
-                let id = CellId { col, row };
-                if cells.contains_key(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
+        self.cover_cells(rect).map(|c| self.cells[c]).collect()
     }
 
-    /// Accumulates one shard's contribution to the Equation-2 partial scores,
-    /// visiting the shard's columns inside the cover in ascending order.
-    fn accumulate_shard(
+    /// Feeds occupied cell `c`'s Equation-2 terms to `add`: for each query
+    /// term in order (zero-IDF terms skipped), every posting of that term in
+    /// the cell as `(slot, w_{Q.ψ,t} · wto(t))`.  Summing the calls per slot
+    /// from 0.0 yields the object's partial score `Σ w_{Q.ψ,t}·wto(t)`; the
+    /// caller divides by the query norm.
+    pub(crate) fn accumulate_cell(
         &self,
-        shard: usize,
-        cover: Cover,
+        c: usize,
         query_terms: &[(TermId, f64)],
-        acc: &mut BTreeMap<ObjectId, f64>,
+        mut add: impl FnMut(u32, f64),
     ) {
-        let col_lo = cover.col_lo.max(self.shard_col_lo(shard));
-        let col_hi = cover.col_hi.min(self.shard_col_hi(shard));
-        let cells = &self.shards[shard].cells;
-        for col in col_lo..=col_hi {
-            for row in cover.row_lo..=cover.row_hi {
-                if let Some(cell) = cells.get(&CellId { col, row }) {
-                    for (obj, partial) in cell.inverted.accumulate_scores(query_terms) {
-                        *acc.entry(obj).or_insert(0.0) += partial;
-                    }
-                }
+        let entries = self.cell_terms[c] as usize..self.cell_terms[c + 1] as usize;
+        let cell_terms = &self.terms[entries.clone()];
+        for &(term, idf) in query_terms {
+            if idf == 0.0 {
+                continue;
+            }
+            let Ok(i) = cell_terms.binary_search(&term) else {
+                continue;
+            };
+            let e = entries.start + i;
+            let postings = self.term_postings[e] as usize..self.term_postings[e + 1] as usize;
+            for (&slot, &weight) in self.posting_slots[postings.clone()]
+                .iter()
+                .zip(&self.posting_weights[postings])
+            {
+                add(slot, idf * weight);
             }
         }
-    }
-
-    /// Accumulates Equation-2 partial scores `Σ w_{Q.ψ,t}·wto(t)` for every
-    /// object located in a cell intersecting `rect`.  The caller divides by the
-    /// query norm and filters objects that fall outside `rect` itself (cells
-    /// only approximate the rectangle).
-    pub fn accumulate_scores_in_rect(
-        &self,
-        rect: &Rect,
-        query_terms: &[(TermId, f64)],
-    ) -> BTreeMap<ObjectId, f64> {
-        self.accumulate_scores_in_rect_with_workers(rect, query_terms, 1)
-    }
-
-    /// Like [`GridIndex::accumulate_scores_in_rect`], fanning the rectangle's
-    /// (contiguous) shard range out across up to `workers` scoped threads.
-    /// Only shards whose column band intersects the rectangle are visited.
-    ///
-    /// Bit-identical to the sequential pass for any worker count: each worker
-    /// covers a contiguous run of shards, results merge in ascending shard
-    /// order, and every object lives in exactly one cell — so its score is
-    /// summed entirely within one worker, in the same cell order as the
-    /// sequential loop.
-    pub fn accumulate_scores_in_rect_with_workers(
-        &self,
-        rect: &Rect,
-        query_terms: &[(TermId, f64)],
-        workers: usize,
-    ) -> BTreeMap<ObjectId, f64> {
-        let mut acc = BTreeMap::new();
-        let Some(cover) = self.cover_of(rect) else {
-            return acc;
-        };
-        let shard_lo = self.shard_of_col(cover.col_lo);
-        let shard_hi = self.shard_of_col(cover.col_hi);
-        let shard_count = shard_hi - shard_lo + 1;
-        let workers = workers.clamp(1, shard_count.min(64));
-        if workers <= 1 {
-            for shard in shard_lo..=shard_hi {
-                self.accumulate_shard(shard, cover, query_terms, &mut acc);
-            }
-            return acc;
-        }
-        let partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let lo = shard_lo + shard_count * w / workers;
-                    let hi = shard_lo + shard_count * (w + 1) / workers - 1;
-                    scope.spawn(move || {
-                        let mut partial = BTreeMap::new();
-                        for shard in lo..=hi {
-                            self.accumulate_shard(shard, cover, query_terms, &mut partial);
-                        }
-                        partial
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("score shard worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for partial in partials {
-            for (obj, partial_score) in partial {
-                *acc.entry(obj).or_insert(0.0) += partial_score;
-            }
-        }
-        acc
-    }
-
-    /// Accumulates Equation-2 partial scores over an explicit cell subset —
-    /// the delta-prepare path, which rescans only the cells a panned query
-    /// rectangle newly covers instead of the whole cover.
-    ///
-    /// Every object lives in exactly one cell, so its full partial score
-    /// accumulates entirely within that cell's inverted index: for any cell
-    /// in the subset, the per-object scores here are bit-identical to what
-    /// [`GridIndex::accumulate_scores_in_rect`] would produce for a rectangle
-    /// covering that cell.
-    pub fn accumulate_scores_in_cells(
-        &self,
-        cells: &[CellId],
-        query_terms: &[(TermId, f64)],
-    ) -> BTreeMap<ObjectId, f64> {
-        let mut acc = BTreeMap::new();
-        for &id in cells {
-            if let Some(cell) = self.cell(id) {
-                for (obj, partial) in cell.inverted.accumulate_scores(query_terms) {
-                    *acc.entry(obj).or_insert(0.0) += partial;
-                }
-            }
-        }
-        acc
-    }
-}
-
-/// Indexes a routed batch into one shard, in batch (= input) order.
-fn fill_shard(shard: &mut GridShard, vocabulary: &Vocabulary, batch: &[(CellId, &GeoTextObject)]) {
-    for &(cell_id, object) in batch {
-        let cell = shard.cells.entry(cell_id).or_default();
-        cell.objects.push(object.id);
-        cell.inverted.add_object_preinterned(vocabulary, object);
-        shard.object_count += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::ObjectId;
+    use std::collections::BTreeMap;
 
     fn make_objects() -> Vec<GeoTextObject> {
         vec![
@@ -467,48 +347,36 @@ mod tests {
             GeoTextObject::from_keywords(1u64, Point::new(150.0, 50.0), ["restaurant", "pizza"]),
             GeoTextObject::from_keywords(2u64, Point::new(950.0, 950.0), ["cafe"]),
             GeoTextObject::from_keywords(3u64, Point::new(450.0, 450.0), ["museum"]),
+            GeoTextObject::from_keywords(4u64, Point::new(60.0, 40.0), ["pizza"]),
         ]
     }
 
-    fn build_grid() -> (GridIndex, Vocabulary) {
-        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = GridIndex::new(extent, 100.0).unwrap();
+    fn build(objects: &[GeoTextObject]) -> (GridIndex, Vocabulary) {
         let mut vocab = Vocabulary::new();
-        for o in make_objects() {
-            vocab.register_document(o.terms.keys().map(String::as_str));
-            grid.insert(&mut vocab, &o).unwrap();
-        }
+        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let grid = GridIndex::build(extent, 100.0, objects, &mut vocab).unwrap();
         (grid, vocab)
     }
 
-    /// Many objects spread over the extent, with overlapping keyword sets so
-    /// scores genuinely accumulate across cells and shards.
-    fn dense_objects() -> Vec<GeoTextObject> {
-        let keywords = ["restaurant", "pizza", "cafe", "museum", "bar"];
-        (0..200u64)
-            .map(|i| {
-                let x = (i % 20) as f64 * 50.0 + 5.0;
-                let y = (i / 20) as f64 * 95.0 + 5.0;
-                let a = keywords[(i % 5) as usize];
-                let b = keywords[(i % 3) as usize];
-                GeoTextObject::from_keywords(i, Point::new(x, y), [a, b])
-            })
-            .collect()
+    /// The slots stored in `cell`, if it holds any objects.
+    fn cell_slots(grid: &GridIndex, cell: CellId) -> Option<Range<usize>> {
+        let c = grid.cells.binary_search(&cell).ok()?;
+        Some(grid.slot_range(c))
     }
 
-    fn build_dense(shards: usize) -> (GridIndex, Vocabulary) {
-        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        let mut grid = GridIndex::new_sharded(extent, 100.0, shards).unwrap();
-        let mut vocab = Vocabulary::new();
-        for o in dense_objects() {
-            vocab.register_document(o.terms.keys().map(String::as_str));
-            grid.insert(&mut vocab, &o).unwrap();
+    /// Per-object partial sums over the cells intersecting `rect`.
+    fn scores(grid: &GridIndex, rect: &Rect, terms: &[(TermId, f64)]) -> BTreeMap<usize, f64> {
+        let mut acc = BTreeMap::new();
+        for c in grid.cover_cells(rect) {
+            grid.accumulate_cell(c, terms, |slot, x| {
+                *acc.entry(grid.slot_object(slot as usize)).or_insert(0.0) += x;
+            });
         }
-        (grid, vocab)
+        acc
     }
 
-    fn query_terms(vocab: &Vocabulary) -> Vec<(TermId, f64)> {
-        ["restaurant", "pizza", "bar"]
+    fn idf_terms(vocab: &Vocabulary, words: &[&str]) -> Vec<(TermId, f64)> {
+        words
             .iter()
             .map(|t| {
                 let id = vocab.lookup(t).unwrap();
@@ -519,32 +387,34 @@ mod tests {
 
     #[test]
     fn rejects_invalid_configuration() {
+        let vocab = &mut Vocabulary::new();
         let extent = Rect::new(0.0, 0.0, 100.0, 100.0);
-        assert!(GridIndex::new(extent, 0.0).is_err());
-        assert!(GridIndex::new(extent, -5.0).is_err());
-        assert!(GridIndex::new(Rect::new(0.0, 0.0, 0.0, 10.0), 10.0).is_err());
-        assert!(GridIndex::new(extent, 10.0).is_ok());
+        assert!(GridIndex::build(extent, 0.0, &[], vocab).is_err());
+        assert!(GridIndex::build(extent, -5.0, &[], vocab).is_err());
+        assert!(GridIndex::build(Rect::new(0.0, 0.0, 0.0, 10.0), 10.0, &[], vocab).is_err());
+        assert!(GridIndex::build(extent, 10.0, &[], vocab).is_ok());
     }
 
     #[test]
     fn grid_dimensions_cover_extent() {
-        let grid = GridIndex::new(Rect::new(0.0, 0.0, 1050.0, 980.0), 100.0).unwrap();
+        let vocab = &mut Vocabulary::new();
+        let grid = GridIndex::build(Rect::new(0.0, 0.0, 1050.0, 980.0), 100.0, &[], vocab).unwrap();
         assert_eq!(grid.dimensions(), (11, 10));
         assert_eq!(grid.cell_size(), 100.0);
+        assert_eq!(grid.occupied_cells(), 0);
+        assert!(grid.cells_intersecting(&grid.extent()).is_empty());
     }
 
     #[test]
-    fn objects_land_in_expected_cells() {
-        let (grid, _) = build_grid();
-        assert_eq!(grid.object_count(), 4);
+    fn objects_land_in_cell_major_slots() {
+        let objects = make_objects();
+        let (grid, _) = build(&objects);
+        assert_eq!(grid.object_count(), 5);
         assert_eq!(grid.occupied_cells(), 4);
+        assert_eq!(grid.posting_count(), 6);
         assert_eq!(
             grid.cell_of(&Point::new(50.0, 50.0)),
             Some(CellId { col: 0, row: 0 })
-        );
-        assert_eq!(
-            grid.cell_of(&Point::new(150.0, 50.0)),
-            Some(CellId { col: 1, row: 0 })
         );
         // A point exactly on the max boundary clamps into the last cell.
         assert_eq!(
@@ -552,14 +422,21 @@ mod tests {
             Some(CellId { col: 9, row: 9 })
         );
         assert_eq!(grid.cell_of(&Point::new(-1.0, 0.0)), None);
-        let cell = grid.cell(CellId { col: 0, row: 0 }).unwrap();
-        assert_eq!(cell.objects, vec![ObjectId(0)]);
-        assert_eq!(cell.inverted.object_count(), 1);
+        // Cell (0, 0) holds objects 0 and 4 in input order, in slots 0..2.
+        let slots = cell_slots(&grid, CellId { col: 0, row: 0 }).unwrap();
+        assert_eq!(slots, 0..2);
+        let ids: Vec<ObjectId> = slots.map(|s| objects[grid.slot_object(s)].id).collect();
+        assert_eq!(ids, vec![ObjectId(0), ObjectId(4)]);
+        // Cells are slotted in ascending (col, row) order.
+        assert_eq!(cell_slots(&grid, CellId { col: 1, row: 0 }), Some(2..3));
+        assert_eq!(cell_slots(&grid, CellId { col: 4, row: 4 }), Some(3..4));
+        assert_eq!(cell_slots(&grid, CellId { col: 9, row: 9 }), Some(4..5));
+        assert!(cell_slots(&grid, CellId { col: 5, row: 5 }).is_none());
     }
 
     #[test]
     fn cell_rect_tiles_the_extent() {
-        let (grid, _) = build_grid();
+        let (grid, _) = build(&make_objects());
         let r = grid.cell_rect(CellId { col: 1, row: 0 });
         assert_eq!(r, Rect::new(100.0, 0.0, 200.0, 100.0));
         let last = grid.cell_rect(CellId { col: 9, row: 9 });
@@ -569,198 +446,81 @@ mod tests {
 
     #[test]
     fn rejects_bad_objects() {
-        let (mut grid, mut vocab) = build_grid();
-        let outside = GeoTextObject::from_keywords(10u64, Point::new(5000.0, 0.0), ["bar"]);
-        assert!(matches!(
-            grid.insert(&mut vocab, &outside),
-            Err(GeoTextError::InvalidLocation { object: 10 })
-        ));
-        let empty =
-            GeoTextObject::from_keywords(11u64, Point::new(10.0, 10.0), Vec::<String>::new());
-        assert!(matches!(
-            grid.insert(&mut vocab, &empty),
-            Err(GeoTextError::EmptyDescription { object: 11 })
-        ));
-        let nan = GeoTextObject::from_keywords(12u64, Point::new(f64::NAN, 10.0), ["bar"]);
-        assert!(matches!(
-            grid.insert(&mut vocab, &nan),
-            Err(GeoTextError::InvalidLocation { object: 12 })
-        ));
+        let extent = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        let cases = [
+            (
+                GeoTextObject::from_keywords(10u64, Point::new(5000.0, 0.0), ["bar"]),
+                GeoTextError::InvalidLocation { object: 10 },
+            ),
+            (
+                GeoTextObject::from_keywords(11u64, Point::new(10.0, 10.0), Vec::<String>::new()),
+                GeoTextError::EmptyDescription { object: 11 },
+            ),
+            (
+                GeoTextObject::from_keywords(12u64, Point::new(f64::NAN, 10.0), ["bar"]),
+                GeoTextError::InvalidLocation { object: 12 },
+            ),
+        ];
+        for (object, expected) in cases {
+            let mut vocab = Vocabulary::new();
+            let err = GridIndex::build(extent, 100.0, &[object], &mut vocab).unwrap_err();
+            assert_eq!(err, expected);
+            assert_eq!(
+                vocab.document_count(),
+                0,
+                "a failed build registers nothing"
+            );
+        }
     }
 
     #[test]
     fn cells_intersecting_finds_occupied_cells_only() {
-        let (grid, _) = build_grid();
+        let (grid, _) = build(&make_objects());
         let all = grid.cells_intersecting(&Rect::new(0.0, 0.0, 1000.0, 1000.0));
         assert_eq!(all.len(), 4);
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending cell order");
         let corner = grid.cells_intersecting(&Rect::new(0.0, 0.0, 160.0, 90.0));
-        assert_eq!(corner.len(), 2);
+        assert_eq!(
+            corner,
+            vec![CellId { col: 0, row: 0 }, CellId { col: 1, row: 0 }]
+        );
         let nothing = grid.cells_intersecting(&Rect::new(600.0, 0.0, 800.0, 200.0));
         assert!(nothing.is_empty());
         let outside = grid.cells_intersecting(&Rect::new(2000.0, 2000.0, 3000.0, 3000.0));
         assert!(outside.is_empty());
-    }
-
-    #[test]
-    fn accumulate_scores_in_rect_limits_to_region() {
-        let (grid, vocab) = build_grid();
-        let restaurant = vocab.lookup("restaurant").unwrap();
-        let terms = vec![(restaurant, vocab.idf(restaurant))];
-        // Rectangle covering only the two restaurant cells.
-        let acc = grid.accumulate_scores_in_rect(&Rect::new(0.0, 0.0, 200.0, 100.0), &terms);
-        assert_eq!(acc.len(), 2);
-        assert!(acc.contains_key(&ObjectId(0)));
-        assert!(acc.contains_key(&ObjectId(1)));
-        // Whole space: still only restaurant matches, cafe/museum do not appear.
-        let acc_all = grid.accumulate_scores_in_rect(&Rect::new(0.0, 0.0, 1000.0, 1000.0), &terms);
-        assert_eq!(acc_all.len(), 2);
-        assert!(!acc_all.contains_key(&ObjectId(2)));
-    }
-
-    #[test]
-    fn shard_layout_never_changes_scores() {
-        let (reference, vocab) = build_dense(1);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(130.0, 40.0, 620.0, 880.0),
-            Rect::new(480.0, 0.0, 520.0, 1000.0), // straddles a shard boundary
-            Rect::new(990.0, 990.0, 2000.0, 2000.0),
-        ];
-        for shards in [2usize, 3, 4, 7, 32] {
-            let (grid, shard_vocab) = build_dense(shards);
-            assert_eq!(
-                query_terms(&shard_vocab),
-                terms,
-                "vocab must not depend on sharding"
-            );
-            assert!(grid.shard_count() >= 2);
-            for rect in &rects {
-                let a = reference.accumulate_scores_in_rect(rect, &terms);
-                let b = grid.accumulate_scores_in_rect(rect, &terms);
-                assert_eq!(a.len(), b.len(), "shards={shards} rect={rect:?}");
-                for ((oa, sa), (ob, sb)) in a.iter().zip(&b) {
-                    assert_eq!(oa, ob);
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "shards={shards} obj={oa:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scoring_is_bit_identical_to_sequential() {
-        let (grid, vocab) = build_dense(8);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(330.0, 150.0, 700.0, 480.0),
-            Rect::new(40.0, 40.0, 60.0, 60.0),   // single shard
-            Rect::new(-10.0, -10.0, -1.0, -1.0), // empty
-        ];
-        for rect in &rects {
-            let sequential = grid.accumulate_scores_in_rect(rect, &terms);
-            for workers in [2usize, 3, 4, 7, 16] {
-                let parallel = grid.accumulate_scores_in_rect_with_workers(rect, &terms, workers);
-                assert_eq!(sequential.len(), parallel.len());
-                for ((oa, sa), (ob, sb)) in sequential.iter().zip(&parallel) {
-                    assert_eq!(oa, ob);
-                    assert_eq!(sa.to_bits(), sb.to_bits(), "workers={workers} obj={oa:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cell_subset_scores_match_the_rect_pass_bit_for_bit() {
-        let (grid, vocab) = build_dense(4);
-        let terms = query_terms(&vocab);
-        let rects = [
-            Rect::new(0.0, 0.0, 1000.0, 1000.0),
-            Rect::new(130.0, 40.0, 620.0, 880.0),
-            Rect::new(40.0, 40.0, 60.0, 60.0),
-        ];
-        for rect in &rects {
-            let by_rect = grid.accumulate_scores_in_rect(rect, &terms);
-            let cells = grid.cells_intersecting(rect);
-            let by_cells = grid.accumulate_scores_in_cells(&cells, &terms);
-            assert_eq!(by_rect.len(), by_cells.len(), "rect={rect:?}");
-            for ((oa, sa), (ob, sb)) in by_rect.iter().zip(&by_cells) {
-                assert_eq!(oa, ob);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "rect={rect:?} obj={oa:?}");
-            }
-        }
-        // Unoccupied or out-of-range ids contribute nothing.
-        let empty = grid.accumulate_scores_in_cells(
-            &[CellId { col: 0, row: 9 }, CellId { col: 999, row: 0 }],
-            &terms,
+        // A column range whose rows skip occupied cells in between.
+        let band = grid.cells_intersecting(&Rect::new(0.0, 400.0, 1000.0, 1000.0));
+        assert_eq!(
+            band,
+            vec![CellId { col: 4, row: 4 }, CellId { col: 9, row: 9 }]
         );
-        assert!(empty.is_empty());
     }
 
     #[test]
-    fn bulk_preinterned_build_matches_sequential_inserts() {
-        let objects = dense_objects();
-        let (sequential, vocab) = build_dense(4);
-        for workers in [1usize, 3, 8] {
-            let mut bulk =
-                GridIndex::new_sharded(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, 4).unwrap();
-            let inserted = bulk
-                .bulk_insert_preinterned(&vocab, &objects, workers)
-                .unwrap();
-            assert_eq!(inserted, objects.len());
-            assert_eq!(bulk.object_count(), sequential.object_count());
-            assert_eq!(bulk.occupied_cells(), sequential.occupied_cells());
-            for cell_id in sequential.cells_intersecting(&Rect::new(0.0, 0.0, 1000.0, 1000.0)) {
-                let a = sequential.cell(cell_id).unwrap();
-                let b = bulk.cell(cell_id).unwrap();
-                assert_eq!(a.objects, b.objects, "cell {cell_id:?}");
-            }
-            let terms = query_terms(&vocab);
-            let rect = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-            let a = sequential.accumulate_scores_in_rect(&rect, &terms);
-            let b = bulk.accumulate_scores_in_rect(&rect, &terms);
-            assert_eq!(a.len(), b.len());
-            for ((oa, sa), (ob, sb)) in a.iter().zip(&b) {
-                assert_eq!(oa, ob);
-                assert_eq!(sa.to_bits(), sb.to_bits());
-            }
+    fn accumulation_is_limited_to_the_cover_and_matches_vsm() {
+        let objects = make_objects();
+        let (grid, vocab) = build(&objects);
+        let terms = idf_terms(&vocab, &["restaurant", "pizza"]);
+        let acc = scores(&grid, &Rect::new(0.0, 0.0, 200.0, 100.0), &terms);
+        assert_eq!(acc.keys().copied().collect::<Vec<_>>(), vec![0, 1, 4]);
+        let q = crate::vsm::QueryVector::new(&vocab, &["restaurant", "pizza"]);
+        for (&i, &partial) in &acc {
+            let direct = q.score_object(&objects[i]);
+            assert!((direct - partial / q.norm).abs() < 1e-12, "object {i}");
         }
+        // Whole space: the cafe and the museum never match.
+        let all = scores(&grid, &Rect::new(0.0, 0.0, 1000.0, 1000.0), &terms);
+        assert_eq!(all.len(), 3);
+        assert!(!all.contains_key(&2));
     }
 
     #[test]
-    fn bulk_insert_rejects_invalid_objects_without_mutating() {
-        let vocab = Vocabulary::new();
-        let mut grid = GridIndex::new(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0).unwrap();
-        let bad = vec![GeoTextObject::from_keywords(
-            7u64,
-            Point::new(5000.0, 0.0),
-            ["bar"],
-        )];
-        assert!(matches!(
-            grid.bulk_insert_preinterned(&vocab, &bad, 4),
-            Err(GeoTextError::InvalidLocation { object: 7 })
-        ));
-        assert_eq!(grid.object_count(), 0);
-        assert_eq!(grid.occupied_cells(), 0);
-    }
-
-    #[test]
-    fn shard_bands_partition_the_columns() {
-        let grid = GridIndex::new_sharded(Rect::new(0.0, 0.0, 1000.0, 1000.0), 100.0, 4).unwrap();
-        assert_eq!(grid.shard_count(), 4);
-        let mut prev = None;
-        for col in 0..grid.dimensions().0 {
-            let s = grid.shard_of_col(col);
-            assert!(col >= grid.shard_col_lo(s) && col <= grid.shard_col_hi(s));
-            if let Some(p) = prev {
-                assert!(s == p || s == p + 1, "shard map must be monotone");
-            }
-            prev = Some(s);
-        }
-        assert_eq!(grid.shard_of_col(0), 0);
-        assert_eq!(grid.shard_of_col(grid.dimensions().0 - 1), 3);
-        // Requesting more shards than columns clamps to one shard per column.
-        let tiny = GridIndex::new_sharded(Rect::new(0.0, 0.0, 300.0, 300.0), 100.0, 64).unwrap();
-        assert_eq!(tiny.shard_count(), 3);
+    fn zero_idf_and_absent_terms_contribute_nothing() {
+        let objects = make_objects();
+        let (grid, vocab) = build(&objects);
+        let restaurant = vocab.lookup("restaurant").unwrap();
+        let extent = grid.extent();
+        assert!(scores(&grid, &extent, &[(restaurant, 0.0)]).is_empty());
+        assert!(scores(&grid, &extent, &[(TermId(999), 1.0)]).is_empty());
     }
 }

@@ -8,13 +8,14 @@
 //! * [`object::GeoTextObject`] — points of interest with term-frequency descriptions,
 //! * [`vocab::Vocabulary`] — term interning and document frequencies,
 //! * [`vsm`] — the TF–IDF vector-space relevance model (Equations 1 and 2),
-//! * [`btree::BPlusTree`] — a paged B⁺-tree standing in for the paper's
-//!   disk-based B⁺-tree holding the inverted lists,
-//! * [`inverted::InvertedIndex`] — per-cell postings lists of `(object, wto(t))`,
-//! * [`grid::GridIndex`] — the uniform spatial grid with one inverted index per cell,
+//! * [`grid::GridIndex`] — the uniform spatial grid; every cell's inverted
+//!   list of `(object, wto(t))` postings lives in one flat CSR built once
+//!   (the paper keeps these lists in a disk-based B⁺-tree; here they are in
+//!   memory),
 //! * [`mapping`] — object → nearest-road-node mapping,
-//! * [`collection::ObjectCollection`] — the assembled data set producing the
-//!   per-node query weights (`σ_v`) consumed by `lcmsr-core`.
+//! * [`collection::ObjectCollection`] — the assembled data set scoring a query
+//!   into dense scratch and producing the per-node query weights (`σ_v`,
+//!   [`collection::NodeWeights`]) consumed by `lcmsr-core`.
 //!
 //! # Example
 //!
@@ -40,11 +41,9 @@
 
 #![warn(missing_docs)]
 
-pub mod btree;
 pub mod collection;
 pub mod error;
 pub mod grid;
-pub mod inverted;
 pub mod mapping;
 pub mod object;
 pub mod vocab;
@@ -52,11 +51,9 @@ pub mod vsm;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::btree::BPlusTree;
     pub use crate::collection::{NodeWeights, ObjectCollection};
     pub use crate::error::{GeoTextError, Result as GeoTextResult};
     pub use crate::grid::GridIndex;
-    pub use crate::inverted::{InvertedIndex, Posting};
     pub use crate::object::{GeoTextObject, ObjectId};
     pub use crate::vocab::{TermId, Vocabulary};
     pub use crate::vsm::QueryVector;

@@ -100,13 +100,20 @@ impl Vocabulary {
         terms: impl IntoIterator<Item = &'a str>,
     ) -> Vec<TermId> {
         let mut ids: Vec<TermId> = terms.into_iter().map(|t| self.intern(t)).collect();
+        self.register_ids(&mut ids);
+        ids
+    }
+
+    /// Registers one document by the ids of its already-interned terms:
+    /// sorts and deduplicates `ids`, then increments `|D|` and each term's
+    /// document frequency.
+    pub(crate) fn register_ids(&mut self, ids: &mut Vec<TermId>) {
         ids.sort_unstable();
         ids.dedup();
-        for &id in &ids {
+        for &id in ids.iter() {
             self.document_frequency[id.index()] += 1;
         }
         self.document_count += 1;
-        ids
     }
 
     /// Inverse document frequency weight of a term as used by Equation 1:

@@ -11,9 +11,7 @@
 //! constructor.  Cell size is chosen from the node density so the average
 //! cell holds a handful of nodes; within a cell, ids ascend (the build is a
 //! counting sort over nodes in id order), which downstream sorted merges rely
-//! on.  A rectangle cover splits cleanly along rows, so callers can fan
-//! gathering out across threads and concatenate band results in row order
-//! without any nondeterminism.
+//! on.
 
 use crate::geo::Rect;
 use crate::node::{NodeId, RoadNode};
@@ -38,8 +36,7 @@ pub struct NodeGrid {
 }
 
 /// The grid cells intersecting a query rectangle: an inclusive column and row
-/// range.  Rows split the cover into disjoint horizontal bands, which is the
-/// axis parallel gathering fans out along.
+/// range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridCover {
     /// First intersecting column.
@@ -56,18 +53,6 @@ impl GridCover {
     /// Number of cells in the cover.
     pub fn cell_count(&self) -> u64 {
         u64::from(self.col_hi - self.col_lo + 1) * u64::from(self.row_hi - self.row_lo + 1)
-    }
-
-    /// The sub-cover restricted to rows `row_lo..=row_hi` (caller guarantees
-    /// the range lies inside this cover).
-    pub fn rows(&self, row_lo: u32, row_hi: u32) -> GridCover {
-        debug_assert!(self.row_lo <= row_lo && row_hi <= self.row_hi);
-        GridCover {
-            col_lo: self.col_lo,
-            col_hi: self.col_hi,
-            row_lo,
-            row_hi,
-        }
     }
 }
 
@@ -253,21 +238,6 @@ mod tests {
             g.candidate_count(&cover),
             nodes.len()
         );
-    }
-
-    #[test]
-    fn row_bands_partition_the_cover() {
-        let nodes = nodes_on_grid(30, 100.0);
-        let g = NodeGrid::build(&nodes);
-        let rect = Rect::new(100.0, 100.0, 2800.0, 2800.0);
-        let cover = g.cover(&rect).unwrap();
-        let mut whole = Vec::new();
-        g.candidates_in_cover(&cover, &mut whole);
-        let mid = cover.row_lo + (cover.row_hi - cover.row_lo) / 2;
-        let mut banded = Vec::new();
-        g.candidates_in_cover(&cover.rows(cover.row_lo, mid), &mut banded);
-        g.candidates_in_cover(&cover.rows(mid + 1, cover.row_hi), &mut banded);
-        assert_eq!(whole, banded, "band concatenation must equal the full scan");
     }
 
     #[test]

@@ -70,73 +70,26 @@ impl<'g> RegionView<'g> {
 
     /// Like [`RegionView::new`], but reuses the buffers held by `scratch`
     /// (see [`RegionScratch`]).  Return them with [`RegionView::recycle`].
-    pub fn new_reusing(graph: &'g RoadNetwork, rect: Rect, scratch: &mut RegionScratch) -> Self {
-        Self::new_reusing_with_workers(graph, rect, scratch, 1)
-    }
-
-    /// Like [`RegionView::new_reusing`], fanning candidate gathering and edge
-    /// induction out over `workers` scoped threads.  The output is
-    /// **bit-identical** to the sequential path for any worker count: band
-    /// results are merged in row order and both node and edge lists are
-    /// sorted by id before use, so thread scheduling cannot leak into the
-    /// view (golden suites pin this).
     ///
     /// Cost is proportional to the rectangle's grid cell cover, not to the
     /// network: nodes are gathered from [`crate::spatial::NodeGrid`] buckets,
     /// induced edges from member adjacency, and the membership table is
     /// epoch-rebased at the smallest member id so it spans the touched id
     /// band only.
-    pub fn new_reusing_with_workers(
-        graph: &'g RoadNetwork,
-        rect: Rect,
-        scratch: &mut RegionScratch,
-        workers: usize,
-    ) -> Self {
+    pub fn new_reusing(graph: &'g RoadNetwork, rect: Rect, scratch: &mut RegionScratch) -> Self {
         let mut members = std::mem::take(&mut scratch.members);
         let mut nodes = std::mem::take(&mut scratch.nodes);
         nodes.clear();
         let mut edges = std::mem::take(&mut scratch.edges);
         edges.clear();
 
-        // Gather member nodes from the rect's cell cover.
+        // Gather member nodes from the rect's cell cover.  Grid buckets are
+        // keyed by cell, so the concatenation is not id sorted; one sort
+        // restores the view invariant (ids are unique — every node lives in
+        // exactly one cell).
         if let Some(cover) = graph.node_grid().cover(&rect) {
-            let rows = u64::from(cover.row_hi - cover.row_lo) + 1;
-            let band_workers = workers.clamp(1, rows.min(64) as usize);
-            if band_workers > 1 {
-                // One horizontal band of rows per worker; bands are disjoint
-                // and concatenated in row order.
-                let bands = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..band_workers)
-                        .map(|w| {
-                            let lo = cover.row_lo + (rows * w as u64 / band_workers as u64) as u32;
-                            let hi = cover.row_lo
-                                + (rows * (w as u64 + 1) / band_workers as u64) as u32
-                                - 1;
-                            s.spawn(move || {
-                                let mut band = Vec::new();
-                                graph
-                                    .node_grid()
-                                    .candidates_in_cover(&cover.rows(lo, hi), &mut band);
-                                band.retain(|&id| rect.contains(&graph.point(id)));
-                                band
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("view gather worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                for band in &bands {
-                    nodes.extend_from_slice(band);
-                }
-            } else {
-                graph.node_grid().candidates_in_cover(&cover, &mut nodes);
-                nodes.retain(|&id| rect.contains(&graph.point(id)));
-            }
-            // Grid buckets are keyed by cell, so the concatenation is not id
-            // sorted; one sort restores the view invariant (ids are unique —
-            // every node lives in exactly one cell).
+            graph.node_grid().candidates_in_cover(&cover, &mut nodes);
+            nodes.retain(|&id| rect.contains(&graph.point(id)));
             nodes.sort_unstable();
         }
 
@@ -150,46 +103,12 @@ impl<'g> RegionView<'g> {
         // Induced edges from member adjacency (each in-view edge is pushed
         // once, from its smaller endpoint) instead of a scan over every edge
         // of the network.
-        let gather_edges = |chunk: &[NodeId], out: &mut Vec<EdgeId>| {
-            for &a in chunk {
-                for &(b, e) in graph.neighbors(a) {
-                    if a < b && members.contains(b.index()) {
-                        out.push(e);
-                    }
+        for &a in &nodes {
+            for &(b, e) in graph.neighbors(a) {
+                if a < b && members.contains(b.index()) {
+                    edges.push(e);
                 }
             }
-        };
-        let edge_workers = workers.clamp(1, nodes.len().clamp(1, 64));
-        if edge_workers > 1 {
-            let chunk_len = nodes.len().div_ceil(edge_workers);
-            let members_ref = &members;
-            let chunks = std::thread::scope(|s| {
-                let handles: Vec<_> = nodes
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            for &a in chunk {
-                                for &(b, e) in graph.neighbors(a) {
-                                    if a < b && members_ref.contains(b.index()) {
-                                        out.push(e);
-                                    }
-                                }
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("edge gather worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for chunk in &chunks {
-                edges.extend_from_slice(chunk);
-            }
-        } else {
-            gather_edges(&nodes, &mut edges);
         }
         // Adjacency order is per-endpoint, not global: sort restores the
         // edge-id order the old whole-network filter produced.
@@ -647,31 +566,6 @@ mod tests {
             "epoch table grew to {} entries for a 4-node view of a 2016-node network",
             scratch.members.table_len()
         );
-    }
-
-    #[test]
-    fn parallel_views_are_identical_to_sequential_for_any_worker_count() {
-        let g = grid4();
-        let mut scratch = RegionScratch::new();
-        for rect in [
-            Rect::new(-0.5, -0.5, 1.5, 1.5),
-            Rect::new(0.0, 0.0, 3.0, 3.0),
-            Rect::new(-10.0, -10.0, 10.0, 10.0),
-            Rect::new(100.0, 100.0, 101.0, 101.0), // empty
-            Rect::new(1.0, -0.5, 1.0, 3.5),        // zero-width strip
-        ] {
-            let sequential = RegionView::new(&g, rect);
-            for workers in [1, 2, 3, 4, 7, 16] {
-                let parallel =
-                    RegionView::new_reusing_with_workers(&g, rect, &mut scratch, workers);
-                assert_eq!(sequential.nodes(), parallel.nodes(), "workers={workers}");
-                assert_eq!(sequential.edges(), parallel.edges(), "workers={workers}");
-                for n in g.node_ids() {
-                    assert_eq!(sequential.local_index(n), parallel.local_index(n));
-                }
-                parallel.recycle(&mut scratch);
-            }
-        }
     }
 
     #[test]

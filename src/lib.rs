@@ -16,8 +16,8 @@
 //!
 //! * [`roadnet`] — road-network graph substrate (graph model, DIMACS reader,
 //!   traversal, synthetic generators),
-//! * [`geotext`] — geo-textual objects, TF–IDF scoring, grid index, inverted
-//!   lists over a paged B⁺-tree,
+//! * [`geotext`] — geo-textual objects, TF–IDF scoring, a grid index whose
+//!   per-cell inverted lists share one flat CSR,
 //! * [`datagen`] — synthetic NY-like / USANW-like data sets and query workloads,
 //! * [`core`] — the LCMSR algorithms: APP (5+ε approximation), TGEN, Greedy,
 //!   their top-k variants, an exact reference solver and the MaxRS baseline,

@@ -1,0 +1,251 @@
+//! The flat prepare phase against a naive reference scorer.
+//!
+//! The collection scores a query by walking the postings of the grid cells
+//! covering `Q.Λ` into dense per-slot scratch.  The reference here knows
+//! nothing of cells, slots or postings: it loops over every indexed object,
+//! keeps those inside the rectangle (`Rect::contains`), and sums
+//! `w_{Q.ψ,t} · wto(t)` (`wto(t) = tf_weight / object_norm`, Equation 2) in
+//! query-term order, then adds each object's score to its node in ascending
+//! object-id order.  Random objects and keywords (repeated keywords give
+//! `tf > 1`) are scored with random rectangles that straddle cell edges, hold
+//! no nodes or lie outside the extent, and with unknown and zero-IDF query
+//! terms.  Compared bit for bit (`f64::to_bits`):
+//!
+//! * the keyword scores — cold, through one reused `NodeWeights`, and via
+//!   the delta path from the previous rectangle and to a panned, resized
+//!   copy of the current one;
+//! * the prepared [`QueryGraph`]: per-node (global id, weight bits, scaled
+//!   weight) in CSR order plus every edge with its length bits.
+
+use lcmsr::core::engine::LcmsrEngine;
+use lcmsr::core::prelude::{QueryGraph, QueryWorkspace};
+use lcmsr::core::LcmsrQuery;
+use lcmsr::geotext::collection::NodeWeights;
+use lcmsr::geotext::vsm::{object_norm, tf_weight};
+use lcmsr::geotext::{GeoTextObject, ObjectCollection, ObjectId, QueryVector};
+use lcmsr::roadnet::subgraph::RegionView;
+use lcmsr::roadnet::{GraphBuilder, NodeId, Point, Rect, RoadNetwork};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+const SIDE: usize = 6;
+const SPACING: f64 = 100.0;
+const KEYWORDS: [&str; 4] = ["restaurant", "cafe", "museum", "bar"];
+/// Query keyword index naming a term no object carries.
+const UNKNOWN: usize = KEYWORDS.len();
+/// Pan and resize offsets in metres (cells are `SPACING / 2` wide).
+const PAN: [f64; 5] = [-37.0, -13.0, 0.0, 13.0, 37.0];
+
+/// A `SIDE × SIDE` grid network with `SPACING`-metre blocks.
+fn grid_network() -> RoadNetwork {
+    let mut b = GraphBuilder::new();
+    let mut ids = Vec::new();
+    for y in 0..SIDE {
+        for x in 0..SIDE {
+            ids.push(b.add_node(Point::new(x as f64 * SPACING, y as f64 * SPACING)));
+        }
+    }
+    for y in 0..SIDE {
+        for x in 0..SIDE {
+            let i = y * SIDE + x;
+            if x + 1 < SIDE {
+                b.add_edge(ids[i], ids[i + 1], SPACING).unwrap();
+            }
+            if y + 1 < SIDE {
+                b.add_edge(ids[i], ids[i + SIDE], SPACING).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// `(id, score bits)` pairs of a node or object list.
+fn bits<K: Copy>(entries: &[(K, f64)]) -> Vec<(K, u64)> {
+    entries.iter().map(|&(k, w)| (k, w.to_bits())).collect()
+}
+
+/// Per-object and per-node scores, both ascending by id.
+type Scores = (Vec<(ObjectId, f64)>, Vec<(NodeId, f64)>);
+
+/// Per-object and per-node scores computed without the index.
+fn naive_scores(collection: &ObjectCollection, query: &QueryVector, rect: &Rect) -> Scores {
+    let mut by_object = Vec::new();
+    if query.norm > 0.0 {
+        for object in collection.objects() {
+            if !rect.contains(&object.point) {
+                continue;
+            }
+            let mut partial = 0.0;
+            for term in &query.terms {
+                if term.weight == 0.0 {
+                    continue;
+                }
+                if let Some(&tf) = object.terms.get(&term.text) {
+                    partial += term.weight * (tf_weight(tf) / object_norm(object));
+                }
+            }
+            let score = partial / query.norm;
+            if score > 0.0 {
+                by_object.push((object.id, score));
+            }
+        }
+    }
+    by_object.sort_by_key(|&(id, _)| id);
+    let mut by_node = BTreeMap::new();
+    for &(id, score) in &by_object {
+        let node = collection.node_of(id).expect("scored object is indexed");
+        *by_node.entry(node).or_insert(0.0) += score;
+    }
+    (by_object, by_node.into_iter().collect())
+}
+
+/// Per-node (global id, weight bits, scaled weight) in CSR order plus
+/// per-edge (a, b, length bits).
+type GraphFingerprint = (Vec<(u32, u64, u64)>, Vec<(u32, u32, u64)>);
+
+/// Bit-exact content of a prepared query graph (CSR node order + edges).
+fn graph_fingerprint(graph: &QueryGraph) -> GraphFingerprint {
+    let nodes = graph
+        .node_indices()
+        .map(|v| {
+            (
+                graph.global_node(v).0,
+                graph.weight(v).to_bits(),
+                graph.scaled_weight(v),
+            )
+        })
+        .collect();
+    let edges = graph
+        .edges()
+        .iter()
+        .map(|e| (e.a, e.b, e.length.to_bits()))
+        .collect();
+    (nodes, edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random objects, keywords and rectangles: the flat scorer's node and
+    /// object scores, its delta path and the prepared query graph are
+    /// bit-identical to the naive reference.
+    #[test]
+    fn flat_scorer_matches_the_naive_reference(
+        objects in collection::vec(
+            (-150.0f64..650.0, -150.0f64..650.0, collection::vec(0usize..KEYWORDS.len(), 1..4)),
+            1..80,
+        ),
+        keywords in collection::vec(0usize..UNKNOWN + 1, 1..4),
+        zeroed_term in 0usize..6,
+        rect_cells in collection::vec((0usize..SIDE + 2, 0usize..SIDE + 2, 1usize..SIDE, 1usize..SIDE), 1..5),
+        shift_third in 0usize..3,
+        pan in (0usize..PAN.len(), 0usize..PAN.len(), 0usize..PAN.len()),
+        delta_blocks in 1usize..7,
+    ) {
+        let network = grid_network();
+        let objects: Vec<GeoTextObject> = objects
+            .iter()
+            .enumerate()
+            .map(|(id, (x, y, words))| {
+                GeoTextObject::from_keywords(
+                    id as u64,
+                    Point::new(*x, *y),
+                    words.iter().map(|&w| KEYWORDS[w]),
+                )
+            })
+            .collect();
+        // Half-block cells: rect borders on, between or just past nodes
+        // straddle cell edges.
+        let collection = ObjectCollection::build(&network, objects, SPACING / 2.0).unwrap();
+        let engine = LcmsrEngine::new(&network, &collection);
+
+        let words: Vec<&str> = keywords
+            .iter()
+            .map(|&k| KEYWORDS.get(k).copied().unwrap_or("spaceship"))
+            .collect();
+        let mut query = collection.query_vector(&words);
+        // A known term whose IDF weight is forced to zero contributes nothing.
+        if let Some(term) = query.terms.get_mut(zeroed_term) {
+            if term.id.is_some() {
+                term.weight = 0.0;
+                query.norm = query.terms.iter().map(|t| t.weight * t.weight).sum::<f64>().sqrt();
+            }
+        }
+
+        let shift = [0.0, SPACING / 2.0, SPACING / 10.0][shift_third];
+        let mut rects: Vec<Rect> = rect_cells
+            .iter()
+            .map(|&(x0, y0, w, h)| {
+                Rect::new(
+                    x0 as f64 * SPACING - shift,
+                    y0 as f64 * SPACING - shift,
+                    (x0 + w) as f64 * SPACING + shift,
+                    (y0 + h) as f64 * SPACING + shift,
+                )
+            })
+            .collect();
+        // A node-free rect (nodes sit on multiples of SPACING), one clear of
+        // the extent, and the whole extent.
+        rects.push(Rect::new(110.0, 110.0, 190.0, 190.0));
+        rects.push(Rect::new(2_000.0, -50.0, 2_100.0, 50.0));
+        rects.push(Rect::new(-200.0, -200.0, 700.0, 700.0));
+
+        let delta = delta_blocks as f64 * SPACING;
+        let mut reused = NodeWeights::default();
+        let mut delta_out = NodeWeights::default();
+        let mut workspace = QueryWorkspace::new();
+        let mut prev: Option<(Rect, NodeWeights)> = None;
+        for rect in &rects {
+            let (want_objects, want_nodes) = naive_scores(&collection, &query, rect);
+            collection.node_weights_into(&query, rect, &mut reused);
+            prop_assert_eq!(bits(reused.by_object()), bits(&want_objects), "objects at {:?}", rect);
+            prop_assert_eq!(bits(reused.by_node()), bits(&want_nodes), "nodes at {:?}", rect);
+
+            // Delta steps: from the previous rect, and a pan plus resize of
+            // this one whose borders cut through cells.
+            let moved = Rect::new(
+                rect.min_x + PAN[pan.0],
+                rect.min_y + PAN[pan.1],
+                rect.max_x + PAN[pan.0] + PAN[pan.2],
+                rect.max_y + PAN[pan.1] + PAN[pan.2],
+            );
+            let here = (*rect, reused.snapshot());
+            for (old_rect, old_weights, new_rect) in
+                prev.iter().map(|(r, w)| (r, w, rect)).chain([(&here.0, &here.1, &moved)])
+            {
+                let (want_objects, want_nodes) = naive_scores(&collection, &query, new_rect);
+                collection.node_weights_delta_into(&query, old_rect, new_rect, old_weights, &mut delta_out);
+                prop_assert_eq!(bits(delta_out.by_object()), bits(&want_objects), "delta objects at {:?}", new_rect);
+                prop_assert_eq!(bits(delta_out.by_node()), bits(&want_nodes), "delta nodes at {:?}", new_rect);
+            }
+            prev = Some(here);
+
+            // The engine's prepared graph equals one built from the reference
+            // weights; a rect with no node fails the same way on both paths.
+            let lcmsr_query = LcmsrQuery::new(words.clone(), delta, *rect).unwrap();
+            let got = match engine.prepare_with(&mut workspace, &lcmsr_query, 0.5) {
+                Ok(g) => {
+                    let fp = graph_fingerprint(&g);
+                    engine.release(&mut workspace, g);
+                    Ok(fp)
+                }
+                Err(e) => Err(format!("{e:?}")),
+            };
+            let engine_query = collection.query_vector(&words);
+            let (_, reference_nodes) = naive_scores(&collection, &engine_query, rect);
+            let view = RegionView::new(&network, *rect);
+            let reference = NodeWeights::from_node_weights(reference_nodes.iter().copied());
+            let expected = QueryGraph::build(&view, &reference, delta, 0.5)
+                .map(|g| graph_fingerprint(&g))
+                .map_err(|e| format!("{e:?}"));
+            prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
+            if let Ok((nodes, _)) = &got {
+                let reference: BTreeMap<NodeId, f64> = reference_nodes.into_iter().collect();
+                for &(node, weight, _) in nodes {
+                    let want = reference.get(&NodeId(node)).copied().unwrap_or(0.0).max(0.0);
+                    prop_assert_eq!(weight, want.to_bits(), "node {} weight at {:?}", node, rect);
+                }
+            }
+        }
+    }
+}

@@ -32,8 +32,8 @@ fn grid_index_scoring_matches_direct_vsm_scoring() {
     let weights = collection.node_weights_for_keywords(&keywords, &rect);
     let query = QueryVector::new(collection.vocabulary(), &keywords);
     // Recompute each scored object's relevance directly from Equation 1.
-    for (object_id, &score) in &weights.by_object {
-        let object = collection.object(*object_id).unwrap();
+    for &(object_id, score) in weights.by_object() {
+        let object = collection.object(object_id).unwrap();
         let direct = query.score_object(object);
         assert!(
             (direct - score).abs() < 1e-9,
@@ -41,11 +41,11 @@ fn grid_index_scoring_matches_direct_vsm_scoring() {
         );
     }
     // And every node weight is the sum of its objects' scores.
-    for (&node, &w) in &weights.by_node {
+    for &(node, w) in weights.by_node() {
         let sum: f64 = collection
             .objects_at(node)
             .iter()
-            .filter_map(|o| weights.by_object.get(o))
+            .filter_map(|&o| weights.object_score(o))
             .sum();
         assert!((sum - w).abs() < 1e-9);
     }
