@@ -1,63 +1,92 @@
 //! Service-throughput benchmark: N closed-loop client threads drive a live
-//! `lcmsr_service` server over loopback HTTP, once against the micro-batching
-//! scheduler and once against the one-engine-call-per-request baseline
-//! (`max_batch = 1`).  Both modes serve the same synthetic dataset through
-//! the same HTTP stack, so the measured difference is the scheduler's.
+//! `lcmsr_service` server in its default configuration over loopback HTTP.
+//! Every served region is checked against a direct `engine.execute` of the
+//! same request body, and a mismatch fails the run.
 //!
 //! Like `batch_throughput` this is a plain harness emitting a
-//! machine-readable `BENCH_service.json` (override via `LCMSR_BENCH_OUT`).
-//! Knobs: `LCMSR_SCALE` (default `tiny`), `LCMSR_SERVICE_CLIENTS` (default
-//! 8), `LCMSR_SERVICE_REQUESTS` per client per round (default 8),
-//! `LCMSR_SERVICE_ROUNDS` best-of rounds (default 2).
-//!
-//! The strict CI gate (`LCMSR_BENCH_STRICT`) requires batched throughput ≥
-//! the unbatched path (`LCMSR_BENCH_MIN_SERVICE_SPEEDUP`, default 1.0) and
-//! re-measures twice before failing to ride out noisy neighbours; it also
-//! asserts both modes returned identical regions for every request.
+//! machine-readable `BENCH_service.json` (override via `LCMSR_BENCH_OUT`)
+//! with throughput and client-observed p50/p99 latency.  Knobs:
+//! `LCMSR_SCALE` (default `tiny`), `LCMSR_SERVICE_CLIENTS` (default 8),
+//! `LCMSR_SERVICE_REQUESTS` per client per round (default 8) and
+//! `LCMSR_SERVICE_ROUNDS` measured rounds (default 2; throughput is the
+//! fastest round, latency percentiles pool every measured request).
 
 use lcmsr_bench::*;
+use lcmsr_core::engine::{LcmsrEngine, QueryRequest as EngineRequest};
 use lcmsr_service::http::ServerConfig;
 use lcmsr_service::{
-    leak_engine, serve, BatchConfig, DiagnosticsConfig, HttpClient, QueryRequest, QueryResponse,
-    ServiceConfig,
+    leak_engine, serve, HttpClient, QueryRequest, QueryResponse, RegionDto, ServiceConfig,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Runs one closed-loop measurement: `clients` threads, each issuing every
-/// request body `requests` times over a keep-alive connection.  Returns the
-/// wall-clock seconds and the region parts of all responses (client-major,
-/// request-minor) for the identical-results check.
+/// The regions a direct engine call returns for a wire request body.
+fn direct_regions(engine: &LcmsrEngine<'_>, body: &str) -> Vec<RegionDto> {
+    let wire = QueryRequest::from_body(body).expect("valid body");
+    let query = wire.to_query().expect("valid query");
+    let mut request = EngineRequest::new(&query, wire.to_algorithm().expect("valid algorithm"));
+    if let Some(k) = wire.k {
+        request = request.top_k(k);
+    }
+    engine
+        .execute(&request)
+        .expect("direct run")
+        .regions
+        .iter()
+        .map(RegionDto::from_region)
+        .collect()
+}
+
+/// Runs one closed-loop round: `clients` threads, each issuing `requests`
+/// requests over a keep-alive connection and checking every answer against
+/// `expected`.  Returns the round's wall-clock time and every request's
+/// client-observed latency.
 fn drive(
     addr: std::net::SocketAddr,
     bodies: &[String],
+    expected: &[Vec<RegionDto>],
     clients: usize,
     requests: usize,
-) -> (f64, Vec<String>) {
-    let start = std::time::Instant::now();
-    let mut all_regions: Vec<(usize, Vec<String>)> = std::thread::scope(|scope| {
+) -> (Duration, Vec<Duration>) {
+    let start = Instant::now();
+    let latencies = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || {
                     let mut client = HttpClient::connect(addr).expect("connect");
-                    let mut regions = Vec::with_capacity(requests * bodies.len());
+                    let mut latencies = Vec::with_capacity(requests);
                     for r in 0..requests {
-                        let body = &bodies[(c + r) % bodies.len()];
-                        let (status, response) = client.post("/query", body).expect("request");
+                        let i = (c + r) % bodies.len();
+                        let sent = Instant::now();
+                        let (status, response) =
+                            client.post("/query", &bodies[i]).expect("request");
+                        latencies.push(sent.elapsed());
                         assert_eq!(status, 200, "{response}");
                         let parsed = QueryResponse::from_body(&response).expect("valid response");
-                        // Keep only the deterministic part (stats contain
-                        // timings, which differ run to run).
-                        regions.push(format!("{:?}", parsed.regions));
+                        assert_eq!(
+                            parsed.regions, expected[i],
+                            "served regions differ from the direct engine's for {}",
+                            bodies[i]
+                        );
                     }
-                    (c, regions)
+                    latencies
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect::<Vec<_>>()
     });
-    let secs = start.elapsed().as_secs_f64();
-    all_regions.sort_by_key(|(c, _)| *c);
-    (secs, all_regions.into_iter().flat_map(|(_, r)| r).collect())
+    (start.elapsed(), latencies)
+}
+
+/// Nearest-rank percentile of an ascending-sorted sample, in microseconds.
+fn percentile_us(sorted: &[Duration], q: f64) -> u128 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1].as_micros()
 }
 
 fn main() {
@@ -65,7 +94,6 @@ fn main() {
     let clients = env_usize("LCMSR_SERVICE_CLIENTS", 8).max(1);
     let requests = env_usize("LCMSR_SERVICE_REQUESTS", 8).max(1);
     let rounds = env_usize("LCMSR_SERVICE_ROUNDS", 2).max(1);
-    let workers = workers_from_env();
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let dataset = ny_dataset(scale);
@@ -99,116 +127,55 @@ fn main() {
         })
         .collect();
     let engine = leak_engine(dataset.network, dataset.collection);
+    let expected: Vec<Vec<RegionDto>> = bodies.iter().map(|b| direct_regions(engine, b)).collect();
 
-    let serve_mode = |max_batch: usize| {
-        serve(
-            engine,
-            ServiceConfig {
-                server: ServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    // Both modes get enough handler threads that the HTTP
-                    // pool never caps concurrency; what differs is only how
-                    // queries reach the engine.
-                    http_workers: clients + 2,
-                    max_body_bytes: 1024 * 1024,
-                    ..ServerConfig::default()
-                },
-                batch: BatchConfig {
-                    max_batch,
-                    max_delay: Duration::from_millis(1),
-                    queue_capacity: (clients * 4).max(64),
-                    batch_workers: workers,
-                },
-                diagnostics: DiagnosticsConfig::default(),
+    // The default service, with enough HTTP workers that every client's
+    // keep-alive connection is served at once.
+    let defaults = ServerConfig::default();
+    let service = serve(
+        engine,
+        ServiceConfig {
+            server: ServerConfig {
+                http_workers: clients.max(defaults.http_workers),
+                ..defaults
             },
-        )
-        .expect("service must start")
-    };
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service must start");
+    let permits = ServiceConfig::default().batch.batch_workers;
 
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let min_speedup = env_f64("LCMSR_BENCH_MIN_SERVICE_SPEEDUP", 1.0);
-
-    let mut baseline_secs = f64::INFINITY;
-    let mut batched_secs = f64::INFINITY;
-    let mut speedup = 0.0;
-    let mut identical = false;
-    let mut mean_batch_size = 0.0;
-    let mut p50_us = 0;
-    let mut p99_us = 0;
-    // The strict gate re-measures the whole comparison up to twice: loopback
-    // servers on shared runners see real scheduling noise.
-    for attempt in 0..3 {
-        // --- baseline: one engine call per request ------------------------
-        let baseline = serve_mode(1);
-        let _warmup = drive(baseline.addr(), &bodies, clients, 1);
-        for _ in 0..rounds {
-            let (secs, _) = drive(baseline.addr(), &bodies, clients, requests);
-            baseline_secs = baseline_secs.min(secs);
-        }
-        let (_, baseline_regions) = drive(baseline.addr(), &bodies, clients, requests);
-        baseline.shutdown();
-
-        // --- micro-batched scheduler --------------------------------------
-        let batched = serve_mode((clients * 2).max(8));
-        let _warmup = drive(batched.addr(), &bodies, clients, 1);
-        for _ in 0..rounds {
-            let (secs, _) = drive(batched.addr(), &bodies, clients, requests);
-            batched_secs = batched_secs.min(secs);
-        }
-        let (_, batched_regions) = drive(batched.addr(), &bodies, clients, requests);
-        mean_batch_size = batched.metrics().mean_batch_size();
-        p50_us = batched.metrics().latency.quantile_us(0.50);
-        p99_us = batched.metrics().latency.quantile_us(0.99);
-        batched.shutdown();
-
-        identical = baseline_regions == batched_regions;
-        speedup = baseline_secs / batched_secs.max(1e-12);
-        if !strict || (identical && speedup >= min_speedup) {
-            break;
-        }
-        if attempt < 2 {
-            eprintln!(
-                "  batched/unbatched {speedup:.2}x below {min_speedup:.2}x target; re-measuring"
-            );
-        }
+    let _warmup = drive(service.addr(), &bodies, &expected, clients, 1);
+    let mut best_round = Duration::MAX;
+    let mut latencies = Vec::with_capacity(rounds * clients * requests);
+    for _ in 0..rounds {
+        let (round, round_latencies) = drive(service.addr(), &bodies, &expected, clients, requests);
+        best_round = best_round.min(round);
+        latencies.extend(round_latencies);
     }
+    service.shutdown();
+    latencies.sort_unstable();
 
-    let total = (clients * requests) as f64;
-    let baseline_qps = total / baseline_secs;
-    let batched_qps = total / batched_secs;
+    // The warm-up round sends one request per client; every answer is checked.
+    let checked = clients + latencies.len();
+    let qps = (clients * requests) as f64 / best_round.as_secs_f64().max(1e-12);
+    let p50_us = percentile_us(&latencies, 0.50);
+    let p99_us = percentile_us(&latencies, 0.99);
     println!(
-        "service_throughput (scale {scale:?}, {clients} clients x {requests} reqs, {workers} engine workers, {cpus} CPUs)"
-    );
-    println!(
-        "  unbatched (per-request) : {:>9.1} ms total  ({baseline_qps:.1} q/s)",
-        baseline_secs * 1e3
+        "service_throughput (scale {scale:?}, {clients} clients x {requests} reqs x {rounds} rounds, {permits} permits, {cpus} CPUs)"
     );
     println!(
-        "  micro-batched           : {:>9.1} ms total  ({batched_qps:.1} q/s)",
-        batched_secs * 1e3
+        "  best round : {:>9.1} ms  ({qps:.1} q/s)",
+        best_round.as_secs_f64() * 1e3
     );
-    println!(
-        "  speedup                 : {speedup:.2}x   mean batch {mean_batch_size:.2}   p50 {p50_us} µs   p99 {p99_us} µs   identical: {identical}"
-    );
-
-    assert!(
-        identical,
-        "batched and unbatched modes must serve identical regions"
-    );
-    if strict {
-        assert!(
-            speedup >= min_speedup,
-            "micro-batched throughput {batched_qps:.1} q/s fell below the unbatched \
-             baseline {baseline_qps:.1} q/s ({speedup:.2}x < {min_speedup:.2}x)"
-        );
-    }
+    println!("  latency    : p50 {p50_us} µs   p99 {p99_us} µs");
+    println!("  checked    : {checked} answers identical to direct engine calls");
 
     let out_path =
         std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
     let json = format!(
-        "{{\n  \"bench\": \"service_throughput\",\n  \"scale\": \"{scale:?}\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \"engine_workers\": {workers},\n  \"cpus\": {cpus},\n  \"unbatched_ms\": {:.3},\n  \"batched_ms\": {:.3},\n  \"unbatched_qps\": {baseline_qps:.2},\n  \"batched_qps\": {batched_qps:.2},\n  \"speedup\": {speedup:.4},\n  \"mean_batch_size\": {mean_batch_size:.3},\n  \"latency_p50_us\": {p50_us},\n  \"latency_p99_us\": {p99_us},\n  \"identical_results\": {identical}\n}}\n",
-        baseline_secs * 1e3,
-        batched_secs * 1e3,
+        "{{\n  \"bench\": \"service_throughput\",\n  \"scale\": \"{scale:?}\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \"rounds\": {rounds},\n  \"permits\": {permits},\n  \"cpus\": {cpus},\n  \"best_round_ms\": {:.3},\n  \"throughput_qps\": {qps:.2},\n  \"latency_p50_us\": {p50_us},\n  \"latency_p99_us\": {p99_us},\n  \"answers_checked\": {checked}\n}}\n",
+        best_round.as_secs_f64() * 1e3,
     );
     std::fs::write(&out_path, json).expect("write BENCH_service.json");
     println!("  wrote {out_path}");

@@ -13,9 +13,9 @@
 //! Available experiment ids: `table1`, `fig7_8`, `fig9_10`, `fig11_12`,
 //! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`, `all` —
 //! plus `serve`, which starts the `lcmsr_service` HTTP front-end over the
-//! synthetic NY dataset (flags: `--addr`, `--max-batch`, `--max-delay-ms`,
-//! `--queue-capacity`, `--http-workers`, `--slow-ms` for the slow-query
-//! threshold and `--trace-sample` for 1-in-N span tracing), and `dump`,
+//! synthetic NY dataset (flags: `--addr`, `--queue-capacity`,
+//! `--http-workers`, `--slow-ms` for the slow-query threshold and
+//! `--trace-sample` for 1-in-N span tracing), and `dump`,
 //! which renders the
 //! bit-exact golden-region snapshot (`--out FILE`, default stdout) that
 //! `tests/golden/` pins.  Engine worker counts honour
@@ -139,6 +139,20 @@ fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
     use lcmsr_service::http::ServerConfig;
     use lcmsr_service::{leak_engine, serve, BatchConfig, DiagnosticsConfig, ServiceConfig};
 
+    // The scheduler no longer batches: refuse the batching flags instead of
+    // silently ignoring a knob the operator believes is in effect.
+    for removed in ["--max-batch", "--max-delay-ms"] {
+        let passed = args
+            .iter()
+            .any(|a| a == removed || a.strip_prefix(removed).is_some_and(|v| v.starts_with('=')));
+        if passed {
+            eprintln!(
+                "{removed} was removed: the service runs each query on its HTTP worker under \
+                 --workers permits, with no batching window"
+            );
+            std::process::exit(2);
+        }
+    }
     let addr = flag_value(args, "--addr")
         .unwrap_or("127.0.0.1:7878")
         .to_string();
@@ -151,8 +165,6 @@ fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
             default
         }),
     };
-    let max_batch = parse_or("--max-batch", 32);
-    let max_delay_ms = parse_or("--max-delay-ms", 2);
     let queue_capacity = parse_or("--queue-capacity", 1024);
     let http_workers = parse_or("--http-workers", (workers * 4).max(8));
     let diag_defaults = DiagnosticsConfig::default();
@@ -177,10 +189,9 @@ fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
             ..ServerConfig::default()
         },
         batch: BatchConfig {
-            max_batch,
-            max_delay: std::time::Duration::from_millis(max_delay_ms as u64),
             queue_capacity,
             batch_workers: workers,
+            ..BatchConfig::default()
         },
         diagnostics: DiagnosticsConfig {
             slow_ms,
@@ -189,7 +200,7 @@ fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
         },
     };
     println!(
-        "# scheduler  : max_batch {max_batch}, max_delay {max_delay_ms} ms, queue {queue_capacity}, {workers} engine workers, {http_workers} http workers"
+        "# scheduler  : {workers} permits (queries run on their http worker), queue {queue_capacity}, {http_workers} http workers"
     );
     println!(
         "# diagnostics: slow-query threshold {slow_ms} ms (0 = off), span tracing 1-in-{trace_sample} (0 = off)"

@@ -50,10 +50,10 @@ pub struct RunStats {
     /// Time spent inside the solver proper.  `prepare_time + solve_time` is
     /// always ≤ `elapsed` (the remainder is result translation).
     pub solve_time: Duration,
-    /// Time the query spent parked in a serving front-end's queue before an
-    /// engine worker picked it up.  Always zero on the direct engine paths
-    /// (`run`, `run_topk`, `run_batch`); the `lcmsr_service` micro-batching
-    /// scheduler measures and fills it in.  Not included in `elapsed`, which
+    /// Time the query spent parked in a serving front-end's queue before it
+    /// was allowed to run.  Always zero on the direct engine paths (`run`,
+    /// `run_topk`, `run_batch`); the `lcmsr_service` admission scheduler
+    /// measures and fills it in.  Not included in `elapsed`, which
     /// covers engine execution only.
     pub queue_time: Duration,
     /// Number of road-network nodes inside `Q.Λ` (`|V_Q|`).

@@ -16,17 +16,18 @@
 //! * [`api`] — the wire types: query requests (`algorithm`, `keywords`,
 //!   `rect`, `budget`, optional `k`) and region responses with full
 //!   [`lcmsr_core::stats::RunStats`] including queue wait;
-//! * [`scheduler`] — the heart: a **micro-batching scheduler** with two
-//!   priority lanes (interactive preempts batch).  Requests park on a
-//!   bounded queue; a dispatcher drains up to `max_batch` of them (or
-//!   whatever accumulated within `max_delay` of the oldest), groups by
-//!   algorithm, and fans each group through `execute_batch_with` on the
-//!   shared engine, completing requests via per-request condvar slots.  A
-//!   full queue sheds new requests with `503`, and a request whose
-//!   `deadline_ms` is already blown — or predicted to be blown by queue
-//!   wait — is shed up front with `503` + `Retry-After` instead of burning
-//!   engine time; deadlines that expire mid-solve yield the solver's
-//!   best-so-far answer with `"partial": true`;
+//! * [`scheduler`] — the heart: an **admission scheduler** with two
+//!   priority lanes (interactive callers get free permits first).  Each
+//!   query runs on the HTTP worker that received it, once one of
+//!   `batch_workers` permits is free; callers wait for a permit in their
+//!   lane, FIFO.  There is no batching window, so an idle service starts a
+//!   query as soon as it is admitted.  A request that finds `queue_capacity`
+//!   callers already parked is shed with `503`, and a request whose
+//!   `deadline_ms` is already blown — or predicted to be blown by the
+//!   callers ahead of it in its lane — is shed up front with `503` +
+//!   `Retry-After` instead of burning engine time; deadlines that expire
+//!   while parked or mid-solve yield the solver's best-so-far answer with
+//!   `"partial": true`;
 //! * [`metrics`] — atomically-maintained counters and a fixed-bucket latency
 //!   histogram behind `/metrics`, plus `/healthz`;
 //! * [`client`] — a tiny blocking client for tests, smoke checks and the

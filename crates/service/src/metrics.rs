@@ -102,21 +102,21 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters shared by the HTTP workers and the micro-batching scheduler.
+/// Counters shared by the HTTP workers and the admission scheduler.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// HTTP requests received on any route.
     pub requests: AtomicU64,
-    /// Query requests admitted to the scheduler (or run directly).
+    /// Query requests admitted by the scheduler.
     pub queries: AtomicU64,
     /// `200` responses.
     pub responses_ok: AtomicU64,
     /// `4xx` responses (malformed or invalid requests).
     pub responses_client_error: AtomicU64,
-    /// `503` load-shed responses (queue or in-flight cap full).
+    /// `503` load-shed responses (`queue_capacity` callers already parked).
     pub shed: AtomicU64,
     /// `503` responses shed because the request's deadline was already blown
-    /// or would be blown by the predicted queue wait.
+    /// or would be blown by the predicted wait for a permit.
     pub deadline_shed: AtomicU64,
     /// `200` responses whose result was partial (deadline or cancellation
     /// stopped the solver at its best-so-far incumbent).
@@ -125,11 +125,11 @@ pub struct ServiceMetrics {
     pub slow_queries: AtomicU64,
     /// Served queries that ran with span tracing enabled (sampled).
     pub traced: AtomicU64,
-    /// Batches dispatched to the engine.
+    /// Engine runs; each runs one query.
     pub batches: AtomicU64,
-    /// Total queries across all dispatched batches.
+    /// Queries across all engine runs (equals `batches`).
     pub batched_queries: AtomicU64,
-    /// Current scheduler queue depth (gauge).
+    /// Callers currently parked waiting for a permit (gauge).
     pub queue_depth: AtomicU64,
     /// End-to-end request latency (parse → response ready), query route only.
     pub latency: LatencyHistogram,
@@ -190,16 +190,6 @@ impl ServiceMetrics {
         }
     }
 
-    /// Mean queries per dispatched batch (0 when no batch ran yet).
-    pub fn mean_batch_size(&self) -> f64 {
-        let batches = self.batches.load(Ordering::Relaxed);
-        if batches == 0 {
-            0.0
-        } else {
-            self.batched_queries.load(Ordering::Relaxed) as f64 / batches as f64
-        }
-    }
-
     /// Renders the Prometheus text exposition for `/metrics`: every series
     /// carries `# HELP` and `# TYPE` metadata, `_total` series are counters,
     /// and the latency histogram follows the `_bucket`/`_sum`/`_count`
@@ -231,7 +221,7 @@ impl ServiceMetrics {
         series(
             "lcmsr_queries_total",
             "counter",
-            "Query requests admitted to the scheduler.",
+            "Query requests admitted by the scheduler.",
             load(&self.queries),
         );
         series(
@@ -249,7 +239,7 @@ impl ServiceMetrics {
         series(
             "lcmsr_shed_total",
             "counter",
-            "503 responses shed because the admission queue was full.",
+            "503 responses shed because queue_capacity callers were already parked.",
             load(&self.shed),
         );
         series(
@@ -279,25 +269,19 @@ impl ServiceMetrics {
         series(
             "lcmsr_batches_total",
             "counter",
-            "Batches dispatched to the engine.",
+            "Engine runs, one query each.",
             load(&self.batches),
         );
         series(
             "lcmsr_batched_queries_total",
             "counter",
-            "Queries across all dispatched batches.",
+            "Queries across all engine runs.",
             load(&self.batched_queries),
-        );
-        series(
-            "lcmsr_mean_batch_size",
-            "gauge",
-            "Mean queries per dispatched batch.",
-            format!("{:.3}", self.mean_batch_size()),
         );
         series(
             "lcmsr_queue_depth",
             "gauge",
-            "Current scheduler queue depth.",
+            "Callers currently parked waiting for a permit.",
             load(&self.queue_depth),
         );
         series(
@@ -450,7 +434,6 @@ mod tests {
             "lcmsr_traced_queries_total 0",
             "lcmsr_batches_total 2",
             "lcmsr_batched_queries_total 7",
-            "lcmsr_mean_batch_size 3.500",
             "lcmsr_queue_depth",
             "lcmsr_prepare_ns_total 900",
             "lcmsr_prepare_grid_score_ns_total 600",
@@ -522,11 +505,5 @@ mod tests {
         assert!(text.contains("lcmsr_latency_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("lcmsr_latency_sum 1000"));
         assert!(text.contains("lcmsr_latency_count 1"));
-    }
-
-    #[test]
-    fn mean_batch_size_handles_zero() {
-        let m = ServiceMetrics::new();
-        assert_eq!(m.mean_batch_size(), 0.0);
     }
 }

@@ -1,67 +1,61 @@
-//! The micro-batching scheduler: the piece that turns a stream of concurrent
-//! single-query HTTP requests into [`LcmsrEngine::execute_batch_with`] calls.
+//! The admission scheduler: decides when a query may run, and runs it on the
+//! thread that submitted it.
 //!
-//! Requests park on a bounded two-lane queue: the **interactive** lane is
-//! always drained before the **batch** lane, so background bulk work never
-//! delays interactive queries within a dispatch window.  A dispatcher thread
-//! drains up to `max_batch` jobs — or whatever has accumulated when a
-//! `max_delay` window (started at the oldest queued job) expires, whichever
-//! comes first — groups them by `(algorithm, kind)` and fans each group
-//! through the shared engine's batch path.  Each request completes through
-//! its own mutex+condvar slot, so HTTP workers block only on their own
-//! result.
+//! [`Scheduler::submit`] admits a job, parks the calling HTTP worker in its
+//! priority lane until one of `batch_workers` permits is free, and then runs
+//! [`LcmsrEngine::execute`] on that same thread.  The **interactive** lane
+//! always gets the next free permit before the **batch** lane, so bulk work
+//! parked behind the service never delays a user-facing query for longer
+//! than the queries already running; within a lane callers are served FIFO.
+//! A permit is a guard released on drop, so a query that unwinds still hands
+//! its permit on.  There is no batching window: on an idle service a query
+//! starts the moment it is admitted.
 //!
-//! Admission control is the bounded queue plus **deadline-aware shedding**:
-//! when the queue is full, [`Scheduler::submit`] returns
-//! [`SubmitError::Overloaded`]; when a job carries a [`Deadline`] that has
-//! already expired — or that an EWMA of recent per-query service times
-//! predicts will expire before the job can be dispatched — submit returns
-//! [`SubmitError::DeadlineUnmeetable`].  Both are shed by the HTTP layer
-//! with a `503` + `Retry-After` instead of letting latency collapse for
+//! Admission control bounds the parked callers and sheds doomed deadlines.
+//! When `queue_capacity` callers are already parked, [`Scheduler::submit`]
+//! returns [`SubmitError::Overloaded`].  When a job carries a [`Deadline`]
+//! that has already expired — or that an EWMA of recent per-query engine
+//! times predicts will expire while the callers ahead of it run — submit
+//! returns [`SubmitError::DeadlineUnmeetable`].  Only the parked callers
+//! that take a permit first count as ahead: the interactive lane for an
+//! interactive job, both lanes for a batch-lane job.  The HTTP layer sheds
+//! both with a `503` + `Retry-After` instead of letting latency collapse for
 //! everyone.  Jobs admitted *with* a deadline carry it into the engine, so a
-//! deadline that expires mid-solve still yields the solver's best-so-far
-//! incumbent (`partial: true`) rather than nothing.
-//!
-//! With `max_batch <= 1` the scheduler degenerates to the **unbatched
-//! baseline**: no dispatcher thread, each request runs on its caller's thread
-//! with one engine call per request (admission becomes an in-flight cap).
-//! The `service_throughput` benchmark compares exactly these two modes.
+//! deadline that expires while parked or mid-solve still yields the solver's
+//! best-so-far incumbent (`partial: true`) rather than nothing.
 
 use crate::metrics::ServiceMetrics;
-use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
+use crate::sync::{lock_or_recover, wait_or_recover};
 use lcmsr_core::cancel::Deadline;
 use lcmsr_core::engine::{
     Algorithm, LcmsrEngine, Priority, QueryOutcome, QueryRequest, QueryResult, TopKResult,
 };
-use lcmsr_core::error::{LcmsrError, Result as LcmsrResult};
+use lcmsr_core::error::Result as LcmsrResult;
 use lcmsr_core::query::LcmsrQuery;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest batch a single dispatch hands to the engine.  `<= 1` disables
-    /// micro-batching entirely (the per-request baseline).
-    pub max_batch: usize,
-    /// How long the dispatcher waits, measured from the first queued job, for
-    /// more jobs to accumulate before dispatching a partial batch.
+    /// Ignored: the scheduler has no batching window.  Defaults to zero.
+    #[deprecated(note = "the scheduler has no batching window; this field is ignored")]
     pub max_delay: Duration,
-    /// Bounded queue capacity; submissions beyond it are shed.
+    /// Submissions are shed once this many callers are parked.
     pub queue_capacity: usize,
-    /// Worker threads `run_batch_with` fans a dispatched batch over.
+    /// Permits: how many queries run on the engine at once (at least one).
     pub batch_workers: usize,
 }
 
 impl Default for BatchConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         let parallelism =
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         BatchConfig {
-            max_batch: 32,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             batch_workers: parallelism,
         }
@@ -86,10 +80,11 @@ pub struct QueryJob {
     pub algorithm: Algorithm,
     /// Single-best or top-k.
     pub kind: JobKind,
-    /// Scheduling lane: interactive jobs always dispatch before batch jobs.
+    /// Scheduling lane: interactive callers get free permits before batch
+    /// callers.
     pub priority: Priority,
     /// Optional deadline, stamped when the request entered the service so
-    /// queue wait counts against the budget.
+    /// the wait for a permit counts against the budget.
     pub deadline: Option<Deadline>,
     /// Run with span tracing enabled (decided by the service's diagnostics
     /// sampling at admission; inert collector when false).
@@ -127,11 +122,11 @@ pub enum JobOutput {
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue (or in-flight cap) is full — shed with `503`.
+    /// `queue_capacity` callers are already parked — shed with `503`.
     Overloaded,
-    /// The job's deadline has already expired, or the predicted queue wait
-    /// exceeds what is left of it — shed with `503` + `Retry-After` now
-    /// instead of burning engine time on an answer nobody is waiting for.
+    /// The job's deadline has already expired, or the predicted wait for a
+    /// permit exceeds what is left of it — shed with `503` + `Retry-After`
+    /// now instead of burning engine time on an answer nobody is waiting for.
     DeadlineUnmeetable,
     /// The scheduler is shutting down.
     ShuttingDown,
@@ -149,121 +144,53 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// Per-request completion slot: the HTTP worker parks on the condvar until
-/// the dispatcher (or the direct path) publishes the result.
-#[derive(Debug, Default)]
-struct Slot {
-    result: Mutex<Option<LcmsrResult<JobOutput>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, output: LcmsrResult<JobOutput>) {
-        let mut guard = lock_or_recover(&self.result);
-        *guard = Some(output);
-        self.ready.notify_all();
-    }
-}
-
-/// A handle to one submitted job; [`Ticket::wait`] blocks until completion.
-#[derive(Debug)]
-pub struct Ticket {
-    slot: Arc<Slot>,
-}
-
-impl Ticket {
-    /// Blocks until the job completes and returns its output.
-    pub fn wait(self) -> LcmsrResult<JobOutput> {
-        let mut guard = lock_or_recover(&self.slot.result);
-        loop {
-            if let Some(output) = guard.take() {
-                return output;
-            }
-            guard = wait_or_recover(&self.slot.ready, guard);
-        }
-    }
-}
-
-struct PendingJob {
-    job: QueryJob,
-    enqueued: Instant,
-    slot: Arc<Slot>,
-}
-
-struct QueueState {
-    /// Interactive lane: always drained first.
-    interactive: VecDeque<PendingJob>,
-    /// Batch lane: drained only after the interactive lane is empty.
-    batch: VecDeque<PendingJob>,
+/// The parked callers of both lanes and the free permits, under one mutex.
+struct Lanes {
+    /// Tickets of parked interactive callers, oldest first.
+    interactive: VecDeque<u64>,
+    /// Tickets of parked batch-lane callers, oldest first.
+    batch: VecDeque<u64>,
+    /// Permits not held by a running query.
+    free: usize,
+    /// The ticket the next parking caller draws.
+    next_ticket: u64,
     shutdown: bool,
 }
 
-impl QueueState {
-    fn len(&self) -> usize {
+impl Lanes {
+    fn parked(&self) -> usize {
         self.interactive.len() + self.batch.len()
     }
 
-    fn is_empty(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty()
-    }
-
-    /// Arrival instant of the oldest queued job across both lanes (the
-    /// micro-batching window is anchored there).
-    fn oldest_enqueued(&self) -> Option<Instant> {
-        match (self.interactive.front(), self.batch.front()) {
-            (Some(a), Some(b)) => Some(a.enqueued.min(b.enqueued)),
-            (Some(a), None) => Some(a.enqueued),
-            (None, Some(b)) => Some(b.enqueued),
-            (None, None) => None,
+    /// Parked callers that get a permit before a new caller in `priority`'s
+    /// lane: its own lane, plus the interactive lane for a batch-lane caller.
+    fn ahead_of(&self, priority: Priority) -> usize {
+        match priority {
+            Priority::Interactive => self.interactive.len(),
+            Priority::Batch => self.parked(),
         }
     }
 
-    fn pop_next(&mut self) -> Option<PendingJob> {
-        self.interactive
-            .pop_front()
-            .or_else(|| self.batch.pop_front())
+    fn lane(&mut self, priority: Priority) -> &mut VecDeque<u64> {
+        match priority {
+            Priority::Interactive => &mut self.interactive,
+            Priority::Batch => &mut self.batch,
+        }
     }
-}
 
-struct SchedulerShared {
-    engine: &'static LcmsrEngine<'static>,
-    config: BatchConfig,
-    queue: Mutex<QueueState>,
-    /// Signals the dispatcher that jobs arrived or shutdown was requested.
-    wake: Condvar,
-    metrics: Arc<ServiceMetrics>,
-    /// In-flight cap used by the direct (`max_batch <= 1`) path.
-    in_flight: AtomicUsize,
-    /// EWMA (α = 1/8) of per-query engine service time in nanoseconds;
-    /// 0 until the first dispatch completes.  Feeds the predictive half of
-    /// deadline-aware shedding.
-    service_time_ns: AtomicU64,
-}
-
-impl SchedulerShared {
-    /// Whether a deadline is definitely or predictably unmeetable: already
-    /// expired, or the EWMA-predicted wait behind `queued_ahead` jobs exceeds
-    /// what is left of the budget.  With no service-time sample yet the
-    /// prediction abstains (admit optimistically).
-    fn deadline_unmeetable(&self, deadline: &Deadline, queued_ahead: usize) -> bool {
-        if deadline.expired() {
-            return true;
+    /// Whether the parked caller holding `ticket` gets the next free permit.
+    fn is_next(&self, priority: Priority, ticket: u64) -> bool {
+        match priority {
+            Priority::Interactive => self.interactive.front() == Some(&ticket),
+            Priority::Batch => self.interactive.is_empty() && self.batch.front() == Some(&ticket),
         }
-        let ewma = self.service_time_ns.load(Ordering::Relaxed);
-        if ewma == 0 || queued_ahead == 0 {
-            return false;
-        }
-        let workers = self.config.batch_workers.max(1) as u64;
-        let predicted_wait =
-            Duration::from_nanos(ewma.saturating_mul(queued_ahead as u64) / workers);
-        deadline.remaining() <= predicted_wait
     }
 }
 
 /// How long a shed client should wait before retrying, in whole seconds:
-/// the EWMA-predicted time to drain the current queue across the workers,
+/// the EWMA-predicted time to drain the parked callers across the permits,
 /// rounded up and clamped to `[1, 30]`.  With no service-time sample yet (or
-/// an empty queue) the estimate is the floor of 1 s.
+/// nobody parked) the estimate is the floor of 1 s.
 fn retry_after_from(ewma_ns: u64, queued: usize, workers: usize) -> u64 {
     let workers = workers.max(1) as u64;
     let drain_ns = ewma_ns.saturating_mul(queued as u64) / workers;
@@ -271,293 +198,224 @@ fn retry_after_from(ewma_ns: u64, queued: usize, workers: usize) -> u64 {
     secs.clamp(1, 30)
 }
 
-/// Folds one dispatch into the service-time EWMA (α = 1/8; the first sample
-/// seeds it directly).
-fn record_service_time(shared: &SchedulerShared, elapsed: Duration, queries: usize) {
-    let per_query = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX) / queries.max(1) as u64;
-    let old = shared.service_time_ns.load(Ordering::Relaxed);
-    let new = if old == 0 {
-        per_query
-    } else {
-        old - old / 8 + per_query / 8
-    };
-    shared.service_time_ns.store(new, Ordering::Relaxed);
-}
-
-/// The micro-batching scheduler over a shared engine.
+/// The admission scheduler over a shared engine.
 pub struct Scheduler {
-    shared: Arc<SchedulerShared>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    engine: &'static LcmsrEngine<'static>,
+    config: BatchConfig,
+    lanes: Mutex<Lanes>,
+    /// Signalled whenever a permit frees, and whenever a caller parks so an
+    /// observer can wait for it to be parked.  Parked callers wait on it for
+    /// their turn.
+    changed: Condvar,
+    metrics: Arc<ServiceMetrics>,
+    /// EWMA (α = 1/8) of one query's engine time in nanoseconds; 0 until the
+    /// first query completes.  Feeds the predictive half of deadline-aware
+    /// shedding and the `Retry-After` estimate.
+    service_time_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("config", &self.shared.config)
+            .field("config", &self.config)
             .finish_non_exhaustive()
     }
 }
 
+/// One of the scheduler's permits, held while a query runs.  Dropping it —
+/// also while unwinding — hands the permit to the next parked caller.
+struct Permit<'a> {
+    scheduler: &'a Scheduler,
+    /// How long the caller was parked before it got the permit.
+    queued_for: Duration,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let waiting = {
+            let mut lanes = lock_or_recover(&self.scheduler.lanes);
+            lanes.free += 1;
+            lanes.parked() > 0
+        };
+        if waiting {
+            self.scheduler.changed.notify_all();
+        }
+    }
+}
+
 impl Scheduler {
-    /// Starts a scheduler over `engine`.  With `max_batch > 1` this spawns
-    /// the dispatcher thread; otherwise jobs run on their submitters'
-    /// threads.  Errors if the dispatcher thread cannot be spawned.
-    pub fn start(
+    /// Creates a scheduler over `engine` with `config.batch_workers` permits.
+    pub fn new(
         engine: &'static LcmsrEngine<'static>,
         config: BatchConfig,
         metrics: Arc<ServiceMetrics>,
-    ) -> std::io::Result<Self> {
-        let shared = Arc::new(SchedulerShared {
+    ) -> Self {
+        let permits = config.batch_workers.max(1);
+        // N permits keep N warm workspaces between queries.
+        engine.workspace_pool().ensure_max_idle(permits);
+        Scheduler {
             engine,
             config,
-            queue: Mutex::new(QueueState {
+            lanes: Mutex::new(Lanes {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
+                free: permits,
+                next_ticket: 0,
                 shutdown: false,
             }),
-            wake: Condvar::new(),
+            changed: Condvar::new(),
             metrics,
-            in_flight: AtomicUsize::new(0),
             service_time_ns: AtomicU64::new(0),
-        });
-        let dispatcher = if shared.config.max_batch > 1 {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("lcmsr-dispatcher".into())
-                    .spawn(move || dispatcher_loop(&shared))?,
-            )
-        } else {
-            None
-        };
-        Ok(Scheduler {
-            shared,
-            dispatcher: Mutex::new(dispatcher),
+        }
+    }
+
+    fn permits(&self) -> usize {
+        self.config.batch_workers.max(1)
+    }
+
+    /// Admits `job`, waits on the calling thread for a permit, and runs the
+    /// query there.  The outer error is a shed or shutdown refusal; the inner
+    /// result is the engine's answer or its query error.
+    pub fn submit(&self, job: &QueryJob) -> Result<LcmsrResult<JobOutput>, SubmitError> {
+        let permit = self.admit(job.priority, job.deadline.as_ref())?;
+        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let outcome = self.engine.execute(&build_request(job));
+        let ran_for = started.elapsed();
+        let queued_for = permit.queued_for;
+        drop(permit);
+        // Only answered queries feed the EWMA: a query the engine rejects up
+        // front says nothing about how long a permit is held.
+        Ok(outcome.map(|outcome| {
+            self.record_service_time(ran_for);
+            let mut output = into_output(outcome, job.kind);
+            match &mut output {
+                JobOutput::Single(result) => result.stats.queue_time = queued_for,
+                JobOutput::TopK(result) => result.stats.queue_time = queued_for,
+            }
+            output
+        }))
+    }
+
+    /// Admission, then the wait for a permit: sheds the caller, or parks it
+    /// in its lane until a permit is free and no caller ahead of it is left.
+    fn admit(
+        &self,
+        priority: Priority,
+        deadline: Option<&Deadline>,
+    ) -> Result<Permit<'_>, SubmitError> {
+        let mut lanes = lock_or_recover(&self.lanes);
+        if lanes.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        if lanes.parked() >= self.config.queue_capacity {
+            self.metrics.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Overloaded);
+        }
+        let ahead = lanes.ahead_of(priority);
+        if deadline.is_some_and(|d| self.deadline_unmeetable(d, ahead)) {
+            self.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::DeadlineUnmeetable);
+        }
+        self.metrics.queries.fetch_add(1, Ordering::Relaxed);
+        if ahead == 0 && lanes.free > 0 {
+            lanes.free -= 1;
+            return Ok(Permit {
+                scheduler: self,
+                queued_for: Duration::ZERO,
+            });
+        }
+        let parked = Instant::now();
+        let ticket = lanes.next_ticket;
+        lanes.next_ticket += 1;
+        lanes.lane(priority).push_back(ticket);
+        self.metrics
+            .queue_depth
+            .store(lanes.parked() as u64, Ordering::Relaxed);
+        self.changed.notify_all();
+        while lanes.free == 0 || !lanes.is_next(priority, ticket) {
+            lanes = wait_or_recover(&self.changed, lanes);
+        }
+        lanes.lane(priority).pop_front();
+        lanes.free -= 1;
+        self.metrics
+            .queue_depth
+            .store(lanes.parked() as u64, Ordering::Relaxed);
+        // Permits freed while this caller was still waking: the caller now
+        // at the head of the lanes may have re-checked too early and gone
+        // back to sleep, so wake it again.
+        let hand_on = lanes.free > 0 && lanes.parked() > 0;
+        drop(lanes);
+        if hand_on {
+            self.changed.notify_all();
+        }
+        Ok(Permit {
+            scheduler: self,
+            queued_for: parked.elapsed(),
         })
     }
 
-    /// Whether micro-batching is active (false = per-request baseline mode).
-    pub fn batching(&self) -> bool {
-        self.shared.config.max_batch > 1
+    /// Whether a deadline is definitely or predictably unmeetable: already
+    /// expired, or the EWMA-predicted run time of the `ahead` callers that
+    /// get a permit first, spread over the permits, exceeds what is left of
+    /// it.  With no service-time sample yet the prediction abstains (admit
+    /// optimistically).
+    fn deadline_unmeetable(&self, deadline: &Deadline, ahead: usize) -> bool {
+        if deadline.expired() {
+            return true;
+        }
+        let ewma = self.service_time_ns.load(Ordering::Relaxed);
+        if ewma == 0 || ahead == 0 {
+            return false;
+        }
+        let predicted_wait =
+            Duration::from_nanos(ewma.saturating_mul(ahead as u64) / self.permits() as u64);
+        deadline.remaining() <= predicted_wait
     }
 
-    /// Submits a job.  Returns a [`Ticket`] to wait on, or a shed/shutdown
-    /// error.  In baseline mode the job is executed before this returns and
-    /// the ticket is already complete.
-    pub fn submit(&self, job: QueryJob) -> Result<Ticket, SubmitError> {
-        if self.batching() {
-            self.submit_queued(job)
-        } else {
-            self.submit_direct(&job)
-        }
+    /// Folds one query's own engine time into the EWMA (α = 1/8; the first
+    /// sample seeds it directly).
+    fn record_service_time(&self, ran_for: Duration) {
+        let sample = u64::try_from(ran_for.as_nanos()).unwrap_or(u64::MAX).max(1);
+        let fold = |old: u64| {
+            Some(if old == 0 {
+                sample
+            } else {
+                old - old / 8 + sample / 8
+            })
+        };
+        // The closure never declines, so the update always succeeds.
+        let _ = self
+            .service_time_ns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
     }
 
-    fn submit_queued(&self, job: QueryJob) -> Result<Ticket, SubmitError> {
-        let shared = &self.shared;
-        let slot = Arc::new(Slot::default());
-        {
-            let mut queue = lock_or_recover(&shared.queue);
-            if queue.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if queue.len() >= shared.config.queue_capacity {
-                shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Overloaded);
-            }
-            if let Some(deadline) = &job.deadline {
-                if shared.deadline_unmeetable(deadline, queue.len()) {
-                    shared.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(SubmitError::DeadlineUnmeetable);
-                }
-            }
-            let pending = PendingJob {
-                job,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            };
-            match pending.job.priority {
-                Priority::Interactive => queue.interactive.push_back(pending),
-                Priority::Batch => queue.batch.push_back(pending),
-            }
-            shared
-                .metrics
-                .queue_depth
-                .store(queue.len() as u64, Ordering::Relaxed);
-        }
-        shared.wake.notify_one();
-        Ok(Ticket { slot })
-    }
-
-    fn submit_direct(&self, job: &QueryJob) -> Result<Ticket, SubmitError> {
-        let shared = &self.shared;
-        if lock_or_recover(&shared.queue).shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        // The queue-capacity knob doubles as an in-flight cap so the baseline
-        // mode sheds under the same pressure the batched mode would.
-        let previous = shared.in_flight.fetch_add(1, Ordering::Relaxed);
-        if previous >= shared.config.queue_capacity {
-            shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Overloaded);
-        }
-        // The direct path runs immediately, so only a definitely-expired
-        // deadline is shed (there is no queue wait to predict).
-        if let Some(deadline) = &job.deadline {
-            if deadline.expired() {
-                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                shared.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::DeadlineUnmeetable);
-            }
-        }
-        let slot = Arc::new(Slot::default());
-        let started = Instant::now();
-        let output = run_single_job(shared.engine, job, Duration::ZERO);
-        record_service_time(shared, started.elapsed(), 1);
-        record_batch(&shared.metrics, 1);
-        slot.fill(output);
-        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-        Ok(Ticket { slot })
-    }
-
-    /// Current queue depth across both lanes (0 in baseline mode).
+    /// Callers currently parked across both lanes.
     pub fn queue_depth(&self) -> usize {
-        lock_or_recover(&self.shared.queue).len()
+        lock_or_recover(&self.lanes).parked()
     }
 
     /// `Retry-After` estimate for shed responses, in whole seconds: how long
-    /// the EWMA of recent per-query service times predicts the current
-    /// backlog (queue depth, or in-flight count in baseline mode) takes to
-    /// drain across the batch workers, clamped to `[1, 30]`.
+    /// the EWMA of recent per-query engine times predicts the parked callers
+    /// take to drain across the permits, clamped to `[1, 30]`.
     pub fn retry_after_secs(&self) -> u64 {
-        let shared = &self.shared;
-        let queued = if self.batching() {
-            lock_or_recover(&shared.queue).len()
-        } else {
-            shared.in_flight.load(Ordering::Relaxed)
-        };
         retry_after_from(
-            shared.service_time_ns.load(Ordering::Relaxed),
-            queued,
-            shared.config.batch_workers,
+            self.service_time_ns.load(Ordering::Relaxed),
+            self.queue_depth(),
+            self.permits(),
         )
     }
 
-    /// Stops accepting jobs, drains everything already queued, and joins the
-    /// dispatcher.  Idempotent.
+    /// Stops admitting jobs: later submits get [`SubmitError::ShuttingDown`],
+    /// while callers already admitted still run to completion on their own
+    /// threads.  Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut queue = lock_or_recover(&self.shared.queue);
-            queue.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        // lcmsr-lint: allow(lock_nesting) — the queue guard above died at its
-        // block's closing brace, so it can never overlap the handle guard.
-        let handle = lock_or_recover(&self.dispatcher).take();
-        if let Some(handle) = handle {
-            // An Err here means the dispatcher itself panicked; the panic has
-            // already been reported on stderr and shutdown must not amplify
-            // it into a second panic on the caller's thread.
-            let _ = handle.join();
-        }
+        lock_or_recover(&self.lanes).shutdown = true;
     }
 }
 
-impl Drop for Scheduler {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn record_batch(metrics: &ServiceMetrics, batch_size: usize) {
-    metrics.batches.fetch_add(1, Ordering::Relaxed);
-    metrics
-        .batched_queries
-        .fetch_add(batch_size as u64, Ordering::Relaxed);
-}
-
-/// The dispatcher: collect → group → execute, until shutdown and drained.
-fn dispatcher_loop(shared: &SchedulerShared) {
-    loop {
-        let batch = collect_batch(shared);
-        if batch.is_empty() {
-            // Woken with nothing queued: only happens at shutdown.
-            return;
-        }
-        record_batch(&shared.metrics, batch.len());
-        execute_batch(shared, batch);
-    }
-}
-
-/// Blocks for the next batch: waits for a first job, then gives the queue
-/// `max_delay` (measured from that first job's arrival) to fill up to
-/// `max_batch`.  At shutdown, drains whatever is left without delay.
-fn collect_batch(shared: &SchedulerShared) -> Vec<PendingJob> {
-    let config = &shared.config;
-    let mut queue = lock_or_recover(&shared.queue);
-    loop {
-        if !queue.is_empty() || queue.shutdown {
-            break;
-        }
-        queue = wait_or_recover(&shared.wake, queue);
-    }
-    // The micro-batching window: the deadline starts at the *oldest* queued
-    // job, so a request never waits more than max_delay before dispatch.  An
-    // empty queue here means shutdown with nothing left to drain.
-    let Some(oldest) = queue.oldest_enqueued() else {
-        return Vec::new();
-    };
-    let deadline = oldest + config.max_delay;
-    while queue.len() < config.max_batch && !queue.shutdown {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, _timeout) = wait_timeout_or_recover(&shared.wake, queue, deadline - now);
-        queue = guard;
-    }
-    // Interactive preempts batch: the interactive lane empties into the
-    // dispatch before the batch lane contributes anything.
-    let take = queue.len().min(config.max_batch);
-    let mut batch = Vec::with_capacity(take);
-    while batch.len() < take {
-        match queue.pop_next() {
-            Some(pending) => batch.push(pending),
-            None => break,
-        }
-    }
-    shared
-        .metrics
-        .queue_depth
-        .store(queue.len() as u64, Ordering::Relaxed);
-    batch
-}
-
-/// Groups a drained batch by `(algorithm, kind)` and runs each group through
-/// the engine's batch path.
-fn execute_batch(shared: &SchedulerShared, batch: Vec<PendingJob>) {
-    let mut remaining: Vec<Option<PendingJob>> = batch.into_iter().map(Some).collect();
-    for i in 0..remaining.len() {
-        let Some(first) = remaining[i].take() else {
-            continue;
-        };
-        let mut group = vec![first];
-        for candidate in remaining.iter_mut().skip(i + 1) {
-            let matches = candidate.as_ref().is_some_and(|c| {
-                c.job.kind == group[0].job.kind && c.job.algorithm == group[0].job.algorithm
-            });
-            if matches {
-                group.extend(candidate.take());
-            }
-        }
-        execute_group(shared, group);
-    }
-}
-
-/// Builds the engine-level request for a job.  The job's own deadline rides
-/// along: the engine polls per member, so within a dispatched group the
-/// *tightest* member deadline is what effectively bounds the group's engine
-/// time, while looser members still run out their own budgets.
+/// Builds the engine-level request for a job; the job's deadline rides along.
 fn build_request(job: &QueryJob) -> QueryRequest<'_> {
     let mut request = QueryRequest::new(&job.query, job.algorithm.clone())
         .priority(job.priority)
@@ -580,75 +438,16 @@ fn into_output(outcome: QueryOutcome, kind: JobKind) -> JobOutput {
     }
 }
 
-/// Runs one homogeneous group.  If the engine's batch path fails (it aborts
-/// the whole batch on the first failing query), each query is retried
-/// individually so one poisonous request cannot fail its batch-mates.
-fn execute_group(shared: &SchedulerShared, group: Vec<PendingJob>) {
-    // Queue wait is measured up to the moment *this group* starts executing:
-    // in a mixed batch, later groups also wait behind earlier ones, and that
-    // time belongs in queue_time, not silently nowhere.
-    let dispatched = Instant::now();
-    let engine = shared.engine;
-    let workers = shared.config.batch_workers.max(1);
-    let requests: Vec<QueryRequest<'_>> = group.iter().map(|p| build_request(&p.job)).collect();
-
-    let batch_outcome: LcmsrResult<Vec<QueryOutcome>> = if requests.len() == 1 {
-        engine.execute(&requests[0]).map(|outcome| vec![outcome])
-    } else {
-        engine.execute_batch_with(&requests, workers)
-    };
-    drop(requests);
-
-    match batch_outcome {
-        Ok(outcomes) => {
-            record_service_time(shared, dispatched.elapsed(), group.len());
-            for (pending, outcome) in group.into_iter().zip(outcomes) {
-                let mut output = into_output(outcome, pending.job.kind);
-                stamp_queue_time(&mut output, dispatched - pending.enqueued);
-                pending.slot.fill(Ok(output));
-            }
-        }
-        Err(_) => {
-            // Fault isolation: re-run each query alone so only the offender
-            // sees its error.  Queue wait is re-stamped per re-run so the
-            // failed batch attempt and the wait behind earlier re-runs do not
-            // vanish from the reported durations.
-            for pending in group {
-                let queued_for = pending.enqueued.elapsed();
-                let output = run_single_job(engine, &pending.job, queued_for);
-                pending.slot.fill(output);
-            }
-        }
-    }
-}
-
-fn stamp_queue_time(output: &mut JobOutput, queued_for: Duration) {
-    match output {
-        JobOutput::Single(result) => result.stats.queue_time = queued_for,
-        JobOutput::TopK(result) => result.stats.queue_time = queued_for,
-    }
-}
-
-fn run_single_job(
-    engine: &LcmsrEngine<'_>,
-    job: &QueryJob,
-    queued_for: Duration,
-) -> Result<JobOutput, LcmsrError> {
-    let outcome = engine.execute(&build_request(job))?;
-    let mut output = into_output(outcome, job.kind);
-    stamp_queue_time(&mut output, queued_for);
-    Ok(output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::leak_engine;
-    use lcmsr_core::{GreedyParams, TgenParams};
+    use lcmsr_core::TgenParams;
     use lcmsr_geotext::collection::ObjectCollection;
     use lcmsr_geotext::object::GeoTextObject;
     use lcmsr_roadnet::builder::GraphBuilder;
     use lcmsr_roadnet::geo::Point;
+    use std::sync::mpsc;
 
     /// A 5×5 grid with restaurants in one corner, leaked for 'static tests.
     fn leaked_engine() -> &'static LcmsrEngine<'static> {
@@ -691,6 +490,13 @@ mod tests {
         )
     }
 
+    fn batch_job(engine: &LcmsrEngine<'_>, delta: f64) -> QueryJob {
+        QueryJob {
+            priority: Priority::Batch,
+            ..job(engine, delta, JobKind::Single)
+        }
+    }
+
     /// Direct engine answer for comparison against served results.
     fn direct_single(engine: &LcmsrEngine<'_>, query: &LcmsrQuery) -> QueryResult {
         engine
@@ -702,417 +508,339 @@ mod tests {
             .into_single()
     }
 
+    fn single(submitted: Result<LcmsrResult<JobOutput>, SubmitError>) -> QueryResult {
+        match submitted.unwrap().unwrap() {
+            JobOutput::Single(result) => result,
+            other => panic!("expected single, got {other:?}"),
+        }
+    }
+
     fn start(engine: &'static LcmsrEngine<'static>, config: BatchConfig) -> Scheduler {
-        Scheduler::start(engine, config, Arc::new(ServiceMetrics::new())).unwrap()
+        Scheduler::new(engine, config, Arc::new(ServiceMetrics::new()))
+    }
+
+    /// One permit, so a test holding it parks every other caller.
+    fn one_permit() -> BatchConfig {
+        BatchConfig {
+            batch_workers: 1,
+            ..BatchConfig::default()
+        }
+    }
+
+    /// Blocks until at least `n` callers are parked (parking signals
+    /// `changed`, so this waits on an event, not on time).
+    fn wait_parked(scheduler: &Scheduler, n: usize) {
+        let mut lanes = lock_or_recover(&scheduler.lanes);
+        while lanes.parked() < n {
+            lanes = wait_or_recover(&scheduler.changed, lanes);
+        }
     }
 
     #[test]
-    fn batched_results_match_direct_engine_calls() {
+    fn concurrent_results_match_direct_engine_calls() {
         let engine = leaked_engine();
-        let scheduler = start(
+        let metrics = Arc::new(ServiceMetrics::new());
+        let scheduler = Scheduler::new(
             engine,
             BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(20),
+                batch_workers: 2,
                 ..BatchConfig::default()
             },
+            Arc::clone(&metrics),
         );
         let deltas = [100.0, 200.0, 300.0, 150.0, 250.0, 350.0];
-        let tickets: Vec<Ticket> = deltas
-            .iter()
-            .map(|&d| scheduler.submit(job(engine, d, JobKind::Single)).unwrap())
-            .collect();
-        for (&delta, ticket) in deltas.iter().zip(tickets) {
-            let served = match ticket.wait().unwrap() {
-                JobOutput::Single(r) => r,
-                other => panic!("expected single, got {other:?}"),
-            };
-            let direct = direct_single(engine, &job(engine, delta, JobKind::Single).query);
-            assert_eq!(served.region, direct.region, "delta {delta}");
-        }
-        scheduler.shutdown();
-    }
-
-    #[test]
-    fn mixed_kind_batches_group_correctly() {
-        let engine = leaked_engine();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let scheduler = Scheduler::start(
-            engine,
-            BatchConfig {
-                max_batch: 16,
-                max_delay: Duration::from_millis(30),
-                ..BatchConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut tickets = Vec::new();
-        for i in 0..4 {
-            tickets.push((
-                JobKind::Single,
-                300.0 + i as f64,
-                scheduler
-                    .submit(job(engine, 300.0 + i as f64, JobKind::Single))
-                    .unwrap(),
-            ));
-            tickets.push((
-                JobKind::TopK(2),
-                300.0 + i as f64,
-                scheduler
-                    .submit(job(engine, 300.0 + i as f64, JobKind::TopK(2)))
-                    .unwrap(),
-            ));
-            // A second algorithm in the same window forms its own group.
-            let mut greedy = job(engine, 300.0 + i as f64, JobKind::Single);
-            greedy.algorithm = Algorithm::Greedy(GreedyParams::default());
-            tickets.push((JobKind::Single, -1.0, scheduler.submit(greedy).unwrap()));
-        }
-        for (kind, delta, ticket) in tickets {
-            match (kind, ticket.wait().unwrap()) {
-                (JobKind::Single, JobOutput::Single(r)) => {
-                    if delta > 0.0 {
-                        let direct =
-                            direct_single(engine, &job(engine, delta, JobKind::Single).query);
-                        assert_eq!(r.region, direct.region);
-                    } else {
-                        assert!(r.region.is_some());
-                    }
-                }
-                (JobKind::TopK(k), JobOutput::TopK(r)) => {
-                    let query = job(engine, delta, JobKind::TopK(k)).query;
-                    let direct = engine
-                        .execute(
-                            &QueryRequest::new(&query, Algorithm::Tgen(TgenParams { alpha: 1.0 }))
-                                .top_k(k),
-                        )
-                        .unwrap()
-                        .into_topk();
-                    assert_eq!(r.regions, direct.regions);
-                }
-                (kind, output) => panic!("kind {kind:?} got mismatched output {output:?}"),
+        std::thread::scope(|scope| {
+            for &delta in &deltas {
+                let scheduler = &scheduler;
+                scope.spawn(move || {
+                    let query = job(engine, delta, JobKind::Single);
+                    let served = single(scheduler.submit(&query));
+                    let direct = direct_single(engine, &query.query);
+                    assert_eq!(served.region, direct.region, "delta {delta}");
+                });
             }
-        }
-        scheduler.shutdown();
-        assert!(metrics.batches.load(Ordering::Relaxed) >= 1);
-        assert_eq!(metrics.batched_queries.load(Ordering::Relaxed), 12);
+        });
+        // Every query is admitted once and runs as one engine call.
+        assert_eq!(metrics.queries.load(Ordering::Relaxed), 6);
+        assert_eq!(metrics.batches.load(Ordering::Relaxed), 6);
+        assert_eq!(metrics.batched_queries.load(Ordering::Relaxed), 6);
+        assert_eq!(scheduler.queue_depth(), 0);
+        assert!(engine.workspace_pool().max_idle() >= 2);
     }
 
     #[test]
-    fn queue_time_is_stamped_on_batched_results() {
+    fn a_lone_job_on_an_idle_scheduler_runs_without_queueing() {
         let engine = leaked_engine();
-        let scheduler = start(
-            engine,
-            BatchConfig {
-                max_batch: 4,
-                max_delay: Duration::from_millis(25),
-                ..BatchConfig::default()
-            },
-        );
-        let ticket = scheduler
-            .submit(job(engine, 300.0, JobKind::Single))
-            .unwrap();
-        let JobOutput::Single(result) = ticket.wait().unwrap() else {
-            panic!("expected single result");
-        };
-        // The lone job waited out (most of) the max_delay window.
-        assert!(
-            result.stats.queue_time >= Duration::from_millis(10),
-            "queue_time {:?} should reflect the batching window",
-            result.stats.queue_time
-        );
-        assert!(result.stats.prepare_time + result.stats.solve_time <= result.stats.elapsed);
-        scheduler.shutdown();
-    }
-
-    #[test]
-    fn full_queue_sheds_with_overloaded() {
-        let engine = leaked_engine();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let scheduler = Scheduler::start(
-            engine,
-            BatchConfig {
-                max_batch: 64,
-                // A long window so the queue stays full while we overflow it.
-                max_delay: Duration::from_millis(500),
-                queue_capacity: 2,
-                batch_workers: 1,
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let t1 = scheduler
-            .submit(job(engine, 100.0, JobKind::Single))
-            .unwrap();
-        let t2 = scheduler
-            .submit(job(engine, 200.0, JobKind::Single))
-            .unwrap();
-        assert_eq!(
-            scheduler
-                .submit(job(engine, 300.0, JobKind::Single))
-                .unwrap_err(),
-            SubmitError::Overloaded
-        );
-        assert_eq!(metrics.shed.load(Ordering::Relaxed), 1);
-        assert!(t1.wait().is_ok());
-        assert!(t2.wait().is_ok());
-        scheduler.shutdown();
-        assert!(
-            scheduler
-                .submit(job(engine, 100.0, JobKind::Single))
-                .is_err(),
-            "post-shutdown submissions must be refused"
-        );
-    }
-
-    #[test]
-    fn baseline_mode_runs_on_the_caller_thread() {
-        let engine = leaked_engine();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let scheduler = Scheduler::start(
-            engine,
-            BatchConfig {
-                max_batch: 1,
-                ..BatchConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        assert!(!scheduler.batching());
-        let ticket = scheduler
-            .submit(job(engine, 300.0, JobKind::Single))
-            .unwrap();
-        let JobOutput::Single(result) = ticket.wait().unwrap() else {
-            panic!("expected single result");
-        };
+        let scheduler = start(engine, BatchConfig::default());
+        let result = single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
         assert_eq!(result.stats.queue_time, Duration::ZERO);
         assert!(result.region.is_some());
-        assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.batched_queries.load(Ordering::Relaxed), 1);
-        scheduler.shutdown();
+        assert!(result.stats.prepare_time + result.stats.solve_time <= result.stats.elapsed);
     }
 
     #[test]
-    fn a_failing_query_does_not_poison_its_batch_mates() {
+    fn an_interactive_caller_parked_after_a_batch_caller_gets_the_next_permit() {
         let engine = leaked_engine();
-        let scheduler = start(
-            engine,
-            BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(30),
-                ..BatchConfig::default()
-            },
-        );
-        // Exact over the whole 25-node grid trips GraphTooLargeForExact if the
-        // region exceeds the solver cap; craft one failing and two good jobs.
-        let good_a = scheduler
-            .submit(job(engine, 200.0, JobKind::Single))
-            .unwrap();
-        let mut exact = job(engine, 200.0, JobKind::Single);
-        exact.algorithm = Algorithm::Exact;
-        let exact_ticket = scheduler.submit(exact).unwrap();
-        let good_b = scheduler
-            .submit(job(engine, 300.0, JobKind::Single))
-            .unwrap();
-        assert!(good_a.wait().is_ok());
-        assert!(good_b.wait().is_ok());
-        // The Exact job either succeeds (small-enough region) or fails alone —
-        // never dragging the TGEN jobs down.  On the 25-node grid it succeeds;
-        // force a genuine failure with a huge region instead.
-        let _ = exact_ticket.wait();
-        scheduler.shutdown();
+        let scheduler = start(engine, one_permit());
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        let (order_tx, order_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let callers = [
+                (Priority::Batch, "batch"),
+                (Priority::Interactive, "interactive"),
+            ];
+            for (parked_before, (priority, label)) in callers.into_iter().enumerate() {
+                let order_tx = order_tx.clone();
+                // The order is recorded while the permit is held, so it is
+                // exactly the order the permits were granted in.
+                scope.spawn(move || {
+                    let permit = scheduler.admit(priority, None).unwrap();
+                    order_tx.send(label).unwrap();
+                    drop(permit);
+                });
+                wait_parked(scheduler, parked_before + 1);
+            }
+            drop(held);
+        });
+        drop(order_tx);
+        let order: Vec<&str> = order_rx.iter().collect();
+        assert_eq!(order, ["interactive", "batch"]);
     }
 
     #[test]
-    fn shutdown_drains_queued_jobs() {
+    fn callers_beyond_queue_capacity_are_shed_with_overloaded() {
         let engine = leaked_engine();
-        let scheduler = start(
+        let metrics = Arc::new(ServiceMetrics::new());
+        let scheduler = Scheduler::new(
             engine,
             BatchConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(5),
+                queue_capacity: 2,
+                batch_workers: 1,
                 ..BatchConfig::default()
             },
+            Arc::clone(&metrics),
         );
-        // These jobs would sit in the window for 5 s; shutdown must flush them.
-        let tickets: Vec<Ticket> = (1..=4)
-            .map(|i| {
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = [100.0, 200.0]
+                .into_iter()
+                .map(|delta| {
+                    let scheduler = &scheduler;
+                    scope.spawn(move || scheduler.submit(&job(engine, delta, JobKind::Single)))
+                })
+                .collect();
+            wait_parked(&scheduler, 2);
+            assert_eq!(
                 scheduler
-                    .submit(job(engine, i as f64 * 100.0, JobKind::Single))
-                    .unwrap()
-            })
-            .collect();
-        let start = Instant::now();
-        scheduler.shutdown();
-        for ticket in tickets {
-            assert!(ticket.wait().is_ok());
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(4),
-            "shutdown must not wait out the batching window"
-        );
-    }
-
-    fn bare_shared(engine: &'static LcmsrEngine<'static>, config: BatchConfig) -> SchedulerShared {
-        SchedulerShared {
-            engine,
-            config,
-            queue: Mutex::new(QueueState {
-                interactive: VecDeque::new(),
-                batch: VecDeque::new(),
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            metrics: Arc::new(ServiceMetrics::new()),
-            in_flight: AtomicUsize::new(0),
-            service_time_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn pending(engine: &LcmsrEngine<'_>, delta: f64, priority: Priority) -> PendingJob {
-        PendingJob {
-            job: QueryJob {
-                priority,
-                ..job(engine, delta, JobKind::Single)
-            },
-            enqueued: Instant::now(),
-            slot: Arc::new(Slot::default()),
-        }
+                    .submit(&job(engine, 300.0, JobKind::Single))
+                    .unwrap_err(),
+                SubmitError::Overloaded
+            );
+            assert_eq!(metrics.shed.load(Ordering::Relaxed), 1);
+            drop(held);
+            for handle in parked {
+                single(handle.join().unwrap());
+            }
+        });
+        // The shed submission was never admitted.
+        assert_eq!(metrics.queries.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn collect_batch_drains_interactive_before_batch() {
+    fn a_deadline_expiring_while_parked_yields_a_partial_result() {
         let engine = leaked_engine();
-        let shared = bare_shared(
-            engine,
-            BatchConfig {
-                max_batch: 2,
-                max_delay: Duration::ZERO,
-                ..BatchConfig::default()
-            },
+        let scheduler = start(engine, one_permit());
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        let result = std::thread::scope(|scope| {
+            let (deadline_tx, deadline_rx) = mpsc::channel();
+            let scheduler = &scheduler;
+            let parked = scope.spawn(move || {
+                let mut doomed = job(engine, 300.0, JobKind::Single);
+                let deadline = Deadline::after(Duration::from_millis(50));
+                doomed.deadline = Some(deadline);
+                deadline_tx.send(deadline).unwrap();
+                scheduler.submit(&doomed)
+            });
+            let deadline = deadline_rx.recv().unwrap();
+            wait_parked(scheduler, 1);
+            while !deadline.expired() {
+                std::thread::yield_now();
+            }
+            drop(held);
+            single(parked.join().unwrap())
+        });
+        assert!(
+            result.stats.partial,
+            "a deadline blown while parked must yield a best-so-far partial answer"
         );
-        {
-            let mut queue = shared.queue.lock().unwrap();
-            queue
-                .batch
-                .push_back(pending(engine, 100.0, Priority::Batch));
-            queue
-                .batch
-                .push_back(pending(engine, 200.0, Priority::Batch));
-            queue
-                .interactive
-                .push_back(pending(engine, 300.0, Priority::Interactive));
-        }
-        let first = collect_batch(&shared);
-        assert_eq!(first.len(), 2);
         assert_eq!(
-            first[0].job.query.delta, 300.0,
-            "the interactive job must jump ahead of earlier batch-lane jobs"
+            result.stats.partial_cause.map(|c| c.as_str()),
+            Some("deadline_exceeded")
         );
-        assert_eq!(first[1].job.query.delta, 100.0);
-        let second = collect_batch(&shared);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].job.query.delta, 200.0);
+    }
+
+    #[test]
+    fn queue_time_covers_the_parked_interval() {
+        let engine = leaked_engine();
+        let scheduler = start(engine, one_permit());
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        let (result, held_for) = std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let parked =
+                scope.spawn(move || scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+            wait_parked(scheduler, 1);
+            // The caller is parked from here on; keep the permit across some
+            // real engine work before handing it over.
+            let observed = Instant::now();
+            direct_single(engine, &job(engine, 200.0, JobKind::Single).query);
+            let held_for = observed.elapsed();
+            drop(held);
+            (single(parked.join().unwrap()), held_for)
+        });
+        assert!(
+            result.stats.queue_time >= held_for,
+            "queue_time {:?} must cover the {held_for:?} the caller was parked",
+            result.stats.queue_time
+        );
+    }
+
+    #[test]
+    fn shutdown_refuses_new_submits_while_parked_callers_finish() {
+        let engine = leaked_engine();
+        let scheduler = start(engine, one_permit());
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let parked =
+                scope.spawn(move || scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+            wait_parked(scheduler, 1);
+            scheduler.shutdown();
+            scheduler.shutdown(); // idempotent
+            assert_eq!(
+                scheduler
+                    .submit(&job(engine, 100.0, JobKind::Single))
+                    .unwrap_err(),
+                SubmitError::ShuttingDown
+            );
+            drop(held);
+            assert!(single(parked.join().unwrap()).region.is_some());
+        });
+    }
+
+    #[test]
+    fn a_panic_while_holding_a_permit_releases_it() {
+        let engine = leaked_engine();
+        let scheduler = start(engine, one_permit());
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _permit = scheduler.admit(Priority::Interactive, None).unwrap();
+                    panic!("query panicked while holding the only permit");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+        // The only permit came back: the next submit runs instead of parking
+        // forever.
+        let result = single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+        assert_eq!(result.stats.queue_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn a_failing_query_returns_its_error_to_its_own_caller() {
+        let engine = leaked_engine();
+        let scheduler = start(engine, BatchConfig::default());
+        // Exact over the whole 25-node grid exceeds the solver's node cap.
+        let mut exact = job(engine, 300.0, JobKind::Single);
+        exact.algorithm = Algorithm::Exact;
+        assert!(scheduler.submit(&exact).unwrap().is_err());
+        single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
     }
 
     #[test]
     fn expired_deadline_is_shed_at_submit() {
         let engine = leaked_engine();
         let metrics = Arc::new(ServiceMetrics::new());
-        let scheduler =
-            Scheduler::start(engine, BatchConfig::default(), Arc::clone(&metrics)).unwrap();
+        let scheduler = Scheduler::new(engine, BatchConfig::default(), Arc::clone(&metrics));
         let mut doomed = job(engine, 300.0, JobKind::Single);
         doomed.deadline = Some(Deadline::after(Duration::ZERO));
         assert_eq!(
-            scheduler.submit(doomed).unwrap_err(),
+            scheduler.submit(&doomed).unwrap_err(),
             SubmitError::DeadlineUnmeetable
         );
         assert_eq!(metrics.deadline_shed.load(Ordering::Relaxed), 1);
-        scheduler.shutdown();
-        // The direct (baseline) path sheds the same way.
-        let direct = Scheduler::start(
-            engine,
-            BatchConfig {
-                max_batch: 1,
-                ..BatchConfig::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut doomed = job(engine, 300.0, JobKind::Single);
-        doomed.deadline = Some(Deadline::after(Duration::ZERO));
-        assert_eq!(
-            direct.submit(doomed).unwrap_err(),
-            SubmitError::DeadlineUnmeetable
-        );
-        assert_eq!(metrics.deadline_shed.load(Ordering::Relaxed), 2);
-        direct.shutdown();
+        assert_eq!(metrics.queries.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn predicted_queue_wait_sheds_tight_deadlines() {
         let engine = leaked_engine();
-        let shared = bare_shared(
-            engine,
-            BatchConfig {
-                batch_workers: 1,
-                ..BatchConfig::default()
-            },
-        );
-        // A 10s-per-query service history with one job already queued.
-        shared
+        let scheduler = start(engine, one_permit());
+        // A 10s-per-query service history with one caller ahead.
+        scheduler
             .service_time_ns
             .store(10_000_000_000, Ordering::Relaxed);
         let tight = Deadline::after(Duration::from_secs(1));
-        assert!(shared.deadline_unmeetable(&tight, 1));
+        assert!(scheduler.deadline_unmeetable(&tight, 1));
         // A generous deadline is admitted.
         let loose = Deadline::after(Duration::from_secs(60));
-        assert!(!shared.deadline_unmeetable(&loose, 1));
-        // An empty queue admits any unexpired deadline.
-        assert!(!shared.deadline_unmeetable(&tight, 0));
+        assert!(!scheduler.deadline_unmeetable(&loose, 1));
+        // Nobody ahead admits any unexpired deadline.
+        assert!(!scheduler.deadline_unmeetable(&tight, 0));
         // With no service-time sample the prediction abstains.
-        shared.service_time_ns.store(0, Ordering::Relaxed);
-        assert!(!shared.deadline_unmeetable(&tight, 5));
+        scheduler.service_time_ns.store(0, Ordering::Relaxed);
+        assert!(!scheduler.deadline_unmeetable(&tight, 5));
     }
 
     #[test]
-    fn deadline_expiring_in_queue_yields_a_partial_result() {
+    fn deadline_prediction_counts_only_the_callers_ahead_in_lane() {
         let engine = leaked_engine();
-        let scheduler = start(
-            engine,
-            BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(40),
-                ..BatchConfig::default()
-            },
-        );
-        let mut doomed = job(engine, 300.0, JobKind::Single);
-        // Unexpired at submit, long gone by the time the 40 ms window closes.
-        doomed.deadline = Some(Deadline::after(Duration::from_millis(2)));
-        let ticket = scheduler.submit(doomed).unwrap();
-        let JobOutput::Single(result) = ticket.wait().unwrap() else {
-            panic!("expected single result");
-        };
-        assert!(
-            result.stats.partial,
-            "a deadline blown in the queue must yield a best-so-far partial answer"
-        );
-        assert_eq!(
-            result.stats.partial_cause.map(|c| c.as_str()),
-            Some("deadline_exceeded")
-        );
-        scheduler.shutdown();
+        let scheduler = start(engine, one_permit());
+        // 10 ms per query: eight parked batch-lane callers predict 80 ms.
+        scheduler
+            .service_time_ns
+            .store(10_000_000, Ordering::Relaxed);
+        let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        std::thread::scope(|scope| {
+            let scheduler = &scheduler;
+            let bulk: Vec<_> = (0..8)
+                .map(|i| {
+                    scope.spawn(move || scheduler.submit(&batch_job(engine, 100.0 + f64::from(i))))
+                })
+                .collect();
+            wait_parked(scheduler, 8);
+            // A batch-lane job queues behind all eight: 80 ms > 50 ms.
+            let mut late_bulk = batch_job(engine, 300.0);
+            late_bulk.deadline = Some(Deadline::after(Duration::from_millis(50)));
+            assert_eq!(
+                scheduler.submit(&late_bulk).unwrap_err(),
+                SubmitError::DeadlineUnmeetable
+            );
+            // An interactive job overtakes them all, so nothing is ahead.
+            let interactive = scope.spawn(move || {
+                let mut urgent = job(engine, 300.0, JobKind::Single);
+                urgent.deadline = Some(Deadline::after(Duration::from_millis(50)));
+                scheduler.submit(&urgent)
+            });
+            wait_parked(scheduler, 9);
+            drop(held);
+            single(interactive.join().unwrap());
+            for handle in bulk {
+                single(handle.join().unwrap());
+            }
+        });
     }
 
     #[test]
     fn retry_after_tracks_the_predicted_drain_time() {
         // No history yet: the floor of 1 s, never 0.
         assert_eq!(retry_after_from(0, 100, 4), 1);
-        // An empty queue drains instantly: still the 1 s floor.
+        // Nobody parked drains instantly: still the 1 s floor.
         assert_eq!(retry_after_from(5_000_000_000, 0, 4), 1);
-        // 2 s per query, 4 queued, 1 worker → 8 s predicted drain.
+        // 2 s per query, 4 parked, 1 permit → 8 s predicted drain.
         assert_eq!(retry_after_from(2_000_000_000, 4, 1), 8);
-        // The same backlog across 4 workers drains in a quarter the time.
+        // The same backlog across 4 permits drains in a quarter the time.
         assert_eq!(retry_after_from(2_000_000_000, 4, 4), 2);
         // Fractional seconds round up, not down.
         assert_eq!(retry_after_from(1_500_000_000, 1, 1), 2);
@@ -1126,17 +854,13 @@ mod tests {
     fn scheduler_exposes_a_clamped_retry_after_estimate() {
         let engine = leaked_engine();
         let scheduler = start(engine, BatchConfig::default());
-        // Fresh scheduler: empty queue, no EWMA → the 1 s floor.
+        // Fresh scheduler: nobody parked, no EWMA → the 1 s floor.
         assert_eq!(scheduler.retry_after_secs(), 1);
-        let ticket = scheduler
-            .submit(job(engine, 200.0, JobKind::Single))
-            .unwrap();
-        assert!(ticket.wait().is_ok());
-        // With a (tiny) EWMA sample and an empty queue the floor still holds,
+        single(scheduler.submit(&job(engine, 200.0, JobKind::Single)));
+        // With a (tiny) EWMA sample and nobody parked the floor still holds,
         // and the estimate always stays within the clamp.
         let estimate = scheduler.retry_after_secs();
         assert!((1..=30).contains(&estimate), "estimate {estimate}");
-        scheduler.shutdown();
     }
 
     #[test]
@@ -1147,38 +871,42 @@ mod tests {
         let mut cached = job(engine, 200.0, JobKind::Single);
         cached.cache = true;
         let scheduler = start(engine, BatchConfig::default());
-        let ticket = scheduler.submit(cached).unwrap();
-        let JobOutput::Single(result) = ticket.wait().unwrap() else {
-            panic!("expected single result");
-        };
+        let result = single(scheduler.submit(&cached));
         assert!(result.stats.cache, "the cache flag must reach the engine");
         // A repeat of the same job replays from the response cache.
-        let mut repeat = job(engine, 200.0, JobKind::Single);
-        repeat.cache = true;
-        let ticket = scheduler.submit(repeat).unwrap();
-        let JobOutput::Single(result) = ticket.wait().unwrap() else {
-            panic!("expected single result");
-        };
+        let result = single(scheduler.submit(&cached));
         assert!(result.stats.cache_hit, "the repeat must hit the cache");
-        scheduler.shutdown();
+        // Top-k jobs come back in top-k form.
+        let topk = scheduler
+            .submit(&job(engine, 300.0, JobKind::TopK(2)))
+            .unwrap()
+            .unwrap();
+        assert!(matches!(topk, JobOutput::TopK(_)), "{topk:?}");
     }
 
     #[test]
-    fn service_time_ewma_converges_toward_samples() {
+    fn service_time_ewma_takes_one_sample_per_query() {
         let engine = leaked_engine();
-        let shared = bare_shared(engine, BatchConfig::default());
-        record_service_time(&shared, Duration::from_micros(800), 1);
-        assert_eq!(shared.service_time_ns.load(Ordering::Relaxed), 800_000);
+        let scheduler = start(engine, BatchConfig::default());
+        scheduler.record_service_time(Duration::from_micros(800));
+        assert_eq!(scheduler.service_time_ns.load(Ordering::Relaxed), 800_000);
         for _ in 0..64 {
-            record_service_time(&shared, Duration::from_micros(100), 1);
+            scheduler.record_service_time(Duration::from_micros(100));
         }
-        let ewma = shared.service_time_ns.load(Ordering::Relaxed);
+        let ewma = scheduler.service_time_ns.load(Ordering::Relaxed);
         assert!(
             (90_000..200_000).contains(&ewma),
             "EWMA should approach the steady 100µs samples, got {ewma}"
         );
-        // Batches divide elapsed across their members.
-        record_service_time(&shared, Duration::from_micros(400), 4);
-        assert!(shared.service_time_ns.load(Ordering::Relaxed) < ewma.max(100_001));
+        // A served query feeds its own engine time, undivided.
+        let fresh = start(engine, BatchConfig::default());
+        let result = single(fresh.submit(&job(engine, 300.0, JobKind::Single)));
+        let sample = fresh.service_time_ns.load(Ordering::Relaxed);
+        assert!(sample > 0);
+        assert!(
+            Duration::from_nanos(sample) >= result.stats.elapsed,
+            "the sample {sample} ns covers the engine's own {:?}",
+            result.stats.elapsed
+        );
     }
 }

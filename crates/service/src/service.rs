@@ -1,11 +1,11 @@
-//! The LCMSR service: HTTP routes glued to the micro-batching scheduler.
+//! The LCMSR service: HTTP routes glued to the admission scheduler.
 //!
 //! Routes:
 //!
 //! * `POST /query` — an LCMSR query (see [`crate::api`] for the body format);
 //!   single-best without `"k"`, top-k with it.  `400` for malformed or
 //!   invalid requests (including engine-reported query errors), `503` with
-//!   `Retry-After` when the admission queue is full.
+//!   `Retry-After` when the request is shed at admission.
 //! * `GET /healthz` — liveness plus basic dataset/queue facts.
 //! * `GET /metrics` — Prometheus text exposition (see [`crate::metrics`]).
 //! * `GET /debug/trace/recent` — span trees of recently sampled queries.
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// HTTP listener knobs.
     pub server: ServerConfig,
-    /// Micro-batching scheduler knobs.
+    /// Scheduler knobs: permits and the bound on parked callers.
     pub batch: BatchConfig,
     /// Diagnostics knobs: slow-query threshold, trace sampling, ring sizes.
     pub diagnostics: DiagnosticsConfig,
@@ -127,17 +127,20 @@ impl ServiceHandlerInner {
         // sessions repeat themselves); batch sweeps default out.  Either
         // lane can override explicitly with the request's `cache` field.
         let cache = parsed.cache.unwrap_or(priority == Priority::Interactive);
-        let ticket = self
+        let job = QueryJob {
+            query,
+            algorithm,
+            kind,
+            priority,
+            deadline,
+            trace: trace_enabled,
+            cache,
+        };
+        // The query runs on this HTTP worker once the scheduler grants it a
+        // permit; the scheduler counts it in `queries` at admission.
+        let output = self
             .scheduler
-            .submit(QueryJob {
-                query,
-                algorithm,
-                kind,
-                priority,
-                deadline,
-                trace: trace_enabled,
-                cache,
-            })
+            .submit(&job)
             .map_err(|e| {
                 // Shed counting happens inside the scheduler; every shed
                 // variant maps to a 503 with a Retry-After derived from the
@@ -149,15 +152,12 @@ impl ServiceHandlerInner {
                 };
                 HttpResponse::json(status, error_body(&e.to_string()))
                     .with_header("Retry-After", self.scheduler.retry_after_secs().to_string())
+            })?
+            .map_err(|e| {
+                // An engine-level failure is query-dependent (e.g. Exact over
+                // an oversized region): the client's fault, not the server's.
+                client_error(format!("query failed: {e}"))
             })?;
-        // Counted only after admission, so `queries - responses` never drifts
-        // by the shed count under overload.
-        self.metrics.queries.fetch_add(1, Ordering::Relaxed);
-        let output = ticket.wait().map_err(|e| {
-            // An engine-level failure is query-dependent (e.g. Exact over an
-            // oversized region): the client's fault, not the server's.
-            client_error(format!("query failed: {e}"))
-        })?;
         let (response, trace) = match output {
             JobOutput::Single(result) => {
                 self.metrics.record_prepare_split(&result.stats);
@@ -196,7 +196,6 @@ impl ServiceHandlerInner {
                 "uptime_s".into(),
                 Json::Number(self.started.elapsed().as_secs_f64().floor()),
             ),
-            ("batching".into(), Json::Bool(self.scheduler.batching())),
             (
                 "queue_depth".into(),
                 Json::Number(self.scheduler.queue_depth() as f64),
@@ -255,7 +254,8 @@ impl ServiceHandle {
         &self.handler.metrics
     }
 
-    /// Gracefully stops the HTTP server, then drains the scheduler.
+    /// Gracefully stops the HTTP server (in-flight requests finish), then
+    /// closes the scheduler to new submissions.
     pub fn shutdown(self) {
         self.server.shutdown();
         self.handler.scheduler.shutdown();
@@ -269,9 +269,9 @@ impl ServiceHandle {
 
 /// Starts serving `engine` with the given configuration.
 ///
-/// The engine reference must be `'static` because handler and scheduler
-/// threads outlive the caller's stack frame; for a process-lifetime server
-/// obtain one with [`crate::leak_engine`].
+/// The engine reference must be `'static` because the HTTP worker threads
+/// that run the queries outlive the caller's stack frame; for a
+/// process-lifetime server obtain one with [`crate::leak_engine`].
 pub fn serve(
     engine: &'static LcmsrEngine<'static>,
     config: ServiceConfig,
@@ -282,7 +282,7 @@ pub fn serve(
         diagnostics,
     } = config;
     let metrics = Arc::new(ServiceMetrics::new());
-    let scheduler = Scheduler::start(engine, batch, Arc::clone(&metrics))?;
+    let scheduler = Scheduler::new(engine, batch, Arc::clone(&metrics));
     let handler = Arc::new(ServiceHandlerInner {
         engine,
         scheduler,

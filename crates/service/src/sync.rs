@@ -5,9 +5,9 @@
 //! aborting the request (or the whole worker) over someone *else's* panic
 //! just amplifies the failure — so serving code recovers the guard and
 //! carries on.  Every state these locks protect is safe to observe after an
-//! interrupted critical section: queues of owned jobs/connections, `Option`
-//! slots, and join-handle registries, none of which have multi-step
-//! invariants that a panic could leave half-applied.
+//! interrupted critical section: the scheduler's lanes and permit count,
+//! queues of owned connections, and join-handle registries, none of which
+//! have multi-step invariants that a panic could leave half-applied.
 //!
 //! Centralizing the recovery here also keeps the `panic_free` lint rule
 //! meaningful: the serving crates contain no `.lock().expect(…)` at all, and
@@ -15,8 +15,7 @@
 //! like raw `.lock()` calls, so routing through them never hides a
 //! double-acquisition from the audit.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Acquires `mutex`, recovering the guard if a panicking thread poisoned it.
 pub(crate) fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -29,17 +28,6 @@ pub(crate) fn wait_or_recover<'a, T>(
     guard: MutexGuard<'a, T>,
 ) -> MutexGuard<'a, T> {
     condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait_timeout`], recovering the guard on poison.
-pub(crate) fn wait_timeout_or_recover<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    condvar
-        .wait_timeout(guard, timeout)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -58,14 +46,5 @@ mod tests {
         .join();
         assert!(mutex.lock().is_err(), "the lock should be poisoned");
         assert_eq!(*lock_or_recover(&mutex), 7);
-    }
-
-    #[test]
-    fn wait_timeout_or_recover_times_out() {
-        let mutex = Mutex::new(());
-        let condvar = Condvar::new();
-        let guard = lock_or_recover(&mutex);
-        let (_guard, timeout) = wait_timeout_or_recover(&condvar, guard, Duration::from_millis(1));
-        assert!(timeout.timed_out());
     }
 }

@@ -13,7 +13,7 @@ use lcmsr_service::http::ServerConfig;
 use lcmsr_service::scheduler::BatchConfig;
 use lcmsr_service::service::{serve, ServiceConfig, ServiceHandle};
 use lcmsr_service::{leak_engine, HttpClient, QueryRequest, QueryResponse, RegionDto};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A 6×6 grid city with a restaurant cluster and scattered cafes, leaked for
 /// the process-lifetime engine the service needs.
@@ -100,16 +100,33 @@ fn request_for(keywords: &[&str], budget: f64, k: Option<usize>) -> QueryRequest
     }
 }
 
+/// An Exact request over a 4×4-node corner of the city: free-running, its
+/// enumeration of the 2^16 node subsets takes tens of milliseconds.
+fn slow_exact_request() -> QueryRequest {
+    let mut request = request_for(&["restaurant"], 3_000.0, None);
+    request.algorithm = "exact".into();
+    request.rect = Rect::new(-50.0, -50.0, 350.0, 350.0);
+    request
+}
+
+/// Wall time of an undeadlined direct engine run of `request`.
+fn direct_run_time(engine: &LcmsrEngine<'_>, request: &QueryRequest) -> Duration {
+    let query = request.to_query().unwrap();
+    let engine_request = EngineRequest::new(&query, request.to_algorithm().unwrap());
+    let start = Instant::now();
+    engine.execute(&engine_request).unwrap();
+    start.elapsed()
+}
+
 #[test]
 fn served_answers_are_bit_identical_to_direct_engine_calls() {
     let engine = leaked_city();
     let service = serve_city(
         engine,
         BatchConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(5),
             queue_capacity: 256,
             batch_workers: 2,
+            ..BatchConfig::default()
         },
     );
     let addr = service.addr();
@@ -165,31 +182,21 @@ fn served_answers_are_bit_identical_to_direct_engine_calls() {
         }
     });
 
-    // The scheduler actually batched: with 6 concurrent closed-loop clients
-    // some dispatches must have carried more than one query.
+    // Every query flowed through the scheduler as one engine run.
     let metrics = service.metrics();
-    let batches = metrics.batches.load(std::sync::atomic::Ordering::Relaxed);
-    let batched = metrics
+    let runs = metrics.batches.load(std::sync::atomic::Ordering::Relaxed);
+    let queries = metrics
         .batched_queries
         .load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(batched, 36, "every query must flow through the scheduler");
-    assert!(batches >= 1);
+    assert_eq!(queries, 36, "every query must flow through the scheduler");
+    assert_eq!(runs, 36, "each engine run answers exactly one query");
     service.shutdown();
 }
 
 #[test]
-fn queue_wait_is_reported_in_served_stats() {
+fn a_lone_query_on_an_idle_service_does_not_queue() {
     let engine = leaked_city();
-    let service = serve_city(
-        engine,
-        BatchConfig {
-            max_batch: 16,
-            // A long window guarantees a measurable queue wait for a lone query.
-            max_delay: Duration::from_millis(40),
-            queue_capacity: 64,
-            batch_workers: 1,
-        },
-    );
+    let service = serve_city(engine, BatchConfig::default());
     let mut client = HttpClient::connect(service.addr()).unwrap();
     let (status, body) = client
         .post(
@@ -199,60 +206,11 @@ fn queue_wait_is_reported_in_served_stats() {
         .unwrap();
     assert_eq!(status, 200);
     let response = QueryResponse::from_body(&body).unwrap();
+    // A batching window would hold even a lone query for its full length.
     assert!(
-        response.stats.queue_ns >= 10_000_000,
-        "a lone query waits out the batching window, got {} ns",
+        response.stats.queue_ns < 1_000_000,
+        "a lone query on an idle service must start at once, waited {} ns",
         response.stats.queue_ns
-    );
-    service.shutdown();
-}
-
-#[test]
-fn full_queue_sheds_load_with_503() {
-    let engine = leaked_city();
-    let service = serve_city(
-        engine,
-        BatchConfig {
-            max_batch: 64,
-            // The dispatcher holds the first request for 500 ms, so the tiny
-            // queue is saturated while the burst arrives.
-            max_delay: Duration::from_millis(500),
-            queue_capacity: 2,
-            batch_workers: 1,
-        },
-    );
-    let addr = service.addr();
-    let outcomes: Vec<u16> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).unwrap();
-                    let (status, _body) = client
-                        .post(
-                            "/query",
-                            &request_for(&["restaurant"], 300.0, None).to_body(),
-                        )
-                        .unwrap();
-                    status
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let ok = outcomes.iter().filter(|&&s| s == 200).count();
-    let shed = outcomes.iter().filter(|&&s| s == 503).count();
-    assert_eq!(ok + shed, 6, "only 200s and 503s, got {outcomes:?}");
-    assert!(
-        (1..=2).contains(&ok),
-        "queue capacity bounds admissions: {outcomes:?}"
-    );
-    assert!(shed >= 4, "the overflow must be shed: {outcomes:?}");
-    assert_eq!(
-        service
-            .metrics()
-            .shed
-            .load(std::sync::atomic::Ordering::Relaxed),
-        shed as u64
     );
     service.shutdown();
 }
@@ -344,12 +302,7 @@ fn healthz_and_metrics_expose_service_state() {
             .and_then(lcmsr_service::json::Json::as_u64),
         Some(36)
     );
-    assert_eq!(
-        health
-            .get("batching")
-            .and_then(lcmsr_service::json::Json::as_bool),
-        Some(true)
-    );
+    assert!(health.get("batching").is_none(), "{body}");
 
     // Run a couple of queries, then check the counters moved.
     for _ in 0..3 {
@@ -365,7 +318,6 @@ fn healthz_and_metrics_expose_service_state() {
         "lcmsr_queries_total 3",
         "lcmsr_responses_ok_total 3",
         "lcmsr_batches_total",
-        "lcmsr_mean_batch_size",
         "lcmsr_queue_depth",
         "lcmsr_latency_p50_us",
         "lcmsr_latency_p99_us",
@@ -377,43 +329,6 @@ fn healthz_and_metrics_expose_service_state() {
         );
     }
     service.shutdown();
-}
-
-#[test]
-fn unbatched_baseline_mode_serves_identically() {
-    let engine = leaked_city();
-    let batched = serve_city(
-        engine,
-        BatchConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(3),
-            queue_capacity: 64,
-            batch_workers: 2,
-        },
-    );
-    let baseline = serve_city(
-        engine,
-        BatchConfig {
-            max_batch: 1, // per-request engine calls, no dispatcher
-            max_delay: Duration::ZERO,
-            queue_capacity: 64,
-            batch_workers: 1,
-        },
-    );
-    let mut batched_client = HttpClient::connect(batched.addr()).unwrap();
-    let mut baseline_client = HttpClient::connect(baseline.addr()).unwrap();
-    for budget in [150.0, 300.0, 450.0] {
-        let body = request_for(&["restaurant", "cafe"], budget, Some(2)).to_body();
-        let (sa, ba) = batched_client.post("/query", &body).unwrap();
-        let (sb, bb) = baseline_client.post("/query", &body).unwrap();
-        assert_eq!((sa, sb), (200, 200));
-        let ra = QueryResponse::from_body(&ba).unwrap();
-        let rb = QueryResponse::from_body(&bb).unwrap();
-        assert_eq!(ra.regions, rb.regions, "budget {budget}");
-        assert_eq!(rb.stats.queue_ns, 0, "baseline mode never queues");
-    }
-    batched.shutdown();
-    baseline.shutdown();
 }
 
 #[test]
@@ -467,21 +382,17 @@ fn doomed_deadlines_are_shed_with_503_and_retry_after() {
 }
 
 #[test]
-fn deadline_expiring_in_the_queue_serves_a_partial_answer() {
+fn deadline_expiring_mid_solve_serves_a_partial_answer() {
     let engine = leaked_city();
-    let service = serve_city(
-        engine,
-        BatchConfig {
-            max_batch: 16,
-            // The window outlives the deadline, so the solver starts with an
-            // already-expired token and must return its best-so-far.
-            max_delay: Duration::from_millis(40),
-            queue_capacity: 64,
-            batch_workers: 1,
-        },
+    let mut tight = slow_exact_request();
+    // The query really outlasts its deadline: free-running it takes longer.
+    let free_running = direct_run_time(engine, &tight);
+    assert!(
+        free_running > Duration::from_millis(10),
+        "the undeadlined run must outlast a 2 ms deadline by a wide margin, took {free_running:?}"
     );
+    let service = serve_city(engine, BatchConfig::default());
     let mut client = HttpClient::connect(service.addr()).unwrap();
-    let mut tight = request_for(&["restaurant"], 300.0, None);
     tight.deadline_ms = Some(2);
     let (status, body) = client.post("/query", &tight.to_body()).unwrap();
     assert_eq!(status, 200, "{body}");
@@ -687,21 +598,22 @@ fn slow_queries_reach_the_slow_ring() {
             ..DiagnosticsConfig::default()
         },
     );
+    // A query that really outlasts the 1 ms threshold.
+    let slow = slow_exact_request();
+    let free_running = direct_run_time(engine, &slow);
+    assert!(
+        free_running > Duration::from_millis(1),
+        "the query must take longer than the slow threshold, took {free_running:?}"
+    );
     let mut client = HttpClient::connect(service.addr()).unwrap();
     let response = client
-        .post_with_headers(
-            "/query",
-            &request_for(&["restaurant"], 300.0, None).to_body(),
-            &[("X-Request-Id", "slow-1")],
-        )
+        .post_with_headers("/query", &slow.to_body(), &[("X-Request-Id", "slow-1")])
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let (status, body) = client.get("/debug/slow").unwrap();
     assert_eq!(status, 200);
     let entries = lcmsr_service::json::parse(&body).unwrap();
     let entries = entries.as_array().expect("array");
-    // BatchConfig::default() batches with a multi-ms window, so the lone
-    // query waits it out and lands over the 1 ms threshold.
     let entry = entries
         .iter()
         .find(|e| e.get("request_id").and_then(Json::as_str) == Some("slow-1"))
@@ -720,28 +632,21 @@ fn slow_queries_reach_the_slow_ring() {
 }
 
 #[test]
-fn request_ids_survive_the_fault_isolation_rerun() {
+fn request_ids_stay_with_concurrent_succeeding_and_failing_requests() {
     use lcmsr_service::json::Json;
     let engine = leaked_city();
     let service = serve_city_with(
         engine,
-        BatchConfig {
-            max_batch: 8,
-            // A wide window so both Exact jobs land in one dispatch group.
-            max_delay: Duration::from_millis(40),
-            queue_capacity: 64,
-            batch_workers: 1,
-        },
+        BatchConfig::default(),
         DiagnosticsConfig {
             trace_sample: 1,
             ..DiagnosticsConfig::default()
         },
     );
     let addr = service.addr();
-    // Two Exact jobs batched together: one covers 4 nodes and succeeds, one
-    // covers all 36 (over the solver's 20-node cap) and fails — the batch
-    // attempt aborts and the scheduler re-runs each job alone.  Each response
-    // must keep its own request id through that re-run.
+    // Two concurrent Exact requests: one covers 4 nodes and succeeds, one
+    // covers all 36 (over the solver's 20-node cap) and fails.  Each response
+    // must keep its own request id, and only the failure answers 400.
     let (good, bad) = std::thread::scope(|scope| {
         let good = scope.spawn(move || {
             let mut client = HttpClient::connect(addr).unwrap();
@@ -768,7 +673,7 @@ fn request_ids_survive_the_fault_isolation_rerun() {
     assert_eq!(bad.header("x-request-id"), Some("iso-bad"));
     assert!(bad.body.contains("error"), "{}", bad.body);
 
-    // The served query's trace rode through the re-run under its own id.
+    // The served query's trace is retained under its own id.
     let mut client = HttpClient::connect(addr).unwrap();
     let (status, body) = client.get("/debug/trace/recent").unwrap();
     assert_eq!(status, 200);

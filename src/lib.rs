@@ -21,9 +21,9 @@
 //! * [`datagen`] — synthetic NY-like / USANW-like data sets and query workloads,
 //! * [`core`] — the LCMSR algorithms: APP (5+ε approximation), TGEN, Greedy,
 //!   their top-k variants, an exact reference solver and the MaxRS baseline,
-//! * [`service`] — a concurrent HTTP serving subsystem: micro-batching
-//!   scheduler over `run_batch`, hand-rolled JSON codec, `/healthz` and
-//!   `/metrics`.
+//! * [`service`] — a concurrent HTTP serving subsystem: each query runs on
+//!   its HTTP worker under priority-laned permits, hand-rolled JSON codec,
+//!   `/healthz` and `/metrics`.
 //!
 //! # Quick start
 //!
