@@ -22,7 +22,8 @@ fn bench_app_alpha(c: &mut Criterion) {
                 alpha,
                 ..AppParams::default()
             });
-            b.iter(|| black_box(run_query(&engine, &query, &algorithm).unwrap()));
+            let request = QueryRequest::new(&query, algorithm);
+            b.iter(|| black_box(engine.execute(&request).unwrap()));
         });
     }
     group.finish();

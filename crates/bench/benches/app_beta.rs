@@ -23,7 +23,8 @@ fn bench_app_beta(c: &mut Criterion) {
                 beta,
                 ..AppParams::default()
             });
-            b.iter(|| black_box(run_query(&engine, &query, &algorithm).unwrap()));
+            let request = QueryRequest::new(&query, algorithm);
+            b.iter(|| black_box(engine.execute(&request).unwrap()));
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
-//! Batch-throughput benchmark: sequential `run` loop vs `run_batch` over
-//! scoped workers, plus the fresh-vs-reused `prepare` cost — the two wins the
+//! Batch-throughput benchmark: a sequential `execute` loop vs
+//! `execute_batch_with` over scoped workers, plus the fresh-vs-reused `prepare` cost — the two wins the
 //! CSR query graph and the reusable `QueryWorkspace` were built for.
 //!
 //! Unlike the criterion benches this is a plain harness so it can emit a
@@ -66,6 +66,10 @@ fn main() {
     // runners a noisy neighbour can depress a single measurement window.
     let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
     let min_speedup = env_f64("LCMSR_BENCH_MIN_SPEEDUP", 2.0);
+    let requests: Vec<QueryRequest<'_>> = queries
+        .iter()
+        .map(|q| QueryRequest::new(q, algorithm.clone()))
+        .collect();
     let mut sequential_regions = Vec::new();
     let mut batched_regions = Vec::new();
     let mut seq_secs = 0.0;
@@ -73,16 +77,17 @@ fn main() {
     let mut speedup = 0.0;
     for attempt in 0..2 {
         seq_secs = best_secs(rounds, || {
-            sequential_regions = queries
+            sequential_regions = requests
                 .iter()
-                .map(|q| run_query(&engine, q, &algorithm).expect("run").region)
+                .map(|r| engine.execute(r).expect("execute").regions)
                 .collect();
         });
         batch_secs = best_secs(rounds, || {
-            batched_regions = run_query_batch(&engine, &queries, &algorithm, workers)
-                .expect("run_batch")
+            batched_regions = engine
+                .execute_batch_with(&requests, workers)
+                .expect("execute_batch_with")
                 .into_iter()
-                .map(|r| r.region)
+                .map(|o| o.regions)
                 .collect();
         });
         speedup = seq_secs / batch_secs.max(1e-12);
@@ -111,7 +116,7 @@ fn main() {
         seq_secs * 1e3
     );
     println!(
-        "  run_batch({workers})    : {:>10.2} ms total  ({batch_qps:.1} q/s)",
+        "  batched({workers})      : {:>10.2} ms total  ({batch_qps:.1} q/s)",
         batch_secs * 1e3
     );
     println!("  batch speedup   : {speedup:.2}x   results identical: {identical}");

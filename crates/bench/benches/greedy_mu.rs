@@ -20,7 +20,8 @@ fn bench_greedy_mu(c: &mut Criterion) {
     for mu in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
         group.bench_with_input(BenchmarkId::from_parameter(mu), &mu, |b, &mu| {
             let algorithm = Algorithm::Greedy(GreedyParams { mu });
-            b.iter(|| black_box(run_query(&engine, &query, &algorithm).unwrap()));
+            let request = QueryRequest::new(&query, algorithm);
+            b.iter(|| black_box(engine.execute(&request).unwrap()));
         });
     }
     group.finish();

@@ -28,7 +28,8 @@ fn bench_kmst_ablation(c: &mut Criterion) {
                 solver: kind,
                 ..AppParams::default()
             });
-            b.iter(|| black_box(run_query(&engine, &query, &algorithm).unwrap()));
+            let request = QueryRequest::new(&query, algorithm);
+            b.iter(|| black_box(engine.execute(&request).unwrap()));
         });
     }
     group.finish();

@@ -24,7 +24,8 @@ fn bench_tgen_alpha(c: &mut Criterion) {
             &alpha,
             |b, &alpha| {
                 let algorithm = Algorithm::Tgen(TgenParams { alpha });
-                b.iter(|| black_box(run_query(&engine, &query, &algorithm).unwrap()));
+                let request = QueryRequest::new(&query, algorithm);
+                b.iter(|| black_box(engine.execute(&request).unwrap()));
             },
         );
     }

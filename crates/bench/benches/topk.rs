@@ -25,7 +25,8 @@ fn bench_topk(c: &mut Criterion) {
     for k in [1usize, 3, 5] {
         for (name, algorithm) in &algorithms {
             group.bench_with_input(BenchmarkId::new(*name, k), &k, |b, &k| {
-                b.iter(|| black_box(run_query_topk(&engine, &query, algorithm, k).unwrap()));
+                let request = QueryRequest::new(&query, algorithm.clone()).top_k(k);
+                b.iter(|| black_box(engine.execute(&request).unwrap()));
             });
         }
     }

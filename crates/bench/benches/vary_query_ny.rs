@@ -42,7 +42,10 @@ fn bench_vary_keywords(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, keywords),
                 &algorithm,
-                |b, algorithm| b.iter(|| black_box(run_query(&engine, &query, algorithm).unwrap())),
+                |b, algorithm| {
+                    let request = QueryRequest::new(&query, algorithm.clone());
+                    b.iter(|| black_box(engine.execute(&request).unwrap()));
+                },
             );
         }
     }
@@ -72,7 +75,10 @@ fn bench_vary_delta(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{factor}dx")),
                 &algorithm,
-                |b, algorithm| b.iter(|| black_box(run_query(&engine, &query, algorithm).unwrap())),
+                |b, algorithm| {
+                    let request = QueryRequest::new(&query, algorithm.clone());
+                    b.iter(|| black_box(engine.execute(&request).unwrap()));
+                },
             );
         }
     }
@@ -102,7 +108,10 @@ fn bench_vary_area(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{factor}ax")),
                 &algorithm,
-                |b, algorithm| b.iter(|| black_box(run_query(&engine, &query, algorithm).unwrap())),
+                |b, algorithm| {
+                    let request = QueryRequest::new(&query, algorithm.clone());
+                    b.iter(|| black_box(engine.execute(&request).unwrap()));
+                },
             );
         }
     }

@@ -43,7 +43,10 @@ fn bench_usanw_vary_keywords(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, keywords),
                 &algorithm,
-                |b, algorithm| b.iter(|| black_box(run_query(&engine, &query, algorithm).unwrap())),
+                |b, algorithm| {
+                    let request = QueryRequest::new(&query, algorithm.clone());
+                    b.iter(|| black_box(engine.execute(&request).unwrap()));
+                },
             );
         }
     }
@@ -85,7 +88,10 @@ fn bench_usanw_vary_delta(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(name, format!("{factor}dx")),
                 &algorithm,
-                |b, algorithm| b.iter(|| black_box(run_query(&engine, &query, algorithm).unwrap())),
+                |b, algorithm| {
+                    let request = QueryRequest::new(&query, algorithm.clone());
+                    b.iter(|| black_box(engine.execute(&request).unwrap()));
+                },
             );
         }
     }

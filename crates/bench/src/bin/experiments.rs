@@ -273,7 +273,12 @@ fn table1(ny: &Dataset, workers: usize) {
     // The same workload through the batched engine path, honouring the
     // --workers / LCMSR_WORKERS knob the serve path uses.
     let start = std::time::Instant::now();
-    let results = run_query_batch(&engine, &queries, &Algorithm::App(params), workers)
+    let requests: Vec<QueryRequest<'_>> = queries
+        .iter()
+        .map(|q| QueryRequest::new(q, Algorithm::App(params)))
+        .collect();
+    let results = engine
+        .execute_batch_with(&requests, workers)
         .expect("batched workload");
     let secs = start.elapsed().as_secs_f64();
     println!(
@@ -479,8 +484,10 @@ fn fig17_19(ny: &Dataset) {
         Algorithm::App(AppParams::default()),
         Algorithm::Greedy(GreedyParams::default()),
     ] {
-        let result = run_query(&engine, &query, &algorithm).expect("run");
-        match result.region {
+        let result = engine
+            .execute(&QueryRequest::new(&query, algorithm.clone()))
+            .expect("run");
+        match result.best() {
             Some(region) => {
                 let objects: usize = region
                     .nodes
@@ -532,14 +539,13 @@ fn sec7_5(ny: &Dataset) {
         let lcmsr_query =
             LcmsrQuery::new(query.keywords.clone(), delta, query.region_of_interest).unwrap();
         let tgen_alpha = default_tgen_alpha(ny, std::slice::from_ref(&lcmsr_query));
-        let lcmsr = run_query(
-            &engine,
-            &lcmsr_query,
-            &Algorithm::Tgen(TgenParams { alpha: tgen_alpha }),
-        )
-        .expect("run")
-        .region;
-        let lcmsr_weight = lcmsr.map_or(0.0, |r| r.weight);
+        let lcmsr = engine
+            .execute(&QueryRequest::new(
+                &lcmsr_query,
+                Algorithm::Tgen(TgenParams { alpha: tgen_alpha }),
+            ))
+            .expect("run");
+        let lcmsr_weight = lcmsr.best().map_or(0.0, |r| r.weight);
         // Automatic quality proxy (replaces the paper's human annotators, see
         // DESIGN.md §4): a result is better when it is connected on the network
         // and gathers more relevant weight under the same connectivity budget.

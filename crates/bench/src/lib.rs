@@ -15,51 +15,6 @@ use lcmsr_core::prelude::*;
 use lcmsr_datagen::prelude::*;
 use std::time::Instant;
 
-/// Runs one query through the unified [`QueryRequest`] API and returns the
-/// single-result view — the bench-side replacement for the deprecated
-/// `LcmsrEngine::run`.
-pub fn run_query(
-    engine: &LcmsrEngine<'_>,
-    query: &LcmsrQuery,
-    algorithm: &Algorithm,
-) -> LcmsrResult<QueryResult> {
-    engine
-        .execute(&QueryRequest::new(query, algorithm.clone()))
-        .map(QueryOutcome::into_single)
-}
-
-/// Top-k counterpart of [`run_query`], replacing `LcmsrEngine::run_topk`.
-pub fn run_query_topk(
-    engine: &LcmsrEngine<'_>,
-    query: &LcmsrQuery,
-    algorithm: &Algorithm,
-    k: usize,
-) -> LcmsrResult<TopKResult> {
-    engine
-        .execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
-        .map(QueryOutcome::into_topk)
-}
-
-/// Batched counterpart over the unified API, replacing
-/// `LcmsrEngine::run_batch_with`: one request per query, all sharing the
-/// given algorithm, solved on `workers` threads.
-pub fn run_query_batch(
-    engine: &LcmsrEngine<'_>,
-    queries: &[LcmsrQuery],
-    algorithm: &Algorithm,
-    workers: usize,
-) -> LcmsrResult<Vec<QueryResult>> {
-    let requests: Vec<QueryRequest<'_>> = queries
-        .iter()
-        .map(|q| QueryRequest::new(q, algorithm.clone()))
-        .collect();
-    Ok(engine
-        .execute_batch_with(&requests, workers)?
-        .into_iter()
-        .map(QueryOutcome::into_single)
-        .collect())
-}
-
 /// Reads a `usize` knob from the environment, falling back to `default`.
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -337,8 +292,8 @@ fn golden_region_line(out: &mut String, region: &Region) {
 
 /// Renders the full golden-region dump for a dataset: for every query of
 /// [`golden_workload`] and each of TGEN, APP and Greedy, the single best
-/// region (`run`) and the top-3 regions (`run_topk`), one line per region,
-/// bit-exact.  Committed under `tests/golden/` and compared byte-for-byte by
+/// region and the top-3 regions, one line per region, bit-exact.  Committed
+/// under `tests/golden/` and compared byte-for-byte by
 /// `tests/golden_regions.rs` and the CI `golden-regions` job — this replaces
 /// the ad-hoc cross-worktree diffs earlier PRs did by hand.
 pub fn render_golden_dump(dataset: &Dataset) -> String {
@@ -377,10 +332,9 @@ pub fn render_golden_dump_traced(dataset: &Dataset, trace: bool) -> String {
         for (qi, query) in queries.iter().enumerate() {
             let single = engine
                 .execute(&QueryRequest::new(query, algorithm.clone()).trace(trace))
-                .map(QueryOutcome::into_single)
                 .expect("golden run");
             write!(out, "{name} q{qi:02} single ").unwrap();
-            match &single.region {
+            match single.best() {
                 Some(region) => golden_region_line(&mut out, region),
                 None => out.push_str("(none)\n"),
             }
@@ -390,7 +344,6 @@ pub fn render_golden_dump_traced(dataset: &Dataset, trace: bool) -> String {
                         .top_k(3)
                         .trace(trace),
                 )
-                .map(QueryOutcome::into_topk)
                 .expect("golden topk");
             if topk.regions.is_empty() {
                 writeln!(out, "{name} q{qi:02} top3 (none)").unwrap();
@@ -420,9 +373,11 @@ pub struct Measurement {
 /// Runs one algorithm on one query and measures it.
 pub fn measure(engine: &LcmsrEngine<'_>, query: &LcmsrQuery, algorithm: &Algorithm) -> Measurement {
     let start = Instant::now();
-    let result = run_query(engine, query, algorithm).expect("query execution failed");
+    let outcome = engine
+        .execute(&QueryRequest::new(query, algorithm.clone()))
+        .expect("query execution failed");
     let millis = start.elapsed().as_secs_f64() * 1e3;
-    match result.region {
+    match outcome.best() {
         Some(region) => Measurement {
             weight: region.weight,
             length: region.length,
@@ -446,7 +401,9 @@ pub fn measure_topk(
     k: usize,
 ) -> f64 {
     let start = Instant::now();
-    let _ = run_query_topk(engine, query, algorithm, k).expect("top-k execution failed");
+    let _ = engine
+        .execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
+        .expect("top-k execution failed");
     start.elapsed().as_secs_f64() * 1e3
 }
 

@@ -10,10 +10,10 @@
 //! # Canonical fingerprints
 //!
 //! The key covers everything that can change the answer under one dataset
-//! epoch — the *effective* algorithm (option overrides folded in), the
-//! keywords in their original order, the length budget `Q.∆`, the region of
-//! interest `Q.Λ`, and the top-k setting — and nothing that cannot
-//! (deadline, priority, tracing, cancellation).  The epoch rides on the
+//! epoch — the algorithm with its parameters, the keywords in their original
+//! order, the length budget `Q.∆`, the region of interest `Q.Λ`, and the
+//! top-k setting — and nothing that cannot (deadline, priority, tracing,
+//! cancellation).  The epoch rides on the
 //! stored entry instead, so epoch bumps surface as stale lookups.  Floats are canonicalized through [`canon_f64`] before
 //! their bit patterns enter the key, so `-0.0` and `0.0` fingerprints agree;
 //! rectangle corner order is already normalised by
@@ -63,15 +63,15 @@ fn push_bytes(key: &mut Vec<u8>, bytes: &[u8]) {
 /// Builds the canonical cache fingerprint of a request.
 ///
 /// Two requests map to the same key exactly when — under one dataset epoch —
-/// they are guaranteed to produce the same regions: same effective algorithm
-/// and parameters, same keywords in the same order, same `∆`, same
+/// they are guaranteed to produce the same regions: same algorithm and
+/// parameters, same keywords in the same order, same `∆`, same
 /// (canonical) `Λ`, and the same top-k setting.  The epoch itself is carried
 /// by the stored entry, not the key, so a lookup after an epoch bump finds
 /// the outdated entry and reports it [`CacheLookup::Stale`] instead of
 /// silently keying past it.
 pub fn request_key(request: &QueryRequest<'_>) -> Vec<u8> {
     let mut key = Vec::with_capacity(96);
-    match request.effective_algorithm() {
+    match &request.algorithm {
         crate::engine::Algorithm::App(p) => {
             key.push(0);
             push_f64(&mut key, p.alpha);
@@ -379,7 +379,7 @@ mod tests {
         // Budget ∆.
         let tighter = LcmsrQuery::new(["cafe", "bar"], 90.0, rect).unwrap();
         assert_ne!(base, request_key(&QueryRequest::new(&tighter, alg.clone())));
-        // Algorithm and parameters (including option overrides).
+        // Algorithm and parameters.
         assert_ne!(
             base,
             request_key(&QueryRequest::new(
@@ -389,7 +389,10 @@ mod tests {
         );
         assert_ne!(
             base,
-            request_key(&QueryRequest::new(&q, alg.clone()).alpha(0.5))
+            request_key(&QueryRequest::new(
+                &q,
+                Algorithm::Tgen(TgenParams { alpha: 0.5 })
+            ))
         );
         // Top-k setting.
         assert_ne!(

@@ -6,17 +6,17 @@
 //! the requested algorithm, and converts the winning tuple back into a global
 //! [`Region`].
 //!
-//! Requests are described by a [`QueryRequest`] — query, algorithm, and
-//! [`QueryOptions`] (top-k, deadline, priority, parameter overrides) — and
-//! answered by [`LcmsrEngine::execute`].  A request with a
-//! [`crate::cancel::Deadline`] runs as an *anytime query*: the solvers poll a
-//! cooperative [`crate::cancel::CancelToken`] at their loop boundaries and,
-//! on expiry, return the best feasible region found so far with
-//! `partial: true` in [`RunStats`] instead of running to completion.
+//! Requests are described by a [`QueryRequest`] — query, algorithm with its
+//! parameters, and [`QueryOptions`] (top-k, deadline, priority, tracing,
+//! cache) — and answered by [`LcmsrEngine::execute`] with a [`QueryOutcome`].
+//! A request with a [`crate::cancel::Deadline`] runs as an *anytime query*:
+//! the solvers poll a cooperative [`crate::cancel::CancelToken`] at their
+//! loop boundaries and, on expiry, return the best feasible region found so
+//! far with `partial: true` in [`RunStats`] instead of running to completion.
 //!
 //! Interactive exploration produces many successive queries over the same
 //! network, so the engine supports **batched concurrent execution**:
-//! [`LcmsrEngine::execute_batch`] fans a slice of requests out over scoped
+//! [`LcmsrEngine::execute_batch_with`] fans a slice of requests out over scoped
 //! worker threads, each owning a [`QueryWorkspace`] whose scratch buffers
 //! (region extraction, keyword scoring, CSR query-graph construction) are
 //! recycled from query to query, so steady-state per-query preparation
@@ -129,8 +129,8 @@ impl std::fmt::Display for Priority {
 /// Per-request execution options carried by a [`QueryRequest`].
 ///
 /// The `Default` options reproduce the classic single-region run exactly: no
-/// top-k, no deadline, no overrides — and, crucially, no armed cancellation
-/// token, so the solve path is bit-identical to one without anytime support.
+/// top-k, no deadline — and, crucially, no armed cancellation token, so the
+/// solve path is bit-identical to one without anytime support.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// `Some(k)` answers the request as a top-k query (up to `k` best
@@ -147,12 +147,6 @@ pub struct QueryOptions {
     pub cancel: Option<CancelToken>,
     /// Scheduling priority (engine-neutral; see [`Priority`]).
     pub priority: Priority,
-    /// Overrides the algorithm's scaling parameter α (APP, TGEN).
-    pub alpha: Option<f64>,
-    /// Overrides APP's binary-search parameter β.
-    pub beta: Option<f64>,
-    /// Overrides Greedy's expansion parameter µ.
-    pub mu: Option<f64>,
     /// Records a structured span trace of the run.  `false` (the default)
     /// keeps the collector inert — solver hot loops see one predicted branch,
     /// exactly like an unarmed [`CancelToken`] — and the outcome carries no
@@ -178,9 +172,8 @@ impl QueryOptions {
     }
 }
 
-/// A self-describing query request: the query, the algorithm, and the
-/// execution options — one surface replacing the grown positional-argument
-/// family (`run`/`run_with`/`run_topk`/`run_topk_with`/`run_batch`/…).
+/// A self-describing query request: the query, the algorithm with its
+/// parameters, and the execution options.
 ///
 /// ```ignore
 /// let request = QueryRequest::new(&query, Algorithm::Exact)
@@ -193,8 +186,7 @@ impl QueryOptions {
 pub struct QueryRequest<'q> {
     /// The LCMSR query to answer.
     pub query: &'q LcmsrQuery,
-    /// The algorithm with its base parameters ([`QueryOptions`] overrides
-    /// apply on top).
+    /// The algorithm with its parameters.
     pub algorithm: Algorithm,
     /// Execution options.
     pub options: QueryOptions,
@@ -207,20 +199,6 @@ impl<'q> QueryRequest<'q> {
             query,
             algorithm,
             options: QueryOptions::default(),
-        }
-    }
-
-    /// A request with explicit options (the non-builder construction path,
-    /// used when options arrive already assembled, e.g. off the wire).
-    pub fn with_options(
-        query: &'q LcmsrQuery,
-        algorithm: Algorithm,
-        options: QueryOptions,
-    ) -> Self {
-        QueryRequest {
-            query,
-            algorithm,
-            options,
         }
     }
 
@@ -255,24 +233,6 @@ impl<'q> QueryRequest<'q> {
         self
     }
 
-    /// Overrides the algorithm's α.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.options.alpha = Some(alpha);
-        self
-    }
-
-    /// Overrides APP's β.
-    pub fn beta(mut self, beta: f64) -> Self {
-        self.options.beta = Some(beta);
-        self
-    }
-
-    /// Overrides Greedy's µ.
-    pub fn mu(mut self, mu: f64) -> Self {
-        self.options.mu = Some(mu);
-        self
-    }
-
     /// Enables (or disables) structured span tracing for this request (see
     /// [`QueryOptions::trace`]).
     pub fn trace(mut self, trace: bool) -> Self {
@@ -285,33 +245,6 @@ impl<'q> QueryRequest<'q> {
     pub fn cache(mut self, cache: bool) -> Self {
         self.options.cache = cache;
         self
-    }
-
-    /// The algorithm with the option overrides folded in.
-    pub(crate) fn effective_algorithm(&self) -> Algorithm {
-        let mut algorithm = self.algorithm.clone();
-        match &mut algorithm {
-            Algorithm::App(p) => {
-                if let Some(alpha) = self.options.alpha {
-                    p.alpha = alpha;
-                }
-                if let Some(beta) = self.options.beta {
-                    p.beta = beta;
-                }
-            }
-            Algorithm::Tgen(p) => {
-                if let Some(alpha) = self.options.alpha {
-                    p.alpha = alpha;
-                }
-            }
-            Algorithm::Greedy(p) => {
-                if let Some(mu) = self.options.mu {
-                    p.mu = mu;
-                }
-            }
-            Algorithm::Exact => {}
-        }
-        algorithm
     }
 }
 
@@ -340,46 +273,6 @@ impl QueryOutcome {
     pub fn is_partial(&self) -> bool {
         self.stats.partial
     }
-
-    /// Converts into the legacy single-region result shape.
-    pub fn into_single(self) -> QueryResult {
-        QueryResult {
-            region: self.regions.into_iter().next(),
-            stats: self.stats,
-            trace: self.trace,
-        }
-    }
-
-    /// Converts into the legacy top-k result shape.
-    pub fn into_topk(self) -> TopKResult {
-        TopKResult {
-            regions: self.regions,
-            stats: self.stats,
-            trace: self.trace,
-        }
-    }
-}
-
-/// Result of answering one LCMSR query.
-#[derive(Debug, Clone)]
-pub struct QueryResult {
-    /// The best region found, or `None` when no object in `Q.Λ` matches the keywords.
-    pub region: Option<Region>,
-    /// Execution statistics.
-    pub stats: RunStats,
-    /// Structured span trace, when the request asked for one.
-    pub trace: Option<QueryTrace>,
-}
-
-/// Result of answering one top-k LCMSR query.
-#[derive(Debug, Clone)]
-pub struct TopKResult {
-    /// The best regions found, ordered best-first.
-    pub regions: Vec<Region>,
-    /// Execution statistics.
-    pub stats: RunStats,
-    /// Structured span trace, when the request asked for one.
-    pub trace: Option<QueryTrace>,
 }
 
 /// Result of the MaxRS baseline plus the measures needed by the Section 7.5
@@ -414,10 +307,11 @@ fn default_workers() -> usize {
 /// Holds the scratch buffers of every preparation stage — `Q.Λ` extraction
 /// ([`RegionScratch`]), keyword scoring ([`NodeWeights`]) and query-graph
 /// construction ([`QueryGraphBuilder`]) — plus the solve phase's
-/// [`TupleArena`], so repeated [`LcmsrEngine::run_with`] calls over the same
-/// network allocate near-zero.  Each worker thread of
-/// [`LcmsrEngine::run_batch`] owns one workspace; one-shot `run`/`run_topk`
-/// calls check workspaces out of the engine's [`WorkspacePool`].
+/// [`TupleArena`], so repeated [`LcmsrEngine::execute_with`] calls over the
+/// same network allocate near-zero.  Each worker thread of
+/// [`LcmsrEngine::execute_batch_with`] owns one workspace; one-shot
+/// [`LcmsrEngine::execute`] calls check workspaces out of the engine's
+/// [`WorkspacePool`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryWorkspace {
     builder: QueryGraphBuilder,
@@ -504,10 +398,11 @@ impl QueryWorkspace {
 
 /// A lock-guarded stack of idle [`QueryWorkspace`]s owned by the engine.
 ///
-/// `run`/`run_topk` and every batch worker check a workspace out and return
-/// it afterwards, so successive calls — including successive `run_batch`
-/// invocations — reuse the grown scratch buffers, query-graph pools and tuple
-/// arenas instead of rebuilding them per call.
+/// [`LcmsrEngine::execute`] and every batch worker check a workspace out and
+/// return it afterwards, so successive calls — including successive
+/// [`LcmsrEngine::execute_batch_with`] invocations — reuse the grown scratch
+/// buffers, query-graph pools and tuple arenas instead of rebuilding them per
+/// call.
 ///
 /// Idle growth is capped at [`WorkspacePool::max_idle`] workspaces (default:
 /// the available hardware parallelism): a burst of concurrent one-shot calls
@@ -537,14 +432,6 @@ impl WorkspacePool {
         Self::default()
     }
 
-    /// Creates an empty pool keeping at most `max_idle` idle workspaces.
-    pub fn with_max_idle(max_idle: usize) -> Self {
-        WorkspacePool {
-            idle: Mutex::new(Vec::new()),
-            max_idle: AtomicUsize::new(max_idle),
-        }
-    }
-
     /// Takes an idle workspace, or creates a fresh one when none is pooled.
     pub fn checkout(&self) -> QueryWorkspace {
         self.idle
@@ -572,15 +459,6 @@ impl WorkspacePool {
     /// The cap on idle pooled workspaces.
     pub fn max_idle(&self) -> usize {
         self.max_idle.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Changes the idle cap (a shared-reference operation, so a serving
-    /// front-end can tune a live engine's pool).  Workspaces already pooled
-    /// above a lowered cap are dropped immediately.
-    pub fn set_max_idle(&self, max_idle: usize) {
-        self.max_idle.store(max_idle, AtomicOrdering::Relaxed);
-        let mut idle = self.idle.lock().expect("workspace pool poisoned");
-        idle.truncate(max_idle);
     }
 
     /// Raises the idle cap to at least `workers`.  The batch paths call this
@@ -798,15 +676,15 @@ impl<'a> LcmsrEngine<'a> {
     }
 
     /// Like [`LcmsrEngine::execute`], but reuses a caller-owned workspace —
-    /// the building block of [`LcmsrEngine::execute_batch`], also useful on
-    /// its own for a sequential stream of requests.
+    /// the building block of [`LcmsrEngine::execute_batch_with`], also useful
+    /// on its own for a sequential stream of requests.
     pub fn execute_with(
         &self,
         workspace: &mut QueryWorkspace,
         request: &QueryRequest<'_>,
     ) -> Result<QueryOutcome> {
         let start = crate::cancel::now();
-        let algorithm = request.effective_algorithm();
+        let algorithm = &request.algorithm;
         let options = &request.options;
         let ctl = options.solve_token();
         workspace.tracer.begin(options.trace);
@@ -873,7 +751,7 @@ impl<'a> LcmsrEngine<'a> {
         let arena = &mut workspace.arena;
         let tracer = &mut workspace.tracer;
         let mut interrupted = false;
-        let solved: Result<Vec<RegionTuple>> = (|| match (&algorithm, options.k) {
+        let solved: Result<Vec<RegionTuple>> = (|| match (algorithm, options.k) {
             (Algorithm::App(params), None) => {
                 let outcome = run_app(&graph, arena, params, &ctl, tracer)?;
                 stats.kmst_calls = outcome.kmst_calls;
@@ -953,10 +831,13 @@ impl<'a> LcmsrEngine<'a> {
                 return Err(e);
             }
         };
+        // A token can fire before the request's deadline (an external
+        // cancel), so the cause is the deadline only once it has passed.
         if interrupted {
-            stats.mark_partial(match options.deadline {
-                Some(_) => PartialCause::DeadlineExceeded,
-                None => PartialCause::Cancelled,
+            stats.mark_partial(if options.deadline.is_some_and(|d| d.expired()) {
+                PartialCause::DeadlineExceeded
+            } else {
+                PartialCause::Cancelled
             });
         }
         let regions: Vec<Region> = tuples
@@ -981,16 +862,11 @@ impl<'a> LcmsrEngine<'a> {
         })
     }
 
-    /// Answers a batch of requests concurrently, using one worker per
-    /// available CPU (capped at the batch size).  Results are returned in
-    /// input order and are identical to running each request sequentially
-    /// with [`LcmsrEngine::execute`]; the first failing request's error (in
-    /// input order) is returned if any request fails.
-    pub fn execute_batch(&self, requests: &[QueryRequest<'_>]) -> Result<Vec<QueryOutcome>> {
-        self.execute_batch_with(requests, default_workers())
-    }
-
-    /// Like [`LcmsrEngine::execute_batch`] with an explicit worker count.
+    /// Answers a batch of requests concurrently on `workers` threads (capped
+    /// at the batch size).  Results are returned in input order and are
+    /// identical to running each request sequentially with
+    /// [`LcmsrEngine::execute`]; the first failing request's error (in input
+    /// order) is returned if any request fails.
     ///
     /// Workers pull requests from a shared atomic cursor (dynamic load
     /// balancing), each runs with its own [`QueryWorkspace`], and every
@@ -1005,130 +881,6 @@ impl<'a> LcmsrEngine<'a> {
         self.batch_over(requests, workers, |ws, request| {
             self.execute_with(ws, request)
         })
-    }
-
-    /// Answers a query with the requested algorithm, using a pooled workspace.
-    #[deprecated(since = "0.6.0", note = "build a QueryRequest and call execute")]
-    pub fn run(&self, query: &LcmsrQuery, algorithm: &Algorithm) -> Result<QueryResult> {
-        self.execute(&QueryRequest::new(query, algorithm.clone()))
-            .map(QueryOutcome::into_single)
-    }
-
-    /// Like `run`, but reuses a caller-owned workspace.
-    #[deprecated(since = "0.6.0", note = "build a QueryRequest and call execute_with")]
-    pub fn run_with(
-        &self,
-        workspace: &mut QueryWorkspace,
-        query: &LcmsrQuery,
-        algorithm: &Algorithm,
-    ) -> Result<QueryResult> {
-        self.execute_with(workspace, &QueryRequest::new(query, algorithm.clone()))
-            .map(QueryOutcome::into_single)
-    }
-
-    /// Answers a top-k query with the requested algorithm.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a QueryRequest with top_k and call execute"
-    )]
-    pub fn run_topk(
-        &self,
-        query: &LcmsrQuery,
-        algorithm: &Algorithm,
-        k: usize,
-    ) -> Result<TopKResult> {
-        self.execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
-            .map(QueryOutcome::into_topk)
-    }
-
-    /// Like `run_topk`, but reuses a caller-owned workspace.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a QueryRequest with top_k and call execute_with"
-    )]
-    pub fn run_topk_with(
-        &self,
-        workspace: &mut QueryWorkspace,
-        query: &LcmsrQuery,
-        algorithm: &Algorithm,
-        k: usize,
-    ) -> Result<TopKResult> {
-        self.execute_with(
-            workspace,
-            &QueryRequest::new(query, algorithm.clone()).top_k(k),
-        )
-        .map(QueryOutcome::into_topk)
-    }
-
-    /// Answers a batch of queries concurrently with default workers.
-    #[deprecated(since = "0.6.0", note = "build QueryRequests and call execute_batch")]
-    pub fn run_batch(
-        &self,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-    ) -> Result<Vec<QueryResult>> {
-        #[allow(deprecated)]
-        self.run_batch_with(queries, algorithm, default_workers())
-    }
-
-    /// Answers a batch of queries concurrently with an explicit worker count.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build QueryRequests and call execute_batch_with"
-    )]
-    pub fn run_batch_with(
-        &self,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-        workers: usize,
-    ) -> Result<Vec<QueryResult>> {
-        let requests: Vec<QueryRequest<'_>> = queries
-            .iter()
-            .map(|q| QueryRequest::new(q, algorithm.clone()))
-            .collect();
-        Ok(self
-            .execute_batch_with(&requests, workers)?
-            .into_iter()
-            .map(QueryOutcome::into_single)
-            .collect())
-    }
-
-    /// Answers a batch of top-k queries concurrently with default workers.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build QueryRequests with top_k and call execute_batch"
-    )]
-    pub fn run_topk_batch(
-        &self,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-        k: usize,
-    ) -> Result<Vec<TopKResult>> {
-        #[allow(deprecated)]
-        self.run_topk_batch_with(queries, algorithm, k, default_workers())
-    }
-
-    /// Answers a batch of top-k queries with an explicit worker count.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build QueryRequests with top_k and call execute_batch_with"
-    )]
-    pub fn run_topk_batch_with(
-        &self,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-        k: usize,
-        workers: usize,
-    ) -> Result<Vec<TopKResult>> {
-        let requests: Vec<QueryRequest<'_>> = queries
-            .iter()
-            .map(|q| QueryRequest::new(q, algorithm.clone()).top_k(k))
-            .collect();
-        Ok(self
-            .execute_batch_with(&requests, workers)?
-            .into_iter()
-            .map(QueryOutcome::into_topk)
-            .collect())
     }
 
     /// Shared batch driver: fans `items` out over `workers` scoped threads,
@@ -1314,16 +1066,12 @@ mod tests {
     use lcmsr_roadnet::builder::GraphBuilder;
     use lcmsr_roadnet::geo::{Point, Rect};
 
-    /// Legacy-shaped helpers: the pre-existing tests keep their call shape
-    /// while exercising the new [`QueryRequest`] surface end to end.
     fn run1(
         engine: &LcmsrEngine<'_>,
         query: &LcmsrQuery,
         algorithm: &Algorithm,
-    ) -> Result<QueryResult> {
-        engine
-            .execute(&QueryRequest::new(query, algorithm.clone()))
-            .map(QueryOutcome::into_single)
+    ) -> Result<QueryOutcome> {
+        engine.execute(&QueryRequest::new(query, algorithm.clone()))
     }
 
     fn run1_with(
@@ -1331,10 +1079,8 @@ mod tests {
         workspace: &mut QueryWorkspace,
         query: &LcmsrQuery,
         algorithm: &Algorithm,
-    ) -> Result<QueryResult> {
-        engine
-            .execute_with(workspace, &QueryRequest::new(query, algorithm.clone()))
-            .map(QueryOutcome::into_single)
+    ) -> Result<QueryOutcome> {
+        engine.execute_with(workspace, &QueryRequest::new(query, algorithm.clone()))
     }
 
     fn runk(
@@ -1342,10 +1088,8 @@ mod tests {
         query: &LcmsrQuery,
         algorithm: &Algorithm,
         k: usize,
-    ) -> Result<TopKResult> {
-        engine
-            .execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
-            .map(QueryOutcome::into_topk)
+    ) -> Result<QueryOutcome> {
+        engine.execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
     }
 
     fn batch1(
@@ -1353,16 +1097,12 @@ mod tests {
         queries: &[LcmsrQuery],
         algorithm: &Algorithm,
         workers: usize,
-    ) -> Result<Vec<QueryResult>> {
+    ) -> Result<Vec<QueryOutcome>> {
         let requests: Vec<QueryRequest<'_>> = queries
             .iter()
             .map(|q| QueryRequest::new(q, algorithm.clone()))
             .collect();
-        Ok(engine
-            .execute_batch_with(&requests, workers)?
-            .into_iter()
-            .map(QueryOutcome::into_single)
-            .collect())
+        engine.execute_batch_with(&requests, workers)
     }
 
     fn batchk(
@@ -1371,16 +1111,12 @@ mod tests {
         algorithm: &Algorithm,
         k: usize,
         workers: usize,
-    ) -> Result<Vec<TopKResult>> {
+    ) -> Result<Vec<QueryOutcome>> {
         let requests: Vec<QueryRequest<'_>> = queries
             .iter()
             .map(|q| QueryRequest::new(q, algorithm.clone()).top_k(k))
             .collect();
-        Ok(engine
-            .execute_batch_with(&requests, workers)?
-            .into_iter()
-            .map(QueryOutcome::into_topk)
-            .collect())
+        engine.execute_batch_with(&requests, workers)
     }
 
     /// A 6×6 grid network (100 m blocks) with a restaurant cluster in the
@@ -1457,7 +1193,7 @@ mod tests {
         ] {
             let result = run1(&engine, &query, &algorithm).unwrap();
             let region = result
-                .region
+                .best()
                 .unwrap_or_else(|| panic!("{} found no region", algorithm.name()));
             assert!(region.length <= 400.0 + 1e-9, "{}", algorithm.name());
             assert!(region.weight > 0.0);
@@ -1473,14 +1209,10 @@ mod tests {
         // Restrict Q.Λ to the south-west corner so the exact solver can enumerate.
         let rect = Rect::new(-50.0, -50.0, 250.0, 250.0);
         let query = LcmsrQuery::new(["restaurant"], 300.0, rect).unwrap();
-        let exact = run1(&engine, &query, &Algorithm::Exact)
-            .unwrap()
-            .region
-            .unwrap();
-        let tgen = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 0.1 }))
-            .unwrap()
-            .region
-            .unwrap();
+        let exact = run1(&engine, &query, &Algorithm::Exact).unwrap();
+        let exact = exact.best().unwrap();
+        let tgen = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 0.1 })).unwrap();
+        let tgen = tgen.best().unwrap();
         assert!((tgen.weight - exact.weight).abs() < 1e-9);
         assert!(tgen.length <= 300.0 + 1e-9);
     }
@@ -1497,7 +1229,7 @@ mod tests {
             Algorithm::Exact,
         ] {
             let result = run1(&engine, &query, &algorithm).unwrap();
-            assert!(result.region.is_none(), "{}", algorithm.name());
+            assert!(result.best().is_none(), "{}", algorithm.name());
         }
     }
 
@@ -1509,11 +1241,11 @@ mod tests {
         let rect = Rect::new(300.0, 300.0, 560.0, 560.0);
         let query = LcmsrQuery::new(["restaurant"], 400.0, rect).unwrap();
         let result = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 1.0 })).unwrap();
-        assert!(result.region.is_none());
+        assert!(result.best().is_none());
         // Cafes are there, though.
         let query = LcmsrQuery::new(["cafe"], 400.0, rect).unwrap();
         let result = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 1.0 })).unwrap();
-        assert!(result.region.is_some());
+        assert!(result.best().is_some());
     }
 
     #[test]
@@ -1571,7 +1303,7 @@ mod tests {
         ] {
             let sequential: Vec<_> = queries
                 .iter()
-                .map(|q| run1(&engine, q, &algorithm).unwrap().region)
+                .map(|q| run1(&engine, q, &algorithm).unwrap().regions)
                 .collect();
             for workers in [1, 2, 4] {
                 let batched = batch1(&engine, &queries, &algorithm, workers).unwrap();
@@ -1579,7 +1311,7 @@ mod tests {
                 for (i, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
                     assert_eq!(
                         seq,
-                        &bat.region,
+                        &bat.regions,
                         "{} query {i} diverged with {workers} workers",
                         algorithm.name()
                     );
@@ -1643,56 +1375,58 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LcmsrEngine<'static>>();
         assert_send_sync::<WorkspacePool>();
-        assert_send_sync::<QueryResult>();
-        assert_send_sync::<TopKResult>();
+        assert_send_sync::<QueryOutcome>();
+        assert_send_sync::<QueryRequest<'static>>();
     }
 
     #[test]
     fn workspace_pool_growth_is_capped_at_max_idle() {
-        let pool = WorkspacePool::with_max_idle(2);
-        assert_eq!(pool.max_idle(), 2);
-        // A burst of six concurrent checkouts…
-        let burst: Vec<QueryWorkspace> = (0..6).map(|_| pool.checkout()).collect();
+        let pool = WorkspacePool::new();
+        let cap = pool.max_idle();
+        // A burst of concurrent checkouts beyond the cap…
+        let burst: Vec<QueryWorkspace> = (0..cap + 4).map(|_| pool.checkout()).collect();
         assert_eq!(pool.idle_count(), 0);
         // …recycles down to the cap, not to the burst size.
         for ws in burst {
             pool.recycle(ws);
         }
-        assert_eq!(pool.idle_count(), 2, "recycle must drop beyond max_idle");
-        // Lowering the cap trims the already-pooled excess.
-        pool.set_max_idle(1);
-        assert_eq!(pool.idle_count(), 1);
-        // Raising it lets future recycles pool more again.
-        pool.set_max_idle(3);
+        assert_eq!(pool.idle_count(), cap, "recycle must drop beyond max_idle");
+        // Raising the cap lets future recycles pool more again.
+        pool.ensure_max_idle(cap + 2);
         for _ in 0..4 {
             pool.recycle(QueryWorkspace::new());
         }
-        assert_eq!(pool.idle_count(), 3);
+        assert_eq!(pool.idle_count(), cap + 2);
         // ensure_max_idle only ever raises the cap.
-        pool.ensure_max_idle(2);
-        assert_eq!(pool.max_idle(), 3);
-        pool.ensure_max_idle(5);
-        assert_eq!(pool.max_idle(), 5);
+        pool.ensure_max_idle(1);
+        assert_eq!(pool.max_idle(), cap + 2);
+        pool.ensure_max_idle(cap + 5);
+        assert_eq!(pool.max_idle(), cap + 5);
     }
 
     #[test]
     fn explicit_batch_worker_counts_raise_the_idle_cap() {
         // A cap below the requested worker count would silently drop (and
-        // re-warm) workspaces every batch — run_batch_with must widen it.
+        // re-warm) workspaces every batch — execute_batch_with must widen it.
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
-        engine.workspace_pool().set_max_idle(1);
-        let queries = mixed_workload(&network);
+        let workers = engine.workspace_pool().max_idle() + 2;
+        // At least one query per worker, so the batch keeps every worker.
+        let queries: Vec<LcmsrQuery> = mixed_workload(&network)
+            .into_iter()
+            .cycle()
+            .take(workers.max(32))
+            .collect();
         let _ = batch1(
             &engine,
             &queries,
             &Algorithm::Greedy(GreedyParams::default()),
-            4,
+            workers,
         )
         .unwrap();
         assert!(
-            engine.workspace_pool().max_idle() >= 4,
-            "batch with 4 workers must raise the idle cap, got {}",
+            engine.workspace_pool().max_idle() >= workers,
+            "batch with {workers} workers must raise the idle cap, got {}",
             engine.workspace_pool().max_idle()
         );
         // A second batch can now reuse every worker's workspace.
@@ -1700,7 +1434,7 @@ mod tests {
             &engine,
             &queries,
             &Algorithm::Greedy(GreedyParams::default()),
-            4,
+            workers,
         )
         .unwrap();
         assert!(engine.workspace_pool().idle_count() >= 1);
@@ -1710,20 +1444,20 @@ mod tests {
     fn engine_pool_defaults_to_available_parallelism_cap() {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
-        assert_eq!(engine.workspace_pool().max_idle(), default_workers());
+        let cap = engine.workspace_pool().max_idle();
+        assert_eq!(cap, default_workers());
         // A burst of one-shot runs through the engine's own pool never pins
         // more than the cap.
         let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
-        engine.workspace_pool().set_max_idle(2);
         std::thread::scope(|scope| {
-            for _ in 0..6 {
+            for _ in 0..cap + 4 {
                 scope.spawn(|| {
                     run1(&engine, &query, &Algorithm::Greedy(GreedyParams::default())).unwrap()
                 });
             }
         });
         assert!(
-            engine.workspace_pool().idle_count() <= 2,
+            engine.workspace_pool().idle_count() <= cap,
             "burst must not pin workspaces beyond the cap, pooled {}",
             engine.workspace_pool().idle_count()
         );
@@ -1745,7 +1479,7 @@ mod tests {
         // and produces the identical region.
         let second = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 1.0 })).unwrap();
         assert_eq!(engine.workspace_pool().idle_count(), 1);
-        assert_eq!(first.region, second.region);
+        assert_eq!(first.regions, second.regions);
         // Top-k and batch paths recycle too.
         let _ = runk(
             &engine,
@@ -1793,8 +1527,8 @@ mod tests {
             let pooled = run1(&engine, query, algorithm).unwrap();
             let fresh = run1_with(&engine, &mut QueryWorkspace::new(), query, algorithm).unwrap();
             assert_eq!(
-                pooled.region,
-                fresh.region,
+                pooled.regions,
+                fresh.regions,
                 "{} query {i}",
                 algorithm.name()
             );
@@ -1815,7 +1549,7 @@ mod tests {
             for query in &queries {
                 let fresh = run1(&engine, query, &algorithm).unwrap();
                 let reused = run1_with(&engine, &mut workspace, query, &algorithm).unwrap();
-                assert_eq!(fresh.region, reused.region, "{}", algorithm.name());
+                assert_eq!(fresh.regions, reused.regions, "{}", algorithm.name());
             }
         }
     }
@@ -1954,19 +1688,17 @@ mod tests {
             assert!(r.length <= 300.0 + 1e-9);
         }
         // The head agrees with the single-region Exact answer's measures.
-        let single = run1(&engine, &query, &Algorithm::Exact)
-            .unwrap()
-            .region
-            .unwrap();
-        assert!((result.regions[0].weight - single.weight).abs() < 1e-9);
+        let single = run1(&engine, &query, &Algorithm::Exact).unwrap();
+        assert!((result.regions[0].weight - single.best().unwrap().weight).abs() < 1e-9);
     }
 
     #[test]
     fn exact_topk_head_matches_exact_run_under_quantization_adversary() {
         // Weights {0.3} vs {0.16, 0.16}: under the old Exact α = 1.0 the
-        // scaling θ = 0.1 floored the pair to 1+1 = 2 < 3, so run_topk ranked
-        // the single 0.3 node above the true optimum (weight 0.32) while run()
-        // returned the pair.  The fine Exact α must keep both paths agreeing.
+        // scaling θ = 0.1 floored the pair to 1+1 = 2 < 3, so a top-k request
+        // ranked the single 0.3 node above the true optimum (weight 0.32)
+        // while a single-region request returned the pair.  The fine Exact α
+        // must keep both paths agreeing.
         use crate::exact::ExactSolver;
         use crate::query_graph::QueryGraph;
         use lcmsr_geotext::collection::NodeWeights;
@@ -2014,7 +1746,7 @@ mod tests {
             .unwrap();
         assert!(
             top.tuples[0].same_nodes(&single, &arena),
-            "run_topk(Exact, 1) must return the same region as run(Exact)"
+            "top-1 Exact must return the same region as single-region Exact"
         );
     }
 
@@ -2102,39 +1834,10 @@ mod tests {
             &lcmsr_query,
             &Algorithm::Tgen(TgenParams { alpha: 0.5 }),
         )
-        .unwrap()
-        .region
         .unwrap();
         // Under the same connectivity budget the network-aware region should
         // gather at least as much weight as the rectangle's connected content.
-        assert!(lcmsr.weight + 1e-9 >= maxrs.weight * 0.9);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_execute() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let query = LcmsrQuery::new(["restaurant"], 300.0, whole_rect(&network)).unwrap();
-        for algorithm in [
-            Algorithm::Tgen(TgenParams { alpha: 0.5 }),
-            Algorithm::Greedy(GreedyParams::default()),
-        ] {
-            let outcome = engine
-                .execute(&QueryRequest::new(&query, algorithm.clone()))
-                .unwrap();
-            let legacy = engine.run(&query, &algorithm).unwrap();
-            assert_eq!(legacy.region.as_ref(), outcome.best());
-            let topk = engine.run_topk(&query, &algorithm, 3).unwrap();
-            let via_request = engine
-                .execute(&QueryRequest::new(&query, algorithm.clone()).top_k(3))
-                .unwrap();
-            assert_eq!(topk.regions, via_request.regions);
-            let batch = engine
-                .run_batch(std::slice::from_ref(&query), &algorithm)
-                .unwrap();
-            assert_eq!(batch[0].region.as_ref(), outcome.best());
-        }
+        assert!(lcmsr.best().unwrap().weight + 1e-9 >= maxrs.weight * 0.9);
     }
 
     #[test]
@@ -2186,6 +1889,42 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_request_blames_its_deadline_only_once_it_expired() {
+        let (network, collection) = small_world();
+        let engine = LcmsrEngine::new(&network, &collection);
+        let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
+        let greedy = Algorithm::Greedy(GreedyParams::default());
+        // Cancelled up front with an hour of deadline left: the token fired,
+        // not the deadline.
+        let token = CancelToken::manual();
+        token.cancel();
+        let cancelled = engine
+            .execute(
+                &QueryRequest::new(&query, greedy.clone())
+                    .deadline_in(Duration::from_secs(3600))
+                    .cancel_token(token),
+            )
+            .unwrap();
+        assert!(cancelled.is_partial());
+        assert_eq!(cancelled.stats.partial_cause, Some(PartialCause::Cancelled));
+        assert_eq!(cancelled.stats.deadline, Some(Duration::from_secs(3600)));
+        // A token armed with the request's own deadline, already expired.
+        let deadline = Deadline::after(Duration::ZERO);
+        let expired = engine
+            .execute(
+                &QueryRequest::new(&query, greedy)
+                    .deadline(deadline)
+                    .cancel_token(CancelToken::with_deadline(deadline.at())),
+            )
+            .unwrap();
+        assert!(expired.is_partial());
+        assert_eq!(
+            expired.stats.partial_cause,
+            Some(PartialCause::DeadlineExceeded)
+        );
+    }
+
+    #[test]
     fn unarmed_requests_never_report_partial() {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
@@ -2209,35 +1948,6 @@ mod tests {
             .unwrap();
         assert!(!outcome.is_partial());
         assert_eq!(outcome.stats.partial_cause, None);
-    }
-
-    #[test]
-    fn option_overrides_patch_the_effective_algorithm() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
-        let overridden = engine
-            .execute(
-                &QueryRequest::new(&query, Algorithm::Tgen(TgenParams { alpha: 1.0 })).alpha(0.25),
-            )
-            .unwrap();
-        let direct = engine
-            .execute(&QueryRequest::new(
-                &query,
-                Algorithm::Tgen(TgenParams { alpha: 0.25 }),
-            ))
-            .unwrap();
-        assert_eq!(overridden.regions, direct.regions);
-        let mu_override = engine
-            .execute(&QueryRequest::new(&query, Algorithm::Greedy(GreedyParams::default())).mu(0.9))
-            .unwrap();
-        let mu_direct = engine
-            .execute(&QueryRequest::new(
-                &query,
-                Algorithm::Greedy(GreedyParams { mu: 0.9 }),
-            ))
-            .unwrap();
-        assert_eq!(mu_override.regions, mu_direct.regions);
     }
 
     #[test]

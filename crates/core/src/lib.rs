@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::cancel::{CancelToken, Deadline};
     pub use crate::engine::{
         Algorithm, LcmsrEngine, MaxRsRegion, Priority, QueryOptions, QueryOutcome, QueryRequest,
-        QueryResult, QueryWorkspace, TopKResult, WorkspacePool,
+        QueryWorkspace, WorkspacePool,
     };
     pub use crate::error::{LcmsrError, Result as LcmsrResult};
     pub use crate::exact::{ExactSolver, ExactTopK};
@@ -105,8 +105,8 @@ pub use arena::TupleArena;
 pub use cache::{CacheLookup, ResponseCache};
 pub use cancel::{CancelToken, Deadline};
 pub use engine::{
-    Algorithm, LcmsrEngine, Priority, QueryOptions, QueryOutcome, QueryRequest, QueryResult,
-    QueryWorkspace, TopKResult, WorkspacePool,
+    Algorithm, LcmsrEngine, Priority, QueryOptions, QueryOutcome, QueryRequest, QueryWorkspace,
+    WorkspacePool,
 };
 pub use error::{LcmsrError, Result};
 pub use greedy::GreedyParams;

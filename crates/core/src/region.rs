@@ -125,8 +125,8 @@ impl RegionTuple {
     /// scaled weights only differ through the scaling's floor), then shorter
     /// length.  `Ordering::Less` means `self` ranks before (is better than)
     /// `other`, so sorting with this comparator lists the best tuple first.
-    /// Keeping a single comparator is what guarantees `run_topk(…, 1)` agrees
-    /// with the single-region `run`.
+    /// Keeping a single comparator is what guarantees a top-1 request agrees
+    /// with the single-region request.
     pub fn cmp_quality(&self, other: &Self) -> std::cmp::Ordering {
         other
             .scaled

@@ -699,7 +699,7 @@ mod tests {
     fn top_tuples_survive_a_scaling_that_floors_to_zero() {
         // With α far above |V_Q| every scaled weight is ⌊|V_Q|/α⌋ = 0 (Lemma 5);
         // the top list must still carry the relevant regions BestTracker sees,
-        // so run_topk(…, 1) keeps agreeing with the single-query best.
+        // so a top-1 request keeps agreeing with the single-query best.
         let (_n, qg) = figure2_query_graph(6.0, 100.0);
         assert_eq!(qg.scaled_weight_lower_bound(), 0);
         let mut arena = TupleArena::new();

@@ -23,8 +23,8 @@ use crate::tgen::{run_tgen, TgenParams};
 use crate::trace::TraceCollector;
 
 /// Orders candidate tuples with the shared quality order
-/// ([`RegionTuple::cmp_quality`]) so `run_topk(…, 1)` agrees with the
-/// single-region `run`.
+/// ([`RegionTuple::cmp_quality`]) so a top-1 request agrees with the
+/// single-region request.
 fn rank(a: &RegionTuple, b: &RegionTuple) -> std::cmp::Ordering {
     a.cmp_quality(b)
 }

@@ -49,10 +49,9 @@
 //! Durations travel as integer nanoseconds and floats print in Rust's
 //! shortest-round-trip form, so a response decodes back to bit-identical
 //! measures — the end-to-end tests compare served responses against direct
-//! [`lcmsr_core::engine::LcmsrEngine::run`] calls with `==`.
+//! [`lcmsr_core::engine::LcmsrEngine::execute`] calls with `==`.
 
 use crate::json::{parse, Json, JsonError};
-use lcmsr_core::engine::{QueryResult, TopKResult};
 use lcmsr_core::prelude::*;
 use lcmsr_core::{AppParams, GreedyParams, TgenParams};
 use lcmsr_roadnet::edge::EdgeId;
@@ -703,19 +702,12 @@ pub struct QueryResponse {
 }
 
 impl QueryResponse {
-    /// Builds the response for a single-best result.
-    pub fn from_single(result: &QueryResult) -> Self {
+    /// Builds the response for an engine outcome: its regions, best first,
+    /// and its statistics.
+    pub fn from_outcome(outcome: &QueryOutcome) -> Self {
         QueryResponse {
-            regions: result.region.iter().map(RegionDto::from_region).collect(),
-            stats: StatsDto::from_stats(&result.stats),
-        }
-    }
-
-    /// Builds the response for a top-k result.
-    pub fn from_topk(result: &TopKResult) -> Self {
-        QueryResponse {
-            regions: result.regions.iter().map(RegionDto::from_region).collect(),
-            stats: StatsDto::from_stats(&result.stats),
+            regions: outcome.regions.iter().map(RegionDto::from_region).collect(),
+            stats: StatsDto::from_stats(&outcome.stats),
         }
     }
 

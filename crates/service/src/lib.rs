@@ -69,7 +69,7 @@ pub use api::{QueryRequest, QueryResponse, RegionDto, StatsDto};
 pub use client::{ClientResponse, HttpClient};
 pub use diag::{Diagnostics, DiagnosticsConfig};
 pub use metrics::ServiceMetrics;
-pub use scheduler::{BatchConfig, JobKind, Scheduler};
+pub use scheduler::{BatchConfig, Scheduler};
 pub use service::{serve, ServiceConfig, ServiceHandle};
 
 use lcmsr_core::engine::LcmsrEngine;

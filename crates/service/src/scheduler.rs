@@ -1,37 +1,36 @@
 //! The admission scheduler: decides when a query may run, and runs it on the
 //! thread that submitted it.
 //!
-//! [`Scheduler::submit`] admits a job, parks the calling HTTP worker in its
-//! priority lane until one of `batch_workers` permits is free, and then runs
-//! [`LcmsrEngine::execute`] on that same thread.  The **interactive** lane
-//! always gets the next free permit before the **batch** lane, so bulk work
-//! parked behind the service never delays a user-facing query for longer
-//! than the queries already running; within a lane callers are served FIFO.
+//! [`Scheduler::submit`] admits an engine [`QueryRequest`], parks the calling
+//! HTTP worker in the lane of the request's priority until one of
+//! `batch_workers` permits is free, and then runs [`LcmsrEngine::execute`] on
+//! that same thread.  The **interactive** lane always gets the next free
+//! permit before the **batch** lane, so bulk work parked behind the service
+//! never delays a user-facing query for longer than the queries already
+//! running; within a lane callers are served FIFO.
 //! A permit is a guard released on drop, so a query that unwinds still hands
 //! its permit on.  There is no batching window: on an idle service a query
 //! starts the moment it is admitted.
 //!
 //! Admission control bounds the parked callers and sheds doomed deadlines.
 //! When `queue_capacity` callers are already parked, [`Scheduler::submit`]
-//! returns [`SubmitError::Overloaded`].  When a job carries a [`Deadline`]
-//! that has already expired — or that an EWMA of recent per-query engine
-//! times predicts will expire while the callers ahead of it run — submit
-//! returns [`SubmitError::DeadlineUnmeetable`].  Only the parked callers
+//! returns [`SubmitError::Overloaded`].  When a request carries a
+//! [`Deadline`] that has already expired — or that an EWMA of recent
+//! per-query engine times predicts will expire while the callers ahead of it
+//! run — submit returns [`SubmitError::DeadlineUnmeetable`].  Only the parked callers
 //! that take a permit first count as ahead: the interactive lane for an
-//! interactive job, both lanes for a batch-lane job.  The HTTP layer sheds
-//! both with a `503` + `Retry-After` instead of letting latency collapse for
-//! everyone.  Jobs admitted *with* a deadline carry it into the engine, so a
-//! deadline that expires while parked or mid-solve still yields the solver's
-//! best-so-far incumbent (`partial: true`) rather than nothing.
+//! interactive request, both lanes for a batch-lane request.  The HTTP layer
+//! sheds both with a `503` + `Retry-After` instead of letting latency
+//! collapse for everyone.  Requests admitted *with* a deadline carry it into
+//! the engine, so a deadline that expires while parked or mid-solve still
+//! yields the solver's best-so-far incumbent (`partial: true`) rather than
+//! nothing.
 
 use crate::metrics::ServiceMetrics;
 use crate::sync::{lock_or_recover, wait_or_recover};
 use lcmsr_core::cancel::Deadline;
-use lcmsr_core::engine::{
-    Algorithm, LcmsrEngine, Priority, QueryOutcome, QueryRequest, QueryResult, TopKResult,
-};
+use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOutcome, QueryRequest};
 use lcmsr_core::error::Result as LcmsrResult;
-use lcmsr_core::query::LcmsrQuery;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,70 +61,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// What kind of answer a job wants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobKind {
-    /// Single best region.
-    Single,
-    /// Top-k regions.
-    TopK(usize),
-}
-
-/// One query job handed to the scheduler.
-#[derive(Debug, Clone)]
-pub struct QueryJob {
-    /// The validated query.
-    pub query: LcmsrQuery,
-    /// The algorithm to run.
-    pub algorithm: Algorithm,
-    /// Single-best or top-k.
-    pub kind: JobKind,
-    /// Scheduling lane: interactive callers get free permits before batch
-    /// callers.
-    pub priority: Priority,
-    /// Optional deadline, stamped when the request entered the service so
-    /// the wait for a permit counts against the budget.
-    pub deadline: Option<Deadline>,
-    /// Run with span tracing enabled (decided by the service's diagnostics
-    /// sampling at admission; inert collector when false).
-    pub trace: bool,
-    /// Run in cache mode: consult the engine's response cache and keep
-    /// session scratch for incremental re-query.  The service defaults this
-    /// on for the interactive lane.
-    pub cache: bool,
-}
-
-impl QueryJob {
-    /// An interactive, deadline-free, untraced job (the common case).
-    pub fn new(query: LcmsrQuery, algorithm: Algorithm, kind: JobKind) -> Self {
-        QueryJob {
-            query,
-            algorithm,
-            kind,
-            priority: Priority::Interactive,
-            deadline: None,
-            trace: false,
-            cache: false,
-        }
-    }
-}
-
-/// A completed job.
-#[derive(Debug, Clone)]
-pub enum JobOutput {
-    /// Result of a [`JobKind::Single`] job.
-    Single(QueryResult),
-    /// Result of a [`JobKind::TopK`] job.
-    TopK(TopKResult),
-}
-
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// `queue_capacity` callers are already parked — shed with `503`.
     Overloaded,
-    /// The job's deadline has already expired, or the predicted wait for a
-    /// permit exceeds what is left of it — shed with `503` + `Retry-After`
+    /// The request's deadline has already expired, or the predicted wait for
+    /// a permit exceeds what is left of it — shed with `503` + `Retry-After`
     /// now instead of burning engine time on an answer nobody is waiting for.
     DeadlineUnmeetable,
     /// The scheduler is shutting down.
@@ -273,28 +215,30 @@ impl Scheduler {
         self.config.batch_workers.max(1)
     }
 
-    /// Admits `job`, waits on the calling thread for a permit, and runs the
-    /// query there.  The outer error is a shed or shutdown refusal; the inner
-    /// result is the engine's answer or its query error.
-    pub fn submit(&self, job: &QueryJob) -> Result<LcmsrResult<JobOutput>, SubmitError> {
-        let permit = self.admit(job.priority, job.deadline.as_ref())?;
+    /// Admits `request` in the lane of its priority, waits on the calling
+    /// thread for a permit, and runs the query there; the request's deadline
+    /// counts against admission.  The outer error is a shed or shutdown
+    /// refusal; the inner result is the engine's answer, with the wait for
+    /// the permit in `stats.queue_time`, or its query error.
+    pub fn submit(
+        &self,
+        request: &QueryRequest<'_>,
+    ) -> Result<LcmsrResult<QueryOutcome>, SubmitError> {
+        let options = &request.options;
+        let permit = self.admit(options.priority, options.deadline.as_ref())?;
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         self.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let outcome = self.engine.execute(&build_request(job));
+        let outcome = self.engine.execute(request);
         let ran_for = started.elapsed();
         let queued_for = permit.queued_for;
         drop(permit);
         // Only answered queries feed the EWMA: a query the engine rejects up
         // front says nothing about how long a permit is held.
-        Ok(outcome.map(|outcome| {
+        Ok(outcome.map(|mut outcome| {
             self.record_service_time(ran_for);
-            let mut output = into_output(outcome, job.kind);
-            match &mut output {
-                JobOutput::Single(result) => result.stats.queue_time = queued_for,
-                JobOutput::TopK(result) => result.stats.queue_time = queued_for,
-            }
-            output
+            outcome.stats.queue_time = queued_for;
+            outcome
         }))
     }
 
@@ -407,7 +351,7 @@ impl Scheduler {
         )
     }
 
-    /// Stops admitting jobs: later submits get [`SubmitError::ShuttingDown`],
+    /// Stops admitting requests: later submits get [`SubmitError::ShuttingDown`],
     /// while callers already admitted still run to completion on their own
     /// threads.  Idempotent.
     pub fn shutdown(&self) {
@@ -415,34 +359,12 @@ impl Scheduler {
     }
 }
 
-/// Builds the engine-level request for a job; the job's deadline rides along.
-fn build_request(job: &QueryJob) -> QueryRequest<'_> {
-    let mut request = QueryRequest::new(&job.query, job.algorithm.clone())
-        .priority(job.priority)
-        .trace(job.trace)
-        .cache(job.cache);
-    if let JobKind::TopK(k) = job.kind {
-        request = request.top_k(k);
-    }
-    if let Some(deadline) = job.deadline {
-        request = request.deadline(deadline);
-    }
-    request
-}
-
-/// Shapes an engine outcome into the job's requested output form.
-fn into_output(outcome: QueryOutcome, kind: JobKind) -> JobOutput {
-    match kind {
-        JobKind::Single => JobOutput::Single(outcome.into_single()),
-        JobKind::TopK(_) => JobOutput::TopK(outcome.into_topk()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::leak_engine;
-    use lcmsr_core::TgenParams;
+    use lcmsr_core::query::LcmsrQuery;
+    use lcmsr_core::{Algorithm, TgenParams};
     use lcmsr_geotext::collection::ObjectCollection;
     use lcmsr_geotext::object::GeoTextObject;
     use lcmsr_roadnet::builder::GraphBuilder;
@@ -481,38 +403,20 @@ mod tests {
         leak_engine(network, collection)
     }
 
-    fn job(engine: &LcmsrEngine<'_>, delta: f64, kind: JobKind) -> QueryJob {
+    /// A restaurant query over the whole grid with length budget `delta`.
+    fn query(engine: &LcmsrEngine<'_>, delta: f64) -> LcmsrQuery {
         let roi = engine.network().bounding_rect().unwrap().expanded(10.0);
-        QueryJob::new(
-            LcmsrQuery::new(["restaurant"], delta, roi).unwrap(),
-            Algorithm::Tgen(TgenParams { alpha: 1.0 }),
-            kind,
-        )
+        LcmsrQuery::new(["restaurant"], delta, roi).unwrap()
     }
 
-    fn batch_job(engine: &LcmsrEngine<'_>, delta: f64) -> QueryJob {
-        QueryJob {
-            priority: Priority::Batch,
-            ..job(engine, delta, JobKind::Single)
-        }
+    /// An interactive, deadline-free, untraced, cache-off TGEN request.
+    fn request(query: &LcmsrQuery) -> QueryRequest<'_> {
+        QueryRequest::new(query, Algorithm::Tgen(TgenParams { alpha: 1.0 }))
     }
 
-    /// Direct engine answer for comparison against served results.
-    fn direct_single(engine: &LcmsrEngine<'_>, query: &LcmsrQuery) -> QueryResult {
-        engine
-            .execute(&QueryRequest::new(
-                query,
-                Algorithm::Tgen(TgenParams { alpha: 1.0 }),
-            ))
-            .unwrap()
-            .into_single()
-    }
-
-    fn single(submitted: Result<LcmsrResult<JobOutput>, SubmitError>) -> QueryResult {
-        match submitted.unwrap().unwrap() {
-            JobOutput::Single(result) => result,
-            other => panic!("expected single, got {other:?}"),
-        }
+    /// The answer of an admitted request the engine accepted.
+    fn served(submitted: Result<LcmsrResult<QueryOutcome>, SubmitError>) -> QueryOutcome {
+        submitted.unwrap().unwrap()
     }
 
     fn start(engine: &'static LcmsrEngine<'static>, config: BatchConfig) -> Scheduler {
@@ -553,10 +457,10 @@ mod tests {
             for &delta in &deltas {
                 let scheduler = &scheduler;
                 scope.spawn(move || {
-                    let query = job(engine, delta, JobKind::Single);
-                    let served = single(scheduler.submit(&query));
-                    let direct = direct_single(engine, &query.query);
-                    assert_eq!(served.region, direct.region, "delta {delta}");
+                    let q = query(engine, delta);
+                    let answer = served(scheduler.submit(&request(&q)));
+                    let direct = engine.execute(&request(&q)).unwrap();
+                    assert_eq!(answer.regions, direct.regions, "delta {delta}");
                 });
             }
         });
@@ -572,9 +476,9 @@ mod tests {
     fn a_lone_job_on_an_idle_scheduler_runs_without_queueing() {
         let engine = leaked_engine();
         let scheduler = start(engine, BatchConfig::default());
-        let result = single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+        let result = served(scheduler.submit(&request(&query(engine, 300.0))));
         assert_eq!(result.stats.queue_time, Duration::ZERO);
-        assert!(result.region.is_some());
+        assert!(result.best().is_some());
         assert!(result.stats.prepare_time + result.stats.solve_time <= result.stats.elapsed);
     }
 
@@ -622,25 +526,24 @@ mod tests {
             Arc::clone(&metrics),
         );
         let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        let queries = [100.0, 200.0, 300.0].map(|delta| query(engine, delta));
         std::thread::scope(|scope| {
-            let parked: Vec<_> = [100.0, 200.0]
-                .into_iter()
-                .map(|delta| {
+            let parked: Vec<_> = queries[..2]
+                .iter()
+                .map(|q| {
                     let scheduler = &scheduler;
-                    scope.spawn(move || scheduler.submit(&job(engine, delta, JobKind::Single)))
+                    scope.spawn(move || scheduler.submit(&request(q)))
                 })
                 .collect();
             wait_parked(&scheduler, 2);
             assert_eq!(
-                scheduler
-                    .submit(&job(engine, 300.0, JobKind::Single))
-                    .unwrap_err(),
+                scheduler.submit(&request(&queries[2])).unwrap_err(),
                 SubmitError::Overloaded
             );
             assert_eq!(metrics.shed.load(Ordering::Relaxed), 1);
             drop(held);
             for handle in parked {
-                single(handle.join().unwrap());
+                served(handle.join().unwrap());
             }
         });
         // The shed submission was never admitted.
@@ -656,11 +559,10 @@ mod tests {
             let (deadline_tx, deadline_rx) = mpsc::channel();
             let scheduler = &scheduler;
             let parked = scope.spawn(move || {
-                let mut doomed = job(engine, 300.0, JobKind::Single);
+                let doomed = query(engine, 300.0);
                 let deadline = Deadline::after(Duration::from_millis(50));
-                doomed.deadline = Some(deadline);
                 deadline_tx.send(deadline).unwrap();
-                scheduler.submit(&doomed)
+                scheduler.submit(&request(&doomed).deadline(deadline))
             });
             let deadline = deadline_rx.recv().unwrap();
             wait_parked(scheduler, 1);
@@ -668,7 +570,7 @@ mod tests {
                 std::thread::yield_now();
             }
             drop(held);
-            single(parked.join().unwrap())
+            served(parked.join().unwrap())
         });
         assert!(
             result.stats.partial,
@@ -687,16 +589,15 @@ mod tests {
         let held = scheduler.admit(Priority::Interactive, None).unwrap();
         let (result, held_for) = std::thread::scope(|scope| {
             let scheduler = &scheduler;
-            let parked =
-                scope.spawn(move || scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+            let parked = scope.spawn(move || scheduler.submit(&request(&query(engine, 300.0))));
             wait_parked(scheduler, 1);
             // The caller is parked from here on; keep the permit across some
             // real engine work before handing it over.
             let observed = Instant::now();
-            direct_single(engine, &job(engine, 200.0, JobKind::Single).query);
+            engine.execute(&request(&query(engine, 200.0))).unwrap();
             let held_for = observed.elapsed();
             drop(held);
-            (single(parked.join().unwrap()), held_for)
+            (served(parked.join().unwrap()), held_for)
         });
         assert!(
             result.stats.queue_time >= held_for,
@@ -712,19 +613,18 @@ mod tests {
         let held = scheduler.admit(Priority::Interactive, None).unwrap();
         std::thread::scope(|scope| {
             let scheduler = &scheduler;
-            let parked =
-                scope.spawn(move || scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+            let parked = scope.spawn(move || scheduler.submit(&request(&query(engine, 300.0))));
             wait_parked(scheduler, 1);
             scheduler.shutdown();
             scheduler.shutdown(); // idempotent
             assert_eq!(
                 scheduler
-                    .submit(&job(engine, 100.0, JobKind::Single))
+                    .submit(&request(&query(engine, 100.0)))
                     .unwrap_err(),
                 SubmitError::ShuttingDown
             );
             drop(held);
-            assert!(single(parked.join().unwrap()).region.is_some());
+            assert!(served(parked.join().unwrap()).best().is_some());
         });
     }
 
@@ -743,7 +643,7 @@ mod tests {
         assert!(crashed.is_err());
         // The only permit came back: the next submit runs instead of parking
         // forever.
-        let result = single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+        let result = served(scheduler.submit(&request(&query(engine, 300.0))));
         assert_eq!(result.stats.queue_time, Duration::ZERO);
     }
 
@@ -752,10 +652,10 @@ mod tests {
         let engine = leaked_engine();
         let scheduler = start(engine, BatchConfig::default());
         // Exact over the whole 25-node grid exceeds the solver's node cap.
-        let mut exact = job(engine, 300.0, JobKind::Single);
-        exact.algorithm = Algorithm::Exact;
+        let q = query(engine, 300.0);
+        let exact = QueryRequest::new(&q, Algorithm::Exact);
         assert!(scheduler.submit(&exact).unwrap().is_err());
-        single(scheduler.submit(&job(engine, 300.0, JobKind::Single)));
+        served(scheduler.submit(&request(&q)));
     }
 
     #[test]
@@ -763,8 +663,8 @@ mod tests {
         let engine = leaked_engine();
         let metrics = Arc::new(ServiceMetrics::new());
         let scheduler = Scheduler::new(engine, BatchConfig::default(), Arc::clone(&metrics));
-        let mut doomed = job(engine, 300.0, JobKind::Single);
-        doomed.deadline = Some(Deadline::after(Duration::ZERO));
+        let q = query(engine, 300.0);
+        let doomed = request(&q).deadline(Deadline::after(Duration::ZERO));
         assert_eq!(
             scheduler.submit(&doomed).unwrap_err(),
             SubmitError::DeadlineUnmeetable
@@ -802,32 +702,34 @@ mod tests {
             .service_time_ns
             .store(10_000_000, Ordering::Relaxed);
         let held = scheduler.admit(Priority::Interactive, None).unwrap();
+        let q = query(engine, 300.0);
         std::thread::scope(|scope| {
             let scheduler = &scheduler;
             let bulk: Vec<_> = (0..8)
                 .map(|i| {
-                    scope.spawn(move || scheduler.submit(&batch_job(engine, 100.0 + f64::from(i))))
+                    scope.spawn(move || {
+                        let q = query(engine, 100.0 + f64::from(i));
+                        scheduler.submit(&request(&q).priority(Priority::Batch))
+                    })
                 })
                 .collect();
             wait_parked(scheduler, 8);
-            // A batch-lane job queues behind all eight: 80 ms > 50 ms.
-            let mut late_bulk = batch_job(engine, 300.0);
-            late_bulk.deadline = Some(Deadline::after(Duration::from_millis(50)));
+            // A batch-lane request queues behind all eight: 80 ms > 50 ms.
+            let late_bulk = request(&q)
+                .priority(Priority::Batch)
+                .deadline(Deadline::after(Duration::from_millis(50)));
             assert_eq!(
                 scheduler.submit(&late_bulk).unwrap_err(),
                 SubmitError::DeadlineUnmeetable
             );
-            // An interactive job overtakes them all, so nothing is ahead.
-            let interactive = scope.spawn(move || {
-                let mut urgent = job(engine, 300.0, JobKind::Single);
-                urgent.deadline = Some(Deadline::after(Duration::from_millis(50)));
-                scheduler.submit(&urgent)
-            });
+            // An interactive request overtakes them all, so nothing is ahead.
+            let urgent = request(&q).deadline(Deadline::after(Duration::from_millis(50)));
+            let interactive = scope.spawn(move || scheduler.submit(&urgent));
             wait_parked(scheduler, 9);
             drop(held);
-            single(interactive.join().unwrap());
+            served(interactive.join().unwrap());
             for handle in bulk {
-                single(handle.join().unwrap());
+                served(handle.join().unwrap());
             }
         });
     }
@@ -856,7 +758,7 @@ mod tests {
         let scheduler = start(engine, BatchConfig::default());
         // Fresh scheduler: nobody parked, no EWMA → the 1 s floor.
         assert_eq!(scheduler.retry_after_secs(), 1);
-        single(scheduler.submit(&job(engine, 200.0, JobKind::Single)));
+        served(scheduler.submit(&request(&query(engine, 200.0))));
         // With a (tiny) EWMA sample and nobody parked the floor still holds,
         // and the estimate always stays within the clamp.
         let estimate = scheduler.retry_after_secs();
@@ -864,24 +766,26 @@ mod tests {
     }
 
     #[test]
-    fn jobs_default_to_cache_off_and_carry_the_flag() {
+    fn requests_default_to_cache_off_and_carry_their_options() {
         let engine = leaked_engine();
-        let plain = job(engine, 200.0, JobKind::Single);
-        assert!(!plain.cache, "classic jobs must not touch the cache");
-        let mut cached = job(engine, 200.0, JobKind::Single);
-        cached.cache = true;
+        let q = query(engine, 200.0);
+        assert!(
+            !request(&q).options.cache,
+            "classic requests must not touch the cache"
+        );
+        let cached = request(&q).cache(true);
         let scheduler = start(engine, BatchConfig::default());
-        let result = single(scheduler.submit(&cached));
+        let result = served(scheduler.submit(&cached));
         assert!(result.stats.cache, "the cache flag must reach the engine");
-        // A repeat of the same job replays from the response cache.
-        let result = single(scheduler.submit(&cached));
+        // A repeat of the same request replays from the response cache.
+        let result = served(scheduler.submit(&cached));
         assert!(result.stats.cache_hit, "the repeat must hit the cache");
-        // Top-k jobs come back in top-k form.
-        let topk = scheduler
-            .submit(&job(engine, 300.0, JobKind::TopK(2)))
-            .unwrap()
-            .unwrap();
-        assert!(matches!(topk, JobOutput::TopK(_)), "{topk:?}");
+        // A top-k request comes back with the engine's top-k answer.
+        let wide = query(engine, 300.0);
+        let topk = served(scheduler.submit(&request(&wide).top_k(2)));
+        let direct = engine.execute(&request(&wide).top_k(2)).unwrap();
+        assert_eq!(topk.regions.len(), 2, "{:?}", topk.regions);
+        assert_eq!(topk.regions, direct.regions);
     }
 
     #[test]
@@ -900,7 +804,7 @@ mod tests {
         );
         // A served query feeds its own engine time, undivided.
         let fresh = start(engine, BatchConfig::default());
-        let result = single(fresh.submit(&job(engine, 300.0, JobKind::Single)));
+        let result = served(fresh.submit(&request(&query(engine, 300.0))));
         let sample = fresh.service_time_ns.load(Ordering::Relaxed);
         assert!(sample > 0);
         assert!(

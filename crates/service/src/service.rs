@@ -17,14 +17,14 @@
 //! line stamped with the id, and retained traces carry it, so a single id
 //! connects a client's log line, the server's, and the `/debug` surfaces.
 
-use crate::api::{error_body, QueryRequest, QueryResponse};
+use crate::api::{self, error_body, QueryResponse};
 use crate::diag::{Diagnostics, DiagnosticsConfig, TraceRing, REQUEST_ID_HEADER};
 use crate::http::{self, Handler, HttpRequest, HttpResponse, ServerConfig, ServerHandle};
 use crate::json::Json;
 use crate::metrics::ServiceMetrics;
-use crate::scheduler::{BatchConfig, JobKind, JobOutput, QueryJob, Scheduler, SubmitError};
+use crate::scheduler::{BatchConfig, Scheduler, SubmitError};
 use lcmsr_core::cancel::Deadline;
-use lcmsr_core::engine::{LcmsrEngine, Priority};
+use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOptions, QueryRequest};
 use lcmsr_core::trace::QueryTrace;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -110,37 +110,36 @@ impl ServiceHandlerInner {
         let body = request
             .body_utf8()
             .ok_or_else(|| client_error("request body must be UTF-8".into()))?;
-        let parsed = QueryRequest::from_body(body).map_err(|e| client_error(e.message))?;
+        let parsed = api::QueryRequest::from_body(body).map_err(|e| client_error(e.message))?;
         let query = parsed.to_query().map_err(|e| client_error(e.message))?;
         let algorithm = parsed.to_algorithm().map_err(|e| client_error(e.message))?;
         let priority = parsed.to_priority().map_err(|e| client_error(e.message))?;
-        let kind = match parsed.k {
-            Some(k) => JobKind::TopK(k),
-            None => JobKind::Single,
-        };
-        // The deadline clock starts here, at decode time, so every later
-        // stage — queue wait included — counts against the budget.
-        let deadline = parsed
-            .deadline_ms
-            .map(|ms| Deadline::after(Duration::from_millis(ms)));
-        // Interactive traffic defaults into the response cache (pan/zoom
-        // sessions repeat themselves); batch sweeps default out.  Either
-        // lane can override explicitly with the request's `cache` field.
-        let cache = parsed.cache.unwrap_or(priority == Priority::Interactive);
-        let job = QueryJob {
-            query,
+        let request = QueryRequest {
+            query: &query,
             algorithm,
-            kind,
-            priority,
-            deadline,
-            trace: trace_enabled,
-            cache,
+            options: QueryOptions {
+                k: parsed.k,
+                // The deadline clock starts here, at decode time, so every
+                // later stage — queue wait included — counts against the
+                // budget.
+                deadline: parsed
+                    .deadline_ms
+                    .map(|ms| Deadline::after(Duration::from_millis(ms))),
+                cancel: None,
+                priority,
+                trace: trace_enabled,
+                // Interactive traffic defaults into the response cache
+                // (pan/zoom sessions repeat themselves); batch sweeps default
+                // out.  Either lane can override explicitly with the
+                // request's `cache` field.
+                cache: parsed.cache.unwrap_or(priority == Priority::Interactive),
+            },
         };
         // The query runs on this HTTP worker once the scheduler grants it a
         // permit; the scheduler counts it in `queries` at admission.
-        let output = self
+        let outcome = self
             .scheduler
-            .submit(&job)
+            .submit(&request)
             .map_err(|e| {
                 // Shed counting happens inside the scheduler; every shed
                 // variant maps to a 503 with a Retry-After derived from the
@@ -158,18 +157,9 @@ impl ServiceHandlerInner {
                 // an oversized region): the client's fault, not the server's.
                 client_error(format!("query failed: {e}"))
             })?;
-        let (response, trace) = match output {
-            JobOutput::Single(result) => {
-                self.metrics.record_prepare_split(&result.stats);
-                self.metrics.record_cache_path(&result.stats);
-                (QueryResponse::from_single(&result), result.trace)
-            }
-            JobOutput::TopK(result) => {
-                self.metrics.record_prepare_split(&result.stats);
-                self.metrics.record_cache_path(&result.stats);
-                (QueryResponse::from_topk(&result), result.trace)
-            }
-        };
+        self.metrics.record_prepare_split(&outcome.stats);
+        self.metrics.record_cache_path(&outcome.stats);
+        let response = QueryResponse::from_outcome(&outcome);
         if response.stats.partial {
             self.metrics.partial.fetch_add(1, Ordering::Relaxed);
         }
@@ -178,7 +168,7 @@ impl ServiceHandlerInner {
             algorithm: response.stats.algorithm.clone(),
             queue_time: Duration::from_nanos(response.stats.queue_ns),
             partial: response.stats.partial,
-            trace,
+            trace: outcome.trace,
         })
     }
 

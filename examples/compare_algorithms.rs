@@ -42,10 +42,9 @@ fn main() {
             let started = Instant::now();
             let result = engine
                 .execute(&QueryRequest::new(&lcmsr_query, algorithm.clone()))
-                .expect("query runs")
-                .into_single();
+                .expect("query runs");
             runtimes[i] += started.elapsed().as_secs_f64() * 1_000.0;
-            weights[i].push(result.region.map_or(0.0, |r| r.weight));
+            weights[i].push(result.best().map_or(0.0, |r| r.weight));
         }
     }
 

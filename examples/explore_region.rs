@@ -46,10 +46,9 @@ fn main() {
     for algorithm in &algorithms {
         let result = engine
             .execute(&QueryRequest::new(&query, algorithm.clone()))
-            .expect("query runs")
-            .into_single();
+            .expect("query runs");
         println!("\n=== {} ===", algorithm.name());
-        let Some(region) = result.region else {
+        let Some(region) = result.best() else {
             println!("no relevant region found");
             continue;
         };

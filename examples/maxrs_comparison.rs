@@ -43,8 +43,7 @@ fn main() {
         let lcmsr_weight = engine
             .execute(&request)
             .expect("query runs")
-            .into_single()
-            .region
+            .best()
             .map_or(0.0, |r| r.weight);
         let lcmsr_better = !maxrs.connected_in_network || lcmsr_weight >= maxrs.weight * 0.98;
         if lcmsr_better {

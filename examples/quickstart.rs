@@ -43,9 +43,8 @@ fn main() {
     for algorithm in &algorithms {
         let result = engine
             .execute(&QueryRequest::new(&query, algorithm.clone()))
-            .expect("query runs")
-            .into_single();
-        match &result.region {
+            .expect("query runs");
+        match result.best() {
             Some(region) => println!(
                 "{:<8} {:>10.4} {:>12.1} {:>8} {:>12.2}",
                 algorithm.name(),

@@ -26,8 +26,7 @@ fn main() {
     ] {
         let result = engine
             .execute(&QueryRequest::new(&query, algorithm.clone()).top_k(k))
-            .expect("query runs")
-            .into_topk();
+            .expect("query runs");
         println!(
             "=== {} (top-{k}) — {:.2} ms ===",
             algorithm.name(),
@@ -56,18 +55,15 @@ fn main() {
     let coarse = Algorithm::Tgen(TgenParams::default());
     let single = engine
         .execute(&QueryRequest::new(&query, coarse.clone()))
-        .expect("query runs")
-        .into_single()
-        .region;
+        .expect("query runs");
     let top = engine
         .execute(&QueryRequest::new(&query, coarse.clone()).top_k(k))
-        .expect("query runs")
-        .into_topk();
+        .expect("query runs");
     println!(
         "=== TGEN with default α = {} (coarse scaling) ===",
         TgenParams::default().alpha
     );
-    match (&single, top.regions.first()) {
+    match (single.best(), top.regions.first()) {
         (Some(s), Some(t)) => println!(
             "  single best weight {:.4} | top-1 weight {:.4} ({} alternatives returned)",
             s.weight,
@@ -76,7 +72,7 @@ fn main() {
         ),
         _ => println!(
             "  single: {:?}, top-k: {} regions — INCONSISTENT",
-            single.is_some(),
+            single.best().is_some(),
             top.regions.len()
         ),
     }

@@ -38,8 +38,8 @@
 //! let roi = dataset.network.bounding_rect().unwrap();
 //! let query = LcmsrQuery::new(["restaurant"], 1_500.0, roi).unwrap();
 //! let request = QueryRequest::new(&query, Algorithm::Tgen(TgenParams { alpha: 50.0 }));
-//! let result = engine.execute(&request).unwrap().into_single();
-//! if let Some(region) = result.region {
+//! let outcome = engine.execute(&request).unwrap();
+//! if let Some(region) = outcome.best() {
 //!     assert!(region.length <= 1_500.0);
 //!     assert!(region.weight > 0.0);
 //! }

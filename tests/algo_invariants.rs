@@ -121,14 +121,14 @@ proptest! {
 
         let exact = run1(&engine, &query, &Algorithm::Exact)
             .expect("16 nodes is within the exact solver's limit")
-            .region
+            .best().cloned()
             .expect("relevant objects exist");
         prop_assert!(exact.length <= delta + 1e-9, "Exact must respect Q.∆");
 
         for algorithm in heuristics() {
             let result = run1(&engine, &query, &algorithm).unwrap();
             let region = result
-                .region
+                .best()
                 .unwrap_or_else(|| panic!("{} found no region", algorithm.name()));
             // Budget feasibility for the single result.
             prop_assert!(
@@ -190,7 +190,7 @@ proptest! {
 
     /// The exact top-1 equals the exact single answer, and the heuristics'
     /// top-1 matches their own single answer — the shared-quality-order
-    /// contract that makes `run_topk(…, 1)` a drop-in for `run`.
+    /// contract that makes a top-1 request a drop-in for a single-region one.
     #[test]
     fn top1_agrees_with_the_single_answer(
         restaurants in collection::btree_set(0usize..16, 2..8),
@@ -207,7 +207,7 @@ proptest! {
             Algorithm::Tgen(TgenParams { alpha: 0.5 }),
             Algorithm::Greedy(GreedyParams::default()),
         ] {
-            let single = run1(&engine, &query, &algorithm).unwrap().region;
+            let single = run1(&engine, &query, &algorithm).unwrap().best().cloned();
             let top1 = runk(&engine, &query, &algorithm, 1).unwrap().regions;
             match (&single, top1.first()) {
                 (Some(s), Some(t)) => prop_assert_eq!(s, t, "{} top-1 ≠ single", algorithm.name()),

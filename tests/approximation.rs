@@ -72,12 +72,14 @@ fn app_meets_its_theoretical_guarantee_on_small_instances() {
             let query = LcmsrQuery::new(["restaurant"], delta, whole(&network)).unwrap();
             let exact = run1(&engine, &query, &Algorithm::Exact)
                 .unwrap()
-                .region
+                .best()
+                .cloned()
                 .expect("exact optimum exists");
             let params = AppParams::default();
             let app = run1(&engine, &query, &Algorithm::App(params))
                 .unwrap()
-                .region
+                .best()
+                .cloned()
                 .expect("APP returns a region");
             assert!(app.length <= delta + 1e-6);
             // Theorem 4: weight ≥ (1−α)/(5+5β) of the optimum.
@@ -115,15 +117,18 @@ fn tgen_is_at_least_as_accurate_as_greedy_on_average() {
         let query = LcmsrQuery::new(["restaurant"], 350.0, whole(&network)).unwrap();
         let exact = run1(&engine, &query, &Algorithm::Exact)
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .unwrap();
         let tgen = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 0.5 }))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .unwrap();
         let greedy = run1(&engine, &query, &Algorithm::Greedy(GreedyParams::default()))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .unwrap();
         // Nothing may exceed the optimum.
         assert!(tgen.weight <= exact.weight + 1e-9);
@@ -145,11 +150,13 @@ fn tgen_with_fine_scaling_matches_exact_on_tiny_instances() {
         let query = LcmsrQuery::new(["restaurant"], delta, whole(&network)).unwrap();
         let exact = run1(&engine, &query, &Algorithm::Exact)
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .unwrap();
         let tgen = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 0.1 }))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .unwrap();
         assert!(
             (tgen.weight - exact.weight).abs() < 1e-6,
@@ -175,25 +182,25 @@ proptest! {
         let engine = LcmsrEngine::new(&network, &collection);
         let delta = delta_blocks as f64 * 100.0;
         let query = LcmsrQuery::new(["restaurant"], delta, whole(&network)).unwrap();
-        let exact = run1(&engine, &query, &Algorithm::Exact).unwrap().region.unwrap();
+        let exact = run1(&engine, &query, &Algorithm::Exact).unwrap().best().cloned().unwrap();
         let params = AppParams::default();
         let bound = (1.0 - params.alpha) / (5.0 + 5.0 * params.beta);
 
-        let app = run1(&engine, &query, &Algorithm::App(params)).unwrap().region.unwrap();
+        let app = run1(&engine, &query, &Algorithm::App(params)).unwrap().best().cloned().unwrap();
         prop_assert!(app.length <= delta + 1e-6);
         prop_assert!(app.weight <= exact.weight + 1e-9);
         prop_assert!(app.weight >= bound * exact.weight - 1e-9);
 
         let tgen = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 0.5 }))
             .unwrap()
-            .region
+            .best().cloned()
             .unwrap();
         prop_assert!(tgen.length <= delta + 1e-6);
         prop_assert!(tgen.weight <= exact.weight + 1e-9);
 
         let greedy = run1(&engine, &query, &Algorithm::Greedy(GreedyParams::default()))
             .unwrap()
-            .region
+            .best().cloned()
             .unwrap();
         prop_assert!(greedy.length <= delta + 1e-6);
         prop_assert!(greedy.weight <= exact.weight + 1e-9);

@@ -214,7 +214,7 @@ proptest! {
                 let pooled = run1(&engine, query, algorithm).unwrap();
                 let fresh = run1_with(&engine, &mut QueryWorkspace::new(), query, algorithm)
                     .unwrap();
-                prop_assert_eq!(pooled.region, fresh.region);
+                prop_assert_eq!(pooled.regions, fresh.regions);
             }
         }
     }
@@ -238,13 +238,13 @@ fn pooled_engine_is_bit_identical_on_the_synthetic_dataset() {
         .iter()
         .map(|q| {
             let fresh_engine = LcmsrEngine::new(&dataset.network, &dataset.collection);
-            run1(&fresh_engine, q, &algorithm).unwrap().region
+            run1(&fresh_engine, q, &algorithm).unwrap().regions
         })
         .collect();
     let engine = LcmsrEngine::new(&dataset.network, &dataset.collection);
     for round in 0..3 {
         for (q, expect) in queries.iter().zip(&reference) {
-            let got = run1(&engine, q, &algorithm).unwrap().region;
+            let got = run1(&engine, q, &algorithm).unwrap().regions;
             assert_eq!(&got, expect, "round {round} diverged");
         }
     }

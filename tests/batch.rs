@@ -1,5 +1,5 @@
-//! Batched concurrent execution tests: `run_batch` must be a drop-in
-//! replacement for a sequential loop of `run` calls — same regions, same
+//! Batched concurrent execution tests: `execute_batch_with` must be a drop-in
+//! replacement for a sequential loop of `execute` calls — same regions, same
 //! weights, same lengths, in input order — no matter how many workers execute
 //! the batch, and the prepare/solve split of `RunStats` must be consistent.
 
@@ -55,7 +55,7 @@ fn whole(network: &RoadNetwork) -> Rect {
     network.bounding_rect().unwrap().expanded(10.0)
 }
 
-/// Compares batched results against sequential `run` calls, demanding exact
+/// Compares batched results against sequential `execute` calls, demanding exact
 /// equality of the regions (node sets, edge sets, bitwise weights and
 /// lengths).  The batch is executed `rounds` times on the same engine, so the
 /// engine's workspace pool hands the same recycled workspaces (arenas,
@@ -70,7 +70,7 @@ fn assert_batches_match_sequential(
 ) {
     let sequential: Vec<_> = queries
         .iter()
-        .map(|q| run1(engine, q, algorithm).expect("sequential run").region)
+        .map(|q| run1(engine, q, algorithm).expect("sequential run").regions)
         .collect();
     for round in 0..rounds {
         let batched = batch1_with(engine, queries, algorithm, workers).expect("batch must succeed");
@@ -78,7 +78,7 @@ fn assert_batches_match_sequential(
         for (i, (expect, batch_result)) in sequential.iter().zip(&batched).enumerate() {
             assert_eq!(
                 expect,
-                &batch_result.region,
+                &batch_result.regions,
                 "{} query {i} diverged under {workers} workers in round {round}",
                 algorithm.name()
             );

@@ -1,83 +1,66 @@
-//! Shared helpers for the integration suite: thin wrappers over the unified
-//! [`QueryRequest`] front door that keep the call shapes the pre-PR-6
-//! per-method engine API offered (`run`, `run_topk`, `run_with`,
-//! `run_batch_with`), so the suites stay focused on algorithm behaviour
-//! rather than request plumbing.
+//! Shared helpers for the integration suite: thin wrappers that build the
+//! [`QueryRequest`] for a query and an algorithm and answer it through
+//! [`LcmsrEngine::execute`], `execute_with` or `execute_batch_with`, so the
+//! suites stay focused on algorithm behaviour rather than request plumbing.
 #![allow(dead_code)]
 
-use lcmsr::core::engine::{
-    Algorithm, LcmsrEngine, QueryOutcome, QueryRequest, QueryResult, QueryWorkspace, TopKResult,
-};
+use lcmsr::core::engine::{Algorithm, LcmsrEngine, QueryOutcome, QueryRequest, QueryWorkspace};
 use lcmsr::core::{LcmsrQuery, Result};
 
-/// Answers a single query: `engine.run` over the unified API.
+/// Answers a single-region query with a pooled workspace.
 pub fn run1(
     engine: &LcmsrEngine<'_>,
     query: &LcmsrQuery,
     algorithm: &Algorithm,
-) -> Result<QueryResult> {
-    engine
-        .execute(&QueryRequest::new(query, algorithm.clone()))
-        .map(QueryOutcome::into_single)
+) -> Result<QueryOutcome> {
+    engine.execute(&QueryRequest::new(query, algorithm.clone()))
 }
 
-/// Single query with a caller-owned workspace: `engine.run_with`.
+/// Answers a single-region query with a caller-owned workspace.
 pub fn run1_with(
     engine: &LcmsrEngine<'_>,
     workspace: &mut QueryWorkspace,
     query: &LcmsrQuery,
     algorithm: &Algorithm,
-) -> Result<QueryResult> {
-    engine
-        .execute_with(workspace, &QueryRequest::new(query, algorithm.clone()))
-        .map(QueryOutcome::into_single)
+) -> Result<QueryOutcome> {
+    engine.execute_with(workspace, &QueryRequest::new(query, algorithm.clone()))
 }
 
-/// Top-k query: `engine.run_topk`.
+/// Answers a top-k query with a pooled workspace.
 pub fn runk(
     engine: &LcmsrEngine<'_>,
     query: &LcmsrQuery,
     algorithm: &Algorithm,
     k: usize,
-) -> Result<TopKResult> {
-    engine
-        .execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
-        .map(QueryOutcome::into_topk)
+) -> Result<QueryOutcome> {
+    engine.execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
 }
 
-/// Batched top-k execution on `workers` threads: `engine.run_topk_batch_with`.
+/// Answers a batch of top-k queries on `workers` threads.
 pub fn batchk_with(
     engine: &LcmsrEngine<'_>,
     queries: &[LcmsrQuery],
     algorithm: &Algorithm,
     k: usize,
     workers: usize,
-) -> Result<Vec<TopKResult>> {
+) -> Result<Vec<QueryOutcome>> {
     let requests: Vec<QueryRequest<'_>> = queries
         .iter()
         .map(|q| QueryRequest::new(q, algorithm.clone()).top_k(k))
         .collect();
-    Ok(engine
-        .execute_batch_with(&requests, workers)?
-        .into_iter()
-        .map(QueryOutcome::into_topk)
-        .collect())
+    engine.execute_batch_with(&requests, workers)
 }
 
-/// Batched execution on `workers` threads: `engine.run_batch_with`.
+/// Answers a batch of single-region queries on `workers` threads.
 pub fn batch1_with(
     engine: &LcmsrEngine<'_>,
     queries: &[LcmsrQuery],
     algorithm: &Algorithm,
     workers: usize,
-) -> Result<Vec<QueryResult>> {
+) -> Result<Vec<QueryOutcome>> {
     let requests: Vec<QueryRequest<'_>> = queries
         .iter()
         .map(|q| QueryRequest::new(q, algorithm.clone()))
         .collect();
-    Ok(engine
-        .execute_batch_with(&requests, workers)?
-        .into_iter()
-        .map(QueryOutcome::into_single)
-        .collect())
+    engine.execute_batch_with(&requests, workers)
 }

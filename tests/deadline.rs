@@ -69,8 +69,8 @@ fn whole(network: &RoadNetwork) -> Rect {
 
 /// Exhaustive bitwise equality between two optional regions.
 fn assert_identical(
-    a: &Option<lcmsr::core::Region>,
-    b: &Option<lcmsr::core::Region>,
+    a: Option<&lcmsr::core::Region>,
+    b: Option<&lcmsr::core::Region>,
     context: &str,
 ) {
     match (a, b) {
@@ -120,23 +120,21 @@ proptest! {
         ] {
             let free = engine
                 .execute(&QueryRequest::new(&query, algorithm.clone()))
-                .unwrap()
-                .into_single();
+                .unwrap();
             // A one-hour deadline never fires inside a 16-node solve.
             let deadlined = engine
                 .execute(
                     &QueryRequest::new(&query, algorithm.clone())
                         .deadline(Deadline::after(Duration::from_secs(3600))),
                 )
-                .unwrap()
-                .into_single();
+                .unwrap();
             assert!(!free.stats.partial);
             assert!(
                 !deadlined.stats.partial,
                 "{}: a 1-hour deadline must not fire",
                 algorithm.name()
             );
-            assert_identical(&free.region, &deadlined.region, algorithm.name());
+            assert_identical(free.best(), deadlined.best(), algorithm.name());
         }
     }
 }
@@ -158,8 +156,7 @@ fn tight_deadline_interrupts_exact_with_a_feasible_partial() {
         .execute(
             &QueryRequest::new(&query, Algorithm::Exact).deadline(Deadline::after(Duration::ZERO)),
         )
-        .unwrap()
-        .into_single();
+        .unwrap();
     let elapsed = started.elapsed();
 
     assert!(result.stats.partial, "an expired deadline must interrupt");
@@ -175,14 +172,14 @@ fn tight_deadline_interrupts_exact_with_a_feasible_partial() {
         "interrupted Exact took {elapsed:?}"
     );
     // Anytime: whatever came back must be feasible.
-    if let Some(region) = &result.region {
+    if let Some(region) = result.best() {
         assert!(region.length <= 600.0 + 1e-9);
         assert!(!region.nodes.is_empty());
     }
     // The full run dominates (or matches) any interrupted incumbent.
     let full = run1(&engine, &query, &Algorithm::Exact).unwrap();
-    let full_weight = full.region.as_ref().map_or(0.0, |r| r.weight);
-    let partial_weight = result.region.as_ref().map_or(0.0, |r| r.weight);
+    let full_weight = full.best().map_or(0.0, |r| r.weight);
+    let partial_weight = result.best().map_or(0.0, |r| r.weight);
     assert!(full_weight >= partial_weight - 1e-12);
 }
 
@@ -202,8 +199,7 @@ fn tight_deadline_interrupts_tgen_with_a_feasible_partial() {
             &QueryRequest::new(&query, Algorithm::Tgen(TgenParams { alpha: 1.0 }))
                 .deadline(Deadline::after(Duration::ZERO)),
         )
-        .unwrap()
-        .into_single();
+        .unwrap();
     let elapsed = started.elapsed();
 
     assert!(result.stats.partial);
@@ -215,7 +211,7 @@ fn tight_deadline_interrupts_tgen_with_a_feasible_partial() {
         elapsed < Duration::from_millis(500),
         "interrupted TGEN took {elapsed:?}"
     );
-    if let Some(region) = &result.region {
+    if let Some(region) = result.best() {
         assert!(region.length <= 1200.0 + 1e-9);
     }
 }
@@ -237,11 +233,7 @@ fn batched_members_honour_their_own_deadlines() {
         QueryRequest::new(&q1, tgen.clone()),
         QueryRequest::new(&q2, tgen.clone()).deadline(Deadline::after(Duration::ZERO)),
     ];
-    let outcomes = engine.execute_batch_with(&requests, 2).unwrap();
-    let results: Vec<_> = outcomes
-        .into_iter()
-        .map(lcmsr::prelude::QueryOutcome::into_single)
-        .collect();
+    let results = engine.execute_batch_with(&requests, 2).unwrap();
 
     assert!(
         !results[0].stats.partial,
@@ -249,5 +241,5 @@ fn batched_members_honour_their_own_deadlines() {
     );
     assert!(results[1].stats.partial, "doomed member reports partial");
     let solo = run1(&engine, &q1, &tgen).unwrap();
-    assert_identical(&solo.region, &results[0].region, "undeadlined member");
+    assert_identical(solo.best(), results[0].best(), "undeadlined member");
 }

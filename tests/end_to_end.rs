@@ -37,7 +37,7 @@ fn every_algorithm_returns_feasible_connected_regions() {
         let view = RegionView::new(&dataset.network, query.region_of_interest);
         for algorithm in &algorithms {
             let result = run1(&engine, query, algorithm).expect("query must run");
-            let Some(region) = result.region else {
+            let Some(region) = result.best() else {
                 continue; // a workload query may have sparse areas for some keywords
             };
             // Length constraint.
@@ -93,18 +93,21 @@ fn accuracy_ordering_matches_the_paper() {
     for query in &queries {
         let tgen = run1(&engine, query, &Algorithm::Tgen(TgenParams { alpha: 5.0 }))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .map_or(0.0, |r| r.weight);
         if tgen <= 0.0 {
             continue;
         }
         let app = run1(&engine, query, &Algorithm::App(AppParams::default()))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .map_or(0.0, |r| r.weight);
         let greedy = run1(&engine, query, &Algorithm::Greedy(GreedyParams::default()))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .map_or(0.0, |r| r.weight);
         sums[0] += tgen;
         sums[1] += app;
@@ -133,7 +136,8 @@ fn growing_delta_never_hurts_the_result() {
         let query = LcmsrQuery::new(["restaurant"], delta, roi).unwrap();
         let weight = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 5.0 }))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .map_or(0.0, |r| r.weight);
         assert!(
             weight + 1e-9 >= previous,
@@ -156,7 +160,8 @@ fn growing_the_region_of_interest_never_hurts() {
         let query = LcmsrQuery::new(["cafe", "coffee"], 900.0, roi).unwrap();
         let weight = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 5.0 }))
             .unwrap()
-            .region
+            .best()
+            .cloned()
             .map_or(0.0, |r| r.weight);
         assert!(
             weight + 1e-9 >= previous,
@@ -201,7 +206,7 @@ fn usanw_like_dataset_also_answers_queries() {
     for q in queries {
         let query = LcmsrQuery::new(q.keywords, q.delta, q.rect).unwrap();
         let result = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 5.0 })).unwrap();
-        if let Some(region) = result.region {
+        if let Some(region) = result.best() {
             assert!(region.length <= query.delta + 1e-6);
             answered += 1;
         }

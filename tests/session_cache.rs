@@ -11,9 +11,6 @@ use lcmsr::geotext::{GeoTextObject, ObjectCollection};
 use lcmsr::roadnet::{GraphBuilder, NodeId, Point, Rect, RoadNetwork};
 use proptest::prelude::*;
 
-mod common;
-use common::*;
-
 /// Builds a `side × side` grid road network with `spacing`-metre blocks and a
 /// restaurant at each listed node (index into the row-major grid).
 fn grid_world(
@@ -210,46 +207,4 @@ fn epoch_bump_invalidates_cached_responses_and_sessions() {
     // One stale lookup per pre-bump entry: A's (the recompute above) and B's
     // (evicted when its post-bump delta re-query consulted the cache).
     assert_eq!(engine.response_cache().stale(), 2);
-}
-
-/// The deprecated `run*` shims are documented as routing through `execute`;
-/// their answers must therefore be bit-identical to the unified API's (the
-/// shims add no code path of their own to drift).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_answer_exactly_like_execute() {
-    let (network, collection) = grid_world(5, 100.0, &[0, 2, 9, 11, 14, 20, 23]);
-    let engine = LcmsrEngine::new(&network, &collection);
-    let roi = network.bounding_rect().unwrap().expanded(10.0);
-    let queries: Vec<LcmsrQuery> = (1..=6)
-        .map(|i| LcmsrQuery::new(["restaurant"], i as f64 * 90.0, roi).unwrap())
-        .collect();
-    for algorithm in [
-        Algorithm::Tgen(TgenParams { alpha: 1.0 }),
-        Algorithm::Greedy(GreedyParams::default()),
-    ] {
-        for query in &queries {
-            let via_execute = run1(&engine, query, &algorithm).unwrap();
-            let shim = engine.run(query, &algorithm).unwrap();
-            assert_eq!(shim.region, via_execute.region, "{}", algorithm.name());
-            let mut ws = QueryWorkspace::new();
-            let shim_ws = engine.run_with(&mut ws, query, &algorithm).unwrap();
-            assert_eq!(shim_ws.region, via_execute.region);
-
-            let via_topk = runk(&engine, query, &algorithm, 3).unwrap();
-            let shim_topk = engine.run_topk(query, &algorithm, 3).unwrap();
-            assert_eq!(shim_topk.regions, via_topk.regions);
-        }
-        let via_batch = batch1_with(&engine, &queries, &algorithm, 4).unwrap();
-        let shim_batch = engine.run_batch(&queries, &algorithm).unwrap();
-        assert_eq!(shim_batch.len(), via_batch.len());
-        for (shim, expect) in shim_batch.iter().zip(&via_batch) {
-            assert_eq!(shim.region, expect.region);
-        }
-        let via_batchk = batchk_with(&engine, &queries, &algorithm, 2, 4).unwrap();
-        let shim_batchk = engine.run_topk_batch(&queries, &algorithm, 2).unwrap();
-        for (shim, expect) in shim_batchk.iter().zip(&via_batchk) {
-            assert_eq!(shim.regions, expect.regions);
-        }
-    }
 }

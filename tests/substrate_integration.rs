@@ -83,7 +83,7 @@ fn generated_workloads_are_answerable() {
     for q in queries {
         let query = LcmsrQuery::new(q.keywords.clone(), q.delta, q.rect).unwrap();
         let result = run1(&engine, &query, &Algorithm::Greedy(GreedyParams::default())).unwrap();
-        if result.region.is_some() {
+        if result.best().is_some() {
             answered += 1;
         }
     }

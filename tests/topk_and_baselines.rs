@@ -47,7 +47,7 @@ fn top1_matches_the_single_region_query_for_tgen() {
     let roi = dataset.network.bounding_rect().unwrap();
     let query = LcmsrQuery::new(["bakery", "dessert"], 700.0, roi).unwrap();
     let algorithm = Algorithm::Tgen(TgenParams { alpha: 5.0 });
-    let single = run1(&engine, &query, &algorithm).unwrap().region;
+    let single = run1(&engine, &query, &algorithm).unwrap().best().cloned();
     let top = runk(&engine, &query, &algorithm, 1).unwrap().regions;
     match (single, top.first()) {
         (Some(s), Some(t)) => {
@@ -112,7 +112,8 @@ fn maxrs_baseline_and_section_75_comparison() {
             &Algorithm::Tgen(TgenParams { alpha: 5.0 }),
         )
         .unwrap()
-        .region
+        .best()
+        .cloned()
         .expect("LCMSR region exists when MaxRS found objects");
         // The LCMSR region is connected by construction and network-aware; its
         // weight should be competitive with the rectangle's content.
