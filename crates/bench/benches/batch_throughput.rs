@@ -2,32 +2,32 @@
 //! `execute_batch_with` over scoped workers, plus the fresh-vs-reused `prepare` cost — the two wins the
 //! CSR query graph and the reusable `QueryWorkspace` were built for.
 //!
-//! Unlike the criterion benches this is a plain harness so it can emit a
-//! machine-readable `BENCH_batch.json` (path overridable via
-//! `LCMSR_BENCH_OUT`) that CI archives to track the perf trajectory across
-//! PRs.  Knobs: `LCMSR_SCALE` (dataset size, default `tiny`),
-//! `LCMSR_BATCH_QUERIES` (default 32), `LCMSR_BATCH_WORKERS` (default 4).
-//!
-//! The ≥2× batched-vs-sequential target assumes ≥4 available CPUs; on
+//! Writes `BENCH_batch.json` (see [`lcmsr_bench::harness`] for the
+//! environment it reads).  Batched results must be identical to sequential
+//! output.  The ≥2× batched-vs-sequential gate assumes ≥4 available CPUs; on
 //! smaller machines the benchmark still reports the measured ratio (workspace
-//! reuse alone keeps it ≥1 in practice) but only fails loudly when
-//! `LCMSR_BENCH_STRICT` is set.
+//! reuse alone keeps it ≥1 in practice) but does not gate it.
 
+use lcmsr_bench::harness::{best_secs, gate, strict_from_env, Limit, Report};
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 
+const QUERIES: usize = 32;
+const WORKERS: usize = 4;
+const ROUNDS: usize = 3;
+/// Batched over [`WORKERS`] workers vs sequential, enforced with ≥ WORKERS CPUs.
+const MIN_SPEEDUP: f64 = 2.0;
+
 fn main() {
     let scale = scale_from_env();
-    let num_queries = env_usize("LCMSR_BATCH_QUERIES", 32).max(1);
-    let workers = env_usize("LCMSR_BATCH_WORKERS", 4).max(1);
-    let rounds = env_usize("LCMSR_BATCH_ROUNDS", 3).max(1);
+    let strict = strict_from_env();
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let dataset = ny_dataset(scale);
     let params = dataset.default_query_params(4242);
     let queries = make_workload(
         &dataset,
-        num_queries,
+        QUERIES,
         params.num_keywords,
         params.area_km2,
         params.delta_km,
@@ -38,7 +38,7 @@ fn main() {
     let algorithm = Algorithm::Tgen(TgenParams { alpha });
 
     // -- prepare: fresh workspace per query vs one reused workspace ---------
-    let prep_fresh = best_secs(rounds, || {
+    let prep_fresh = best_secs(ROUNDS, || {
         for q in &queries {
             let _ = engine.prepare(q, alpha).expect("prepare");
         }
@@ -51,7 +51,7 @@ fn main() {
             .expect("prepare");
         engine.release(&mut workspace, g);
     }
-    let prep_reused = best_secs(rounds, || {
+    let prep_reused = best_secs(ROUNDS, || {
         for q in &queries {
             let g = engine
                 .prepare_with(&mut workspace, q, alpha)
@@ -62,48 +62,41 @@ fn main() {
     let prep_speedup = prep_fresh / prep_reused.max(1e-12);
 
     // -- sequential run loop vs batched execution ---------------------------
-    // The strict speedup gate re-measures once before failing: on shared CI
-    // runners a noisy neighbour can depress a single measurement window.
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let min_speedup = env_f64("LCMSR_BENCH_MIN_SPEEDUP", 2.0);
     let requests: Vec<QueryRequest<'_>> = queries
         .iter()
         .map(|q| QueryRequest::new(q, algorithm.clone()))
         .collect();
     let mut sequential_regions = Vec::new();
     let mut batched_regions = Vec::new();
-    let mut seq_secs = 0.0;
-    let mut batch_secs = 0.0;
-    let mut speedup = 0.0;
-    for attempt in 0..2 {
-        seq_secs = best_secs(rounds, || {
-            sequential_regions = requests
-                .iter()
-                .map(|r| engine.execute(r).expect("execute").regions)
-                .collect();
-        });
-        batch_secs = best_secs(rounds, || {
-            batched_regions = engine
-                .execute_batch_with(&requests, workers)
-                .expect("execute_batch_with")
-                .into_iter()
-                .map(|o| o.regions)
-                .collect();
-        });
-        speedup = seq_secs / batch_secs.max(1e-12);
-        if !strict || speedup >= min_speedup || cpus < workers {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!("  speedup {speedup:.2}x below {min_speedup:.1}x target; re-measuring once");
-        }
-    }
+    let (seq_secs, batch_secs, speedup) = gate(
+        strict && cpus >= WORKERS,
+        "batch speedup",
+        Limit::AtLeast(MIN_SPEEDUP),
+        || {
+            let seq_secs = best_secs(ROUNDS, || {
+                sequential_regions = requests
+                    .iter()
+                    .map(|r| engine.execute(r).expect("execute").regions)
+                    .collect();
+            });
+            let batch_secs = best_secs(ROUNDS, || {
+                batched_regions = engine
+                    .execute_batch_with(&requests, WORKERS)
+                    .expect("execute_batch_with")
+                    .into_iter()
+                    .map(|o| o.regions)
+                    .collect();
+            });
+            (seq_secs, batch_secs, seq_secs / batch_secs.max(1e-12))
+        },
+        |&(_, _, speedup)| speedup,
+    );
     let identical = sequential_regions == batched_regions;
     let seq_qps = queries.len() as f64 / seq_secs;
     let batch_qps = queries.len() as f64 / batch_secs;
 
     println!(
-        "batch_throughput (scale {scale:?}, {} queries, {workers} workers, {cpus} CPUs)",
+        "batch_throughput (scale {scale:?}, {} queries, {WORKERS} workers, {cpus} CPUs)",
         queries.len()
     );
     println!("  prepare fresh   : {:>10.1} µs/query", prep_fresh * 1e6);
@@ -116,7 +109,7 @@ fn main() {
         seq_secs * 1e3
     );
     println!(
-        "  batched({workers})      : {:>10.2} ms total  ({batch_qps:.1} q/s)",
+        "  batched({WORKERS})      : {:>10.2} ms total  ({batch_qps:.1} q/s)",
         batch_secs * 1e3
     );
     println!("  batch speedup   : {speedup:.2}x   results identical: {identical}");
@@ -125,23 +118,19 @@ fn main() {
         identical,
         "batched results must be identical to sequential output"
     );
-    if strict && cpus >= workers {
-        assert!(
-            speedup >= min_speedup,
-            "batch speedup {speedup:.2}x below the {min_speedup:.1}x target with {cpus} CPUs"
-        );
-    }
 
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_batch.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"batch_throughput\",\n  \"scale\": \"{scale:?}\",\n  \"queries\": {},\n  \"workers\": {workers},\n  \"cpus\": {cpus},\n  \"prepare_fresh_us_per_query\": {:.3},\n  \"prepare_reused_us_per_query\": {:.3},\n  \"prepare_speedup\": {prep_speedup:.4},\n  \"sequential_ms\": {:.3},\n  \"batch_ms\": {:.3},\n  \"sequential_qps\": {seq_qps:.2},\n  \"batch_qps\": {batch_qps:.2},\n  \"batch_speedup\": {speedup:.4},\n  \"identical_results\": {identical}\n}}\n",
-        queries.len(),
-        prep_fresh * 1e6,
-        prep_reused * 1e6,
-        seq_secs * 1e3,
-        batch_secs * 1e3,
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_batch.json");
-    println!("  wrote {out_path}");
+    Report::new("batch_throughput", "batch", scale)
+        .field("queries", queries.len())
+        .field("workers", WORKERS)
+        .field("cpus", cpus)
+        .field("prepare_fresh_us_per_query", prep_fresh * 1e6)
+        .field("prepare_reused_us_per_query", prep_reused * 1e6)
+        .field("prepare_speedup", prep_speedup)
+        .field("sequential_ms", seq_secs * 1e3)
+        .field("batch_ms", batch_secs * 1e3)
+        .field("sequential_qps", seq_qps)
+        .field("batch_qps", batch_qps)
+        .field("batch_speedup", speedup)
+        .field("identical_results", identical)
+        .write();
 }

@@ -5,9 +5,8 @@
 //! running to completion.  Cooperation is only worth something if the poll
 //! points are dense enough — a solver that checks the clock every few hundred
 //! microseconds overruns a 1 ms deadline by a useless margin.  This plain
-//! harness measures that margin directly and emits a machine-readable
-//! `BENCH_deadline.json` (path overridable via `LCMSR_BENCH_OUT`) so CI can
-//! track the overrun trajectory across PRs.
+//! harness measures that margin directly and writes `BENCH_deadline.json`
+//! (see [`lcmsr_bench::harness`] for the environment it reads).
 //!
 //! Two workloads, both run many times with a tight deadline:
 //!
@@ -20,20 +19,20 @@
 //! For every trial the **overrun ratio** is `observed latency / deadline`; a
 //! run that finishes (or yields) inside the deadline scores below 1.0.  The
 //! report includes the p99 ratio per workload plus the fraction of runs that
-//! returned `partial`.
-//!
-//! Knobs: `LCMSR_SCALE` (TGEN dataset size, default `tiny`),
-//! `LCMSR_DEADLINE_TRIALS` (default 64), `LCMSR_DEADLINE_MS` (default 1).
-//! With `LCMSR_BENCH_STRICT` set the run fails when the deadlined Exact p99
-//! overrun ratio exceeds `LCMSR_BENCH_MAX_OVERRUN` (default 1.25 — a
-//! deadline may be exceeded by at most 25%); it re-measures once to derisk
-//! noisy neighbours.
+//! returned `partial`.  The strict gate holds the deadlined Exact p99 overrun
+//! ratio to at most 1.25 (a deadline may be exceeded by at most 25%).
 
+use lcmsr_bench::harness::{gate, percentile, strict_from_env, Limit, Report};
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_geotext::prelude::*;
 use lcmsr_roadnet::prelude::*;
 use std::time::{Duration, Instant};
+
+const TRIALS: usize = 64;
+const DEADLINE: Duration = Duration::from_millis(1);
+/// Deadlined Exact p99 latency over the deadline.
+const MAX_OVERRUN: f64 = 1.25;
 
 /// A 5×4 grid city — exactly the Exact solver's 20-node limit, so the mask
 /// enumeration is as deep as the solver ever allows (2^20 subsets).
@@ -70,48 +69,33 @@ fn grid_city() -> (RoadNetwork, Vec<GeoTextObject>) {
     (network, objects)
 }
 
-/// Runs `trials` deadlined executions and returns (sorted overrun ratios,
-/// fraction partial).
+/// Runs [`TRIALS`] executions under [`DEADLINE`] and returns (sorted overrun
+/// ratios, fraction partial).
 fn measure_overruns(
     engine: &LcmsrEngine<'_>,
     query: &LcmsrQuery,
     algorithm: &Algorithm,
-    deadline: Duration,
-    trials: usize,
 ) -> (Vec<f64>, f64) {
-    let mut ratios = Vec::with_capacity(trials);
+    let mut ratios = Vec::with_capacity(TRIALS);
     let mut partial = 0usize;
-    for _ in 0..trials {
+    for _ in 0..TRIALS {
         let request =
-            QueryRequest::new(query, algorithm.clone()).deadline(Deadline::after(deadline));
+            QueryRequest::new(query, algorithm.clone()).deadline(Deadline::after(DEADLINE));
         let start = Instant::now();
         let outcome = engine.execute(&request).expect("deadlined run");
         let elapsed = start.elapsed();
-        ratios.push(elapsed.as_secs_f64() / deadline.as_secs_f64().max(1e-12));
+        ratios.push(elapsed.as_secs_f64() / DEADLINE.as_secs_f64());
         if outcome.is_partial() {
             partial += 1;
         }
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (ratios, partial as f64 / trials.max(1) as f64)
-}
-
-/// p99 of an ascending-sorted sample (nearest-rank).
-fn p99(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * 0.99).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    (ratios, partial as f64 / TRIALS as f64)
 }
 
 fn main() {
     let scale = scale_from_env();
-    let trials = env_usize("LCMSR_DEADLINE_TRIALS", 64).max(1);
-    let deadline_ms = env_usize("LCMSR_DEADLINE_MS", 1).max(1);
-    let deadline = Duration::from_millis(deadline_ms as u64);
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let max_overrun = env_f64("LCMSR_BENCH_MAX_OVERRUN", 1.25);
+    let strict = strict_from_env();
 
     // Exact workload: the worst-case grid at the solver's node limit.
     let (grid_network, grid_objects) = grid_city();
@@ -144,40 +128,25 @@ fn main() {
     let alpha = default_tgen_alpha(&dataset, &queries);
     let tgen = Algorithm::Tgen(TgenParams { alpha });
 
-    // The strict gate re-measures once before failing: on shared CI runners a
-    // noisy neighbour can inflate a single measurement window.
-    let mut exact_ratios = Vec::new();
-    let mut exact_partial = 0.0;
-    for attempt in 0..2 {
-        let (ratios, partial) = measure_overruns(
-            &grid_engine,
-            &exact_query,
-            &Algorithm::Exact,
-            deadline,
-            trials,
-        );
-        exact_ratios = ratios;
-        exact_partial = partial;
-        if !strict || p99(&exact_ratios) <= max_overrun {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!(
-                "  exact p99 overrun {:.2}x above the {max_overrun:.2}x ceiling; re-measuring once",
-                p99(&exact_ratios)
-            );
-        }
-    }
-    let (tgen_ratios, tgen_partial) =
-        measure_overruns(&engine, &queries[0], &tgen, deadline, trials);
+    let (exact_ratios, exact_partial) = gate(
+        strict,
+        "deadlined Exact p99 overrun",
+        Limit::AtMost(MAX_OVERRUN),
+        || measure_overruns(&grid_engine, &exact_query, &Algorithm::Exact),
+        |(ratios, _)| percentile(ratios, 0.99),
+    );
+    let (tgen_ratios, tgen_partial) = measure_overruns(&engine, &queries[0], &tgen);
 
-    let exact_p99 = p99(&exact_ratios);
-    let tgen_p99 = p99(&tgen_ratios);
-    println!("deadline (scale {scale:?}, {trials} trials, deadline {deadline_ms} ms)");
+    let exact_p99 = percentile(&exact_ratios, 0.99);
+    let tgen_p99 = percentile(&tgen_ratios, 0.99);
+    println!(
+        "deadline (scale {scale:?}, {TRIALS} trials, deadline {} ms)",
+        DEADLINE.as_millis()
+    );
     println!(
         "  exact free run  : {:>10.1} µs  (deadline is {:.1}x shorter)",
         exact_full_secs * 1e6,
-        exact_full_secs / deadline.as_secs_f64().max(1e-12)
+        exact_full_secs / DEADLINE.as_secs_f64()
     );
     println!(
         "  exact deadlined : p99 overrun {exact_p99:.3}x, {:.0}% partial",
@@ -188,19 +157,14 @@ fn main() {
         tgen_partial * 100.0
     );
 
-    if strict {
-        assert!(
-            exact_p99 <= max_overrun,
-            "deadlined Exact p99 overrun {exact_p99:.2}x exceeds the {max_overrun:.2}x ceiling"
-        );
-    }
-
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_deadline.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"deadline\",\n  \"scale\": \"{scale:?}\",\n  \"trials\": {trials},\n  \"deadline_ms\": {deadline_ms},\n  \"exact_full_run_us\": {:.1},\n  \"exact_p99_overrun\": {exact_p99:.4},\n  \"exact_partial_fraction\": {exact_partial:.4},\n  \"tgen_p99_overrun\": {tgen_p99:.4},\n  \"tgen_partial_fraction\": {tgen_partial:.4},\n  \"max_overrun_gate\": {max_overrun:.2}\n}}\n",
-        exact_full_secs * 1e6,
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_deadline.json");
-    println!("  wrote {out_path}");
+    Report::new("deadline", "deadline", scale)
+        .field("trials", TRIALS)
+        .field("deadline_ms", DEADLINE.as_millis() as u64)
+        .field("exact_full_run_us", exact_full_secs * 1e6)
+        .field("exact_p99_overrun", exact_p99)
+        .field("exact_partial_fraction", exact_partial)
+        .field("tgen_p99_overrun", tgen_p99)
+        .field("tgen_partial_fraction", tgen_partial)
+        .field("max_overrun_gate", MAX_OVERRUN)
+        .write();
 }

@@ -2,16 +2,15 @@
 //! prepare phase at 1M+ nodes — the tier where prepare and solve costs
 //! actually compete.
 //!
-//! A plain harness emitting a machine-readable `BENCH_scale.json` (path
-//! overridable via `LCMSR_BENCH_OUT`).  Over an NY-like network at
-//! `LCMSR_SCALE` (CI's `scale-smoke` job runs `huge`, ~1M nodes) it measures:
+//! It writes `BENCH_scale.json` (see [`lcmsr_bench::harness`] for the
+//! environment it reads).  Over an NY-like network at `LCMSR_SCALE` (CI's
+//! `scale-smoke` job runs `huge`, ~1M nodes) it measures:
 //!
 //! * **index build** — `ObjectCollection::build` over the dataset's objects
-//!   (best of `LCMSR_SCALE_BUILD_ROUNDS`);
+//!   (one build);
 //! * **prepare** — `LcmsrEngine::prepare_with` per query on a warm workspace
-//!   (best of `LCMSR_SCALE_ROUNDS` passes over `LCMSR_SCALE_QUERIES`
-//!   queries), with the grid-score/graph-build split from
-//!   `PrepareBreakdown`;
+//!   (best of 2 passes over 8 queries), with the grid-score/graph-build split
+//!   from `PrepareBreakdown`;
 //! * **peak RSS** — the process's absolute `VmHWM` after the index build and
 //!   at the end of the run;
 //! * **scratch locality** — the prepare scratch (`member_table_len`) must
@@ -21,12 +20,19 @@
 //! Every sampled query's keyword scores are asserted bit-identical
 //! (`to_bits`) to a naive reference that scans every object.
 
+use lcmsr_bench::harness::{best_secs, Report};
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_geotext::collection::ObjectCollection;
 use lcmsr_geotext::vsm::{object_norm, tf_weight, QueryVector};
 use lcmsr_roadnet::geo::Rect;
 use std::collections::BTreeMap;
+
+const QUERIES: usize = 8;
+/// Best-of passes over the prepare workload.
+const ROUNDS: usize = 2;
+/// Best-of index builds.
+const BUILD_ROUNDS: usize = 1;
 
 /// Peak resident set (`VmHWM`) in KiB, when the platform exposes it.
 fn peak_rss_kib() -> Option<u64> {
@@ -72,9 +78,6 @@ fn naive_scores(collection: &ObjectCollection, query: &QueryVector, rect: &Rect)
 
 fn main() {
     let scale = scale_from_env();
-    let num_queries = env_usize("LCMSR_SCALE_QUERIES", 8).max(1);
-    let rounds = env_usize("LCMSR_SCALE_ROUNDS", 2).max(1);
-    let build_rounds = env_usize("LCMSR_SCALE_BUILD_ROUNDS", 1).max(1);
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     println!("scale (building NY-like dataset at {scale:?}…)");
@@ -95,7 +98,7 @@ fn main() {
     // its input); it is a small share of the build.
     let objects = dataset.collection.objects().to_vec();
     let cell_size = dataset.config.cell_size;
-    let index_build_secs = best_secs(build_rounds, || {
+    let index_build_secs = best_secs(BUILD_ROUNDS, || {
         let built = ObjectCollection::build(&dataset.network, objects.clone(), cell_size)
             .expect("index build");
         assert_eq!(built.len(), object_count);
@@ -107,7 +110,7 @@ fn main() {
     let params = dataset.default_query_params(2026);
     let queries = make_workload(
         &dataset,
-        num_queries,
+        QUERIES,
         params.num_keywords,
         params.area_km2,
         params.delta_km,
@@ -160,7 +163,7 @@ fn main() {
     }
     grid_score_secs /= queries.len() as f64;
     graph_build_secs /= queries.len() as f64;
-    let prepare_secs = best_secs(rounds, || {
+    let prepare_secs = best_secs(ROUNDS, || {
         for q in &queries {
             let g = engine
                 .prepare_with(&mut workspace, q, alpha)
@@ -234,16 +237,24 @@ fn main() {
         );
     }
 
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"scale\": \"{scale:?}\",\n  \"nodes\": {node_count},\n  \"edges\": {},\n  \"objects\": {object_count},\n  \"postings\": {postings},\n  \"queries\": {},\n  \"cpus\": {cpus},\n  \"dataset_build_s\": {gen_secs:.3},\n  \"index_build_s\": {index_build_secs:.3},\n  \"prepare_us_per_query\": {:.3},\n  \"grid_score_us_per_query\": {:.3},\n  \"graph_build_us_per_query\": {:.3},\n  \"peak_rss_after_index_build_kib\": {build_peak_kib},\n  \"peak_rss_kib\": {peak_kib},\n  \"member_table_len\": {member_table_len},\n  \"max_rect_nodes\": {rect_nodes},\n  \"max_rect_id_band\": {rect_id_band},\n  \"scratch_vs_network\": {scratch_ratio:.6},\n  \"matches_naive_reference\": {matches_reference}\n}}\n",
-        dataset.network.edge_count(),
-        queries.len(),
-        prepare_secs * 1e6,
-        grid_score_secs * 1e6,
-        graph_build_secs * 1e6,
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_scale.json");
-    println!("  wrote {out_path}");
+    Report::new("scale", "scale", scale)
+        .field("nodes", node_count)
+        .field("edges", dataset.network.edge_count())
+        .field("objects", object_count)
+        .field("postings", postings)
+        .field("queries", queries.len())
+        .field("cpus", cpus)
+        .field("dataset_build_s", gen_secs)
+        .field("index_build_s", index_build_secs)
+        .field("prepare_us_per_query", prepare_secs * 1e6)
+        .field("grid_score_us_per_query", grid_score_secs * 1e6)
+        .field("graph_build_us_per_query", graph_build_secs * 1e6)
+        .field("peak_rss_after_index_build_kib", build_peak_kib)
+        .field("peak_rss_kib", peak_kib)
+        .field("member_table_len", member_table_len)
+        .field("max_rect_nodes", rect_nodes)
+        .field("max_rect_id_band", rect_id_band)
+        .field("scratch_vs_network", scratch_ratio)
+        .field("matches_naive_reference", matches_reference)
+        .write();
 }

@@ -3,14 +3,12 @@
 //! Every served region is checked against a direct `engine.execute` of the
 //! same request body, and a mismatch fails the run.
 //!
-//! Like `batch_throughput` this is a plain harness emitting a
-//! machine-readable `BENCH_service.json` (override via `LCMSR_BENCH_OUT`)
-//! with throughput and client-observed p50/p99 latency.  Knobs:
-//! `LCMSR_SCALE` (default `tiny`), `LCMSR_SERVICE_CLIENTS` (default 8),
-//! `LCMSR_SERVICE_REQUESTS` per client per round (default 8) and
-//! `LCMSR_SERVICE_ROUNDS` measured rounds (default 2; throughput is the
-//! fastest round, latency percentiles pool every measured request).
+//! It writes throughput and client-observed p50/p99 latency to
+//! `BENCH_service.json` (see [`lcmsr_bench::harness`] for the environment it
+//! reads).  Throughput is the fastest measured round; the latency
+//! percentiles pool every measured request.
 
+use lcmsr_bench::harness::{percentile, Report};
 use lcmsr_bench::*;
 use lcmsr_core::engine::{LcmsrEngine, QueryRequest as EngineRequest};
 use lcmsr_service::http::ServerConfig;
@@ -18,6 +16,13 @@ use lcmsr_service::{
     leak_engine, serve, HttpClient, QueryRequest, QueryResponse, RegionDto, ServiceConfig,
 };
 use std::time::{Duration, Instant};
+
+/// Closed-loop client threads.
+const CLIENTS: usize = 8;
+/// Requests per client per round.
+const REQUESTS: usize = 8;
+/// Measured rounds, after one warm-up round.
+const ROUNDS: usize = 2;
 
 /// The regions a direct engine call returns for a wire request body.
 fn direct_regions(engine: &LcmsrEngine<'_>, body: &str) -> Vec<RegionDto> {
@@ -80,20 +85,8 @@ fn drive(
     (start.elapsed(), latencies)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample, in microseconds.
-fn percentile_us(sorted: &[Duration], q: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_micros()
-}
-
 fn main() {
     let scale = scale_from_env();
-    let clients = env_usize("LCMSR_SERVICE_CLIENTS", 8).max(1);
-    let requests = env_usize("LCMSR_SERVICE_REQUESTS", 8).max(1);
-    let rounds = env_usize("LCMSR_SERVICE_ROUNDS", 2).max(1);
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let dataset = ny_dataset(scale);
@@ -136,7 +129,7 @@ fn main() {
         engine,
         ServiceConfig {
             server: ServerConfig {
-                http_workers: clients.max(defaults.http_workers),
+                http_workers: CLIENTS.max(defaults.http_workers),
                 ..defaults
             },
             ..ServiceConfig::default()
@@ -145,11 +138,11 @@ fn main() {
     .expect("service must start");
     let permits = ServiceConfig::default().batch.batch_workers;
 
-    let _warmup = drive(service.addr(), &bodies, &expected, clients, 1);
+    let _warmup = drive(service.addr(), &bodies, &expected, CLIENTS, 1);
     let mut best_round = Duration::MAX;
-    let mut latencies = Vec::with_capacity(rounds * clients * requests);
-    for _ in 0..rounds {
-        let (round, round_latencies) = drive(service.addr(), &bodies, &expected, clients, requests);
+    let mut latencies = Vec::with_capacity(ROUNDS * CLIENTS * REQUESTS);
+    for _ in 0..ROUNDS {
+        let (round, round_latencies) = drive(service.addr(), &bodies, &expected, CLIENTS, REQUESTS);
         best_round = best_round.min(round);
         latencies.extend(round_latencies);
     }
@@ -157,12 +150,12 @@ fn main() {
     latencies.sort_unstable();
 
     // The warm-up round sends one request per client; every answer is checked.
-    let checked = clients + latencies.len();
-    let qps = (clients * requests) as f64 / best_round.as_secs_f64().max(1e-12);
-    let p50_us = percentile_us(&latencies, 0.50);
-    let p99_us = percentile_us(&latencies, 0.99);
+    let checked = CLIENTS + latencies.len();
+    let qps = (CLIENTS * REQUESTS) as f64 / best_round.as_secs_f64().max(1e-12);
+    let p50_us = percentile(&latencies, 0.50).as_micros() as u64;
+    let p99_us = percentile(&latencies, 0.99).as_micros() as u64;
     println!(
-        "service_throughput (scale {scale:?}, {clients} clients x {requests} reqs x {rounds} rounds, {permits} permits, {cpus} CPUs)"
+        "service_throughput (scale {scale:?}, {CLIENTS} clients x {REQUESTS} reqs x {ROUNDS} rounds, {permits} permits, {cpus} CPUs)"
     );
     println!(
         "  best round : {:>9.1} ms  ({qps:.1} q/s)",
@@ -171,12 +164,16 @@ fn main() {
     println!("  latency    : p50 {p50_us} µs   p99 {p99_us} µs");
     println!("  checked    : {checked} answers identical to direct engine calls");
 
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_service.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"service_throughput\",\n  \"scale\": \"{scale:?}\",\n  \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \"rounds\": {rounds},\n  \"permits\": {permits},\n  \"cpus\": {cpus},\n  \"best_round_ms\": {:.3},\n  \"throughput_qps\": {qps:.2},\n  \"latency_p50_us\": {p50_us},\n  \"latency_p99_us\": {p99_us},\n  \"answers_checked\": {checked}\n}}\n",
-        best_round.as_secs_f64() * 1e3,
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_service.json");
-    println!("  wrote {out_path}");
+    Report::new("service_throughput", "service", scale)
+        .field("clients", CLIENTS)
+        .field("requests_per_client", REQUESTS)
+        .field("rounds", ROUNDS)
+        .field("permits", permits)
+        .field("cpus", cpus)
+        .field("best_round_ms", best_round.as_secs_f64() * 1e3)
+        .field("throughput_qps", qps)
+        .field("latency_p50_us", p50_us)
+        .field("latency_p99_us", p99_us)
+        .field("answers_checked", checked)
+        .write();
 }

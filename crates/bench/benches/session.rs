@@ -2,9 +2,8 @@
 //! delta-prepare path under a pan/zoom/keyword-refine trace — the workload
 //! the cache exists for, where successive requests repeat or overlap.
 //!
-//! Like `scale` this is a plain harness emitting a machine-readable
-//! `BENCH_session.json` (path overridable via `LCMSR_BENCH_OUT`) that CI
-//! archives.  Over an NY-like dataset at `LCMSR_SCALE` it drives one
+//! It writes `BENCH_session.json` (see [`lcmsr_bench::harness`] for the
+//! environment it reads).  Over an NY-like dataset it drives one
 //! synthetic session trace — an initial view, three eastward pans, a zoom
 //! in, a zoom out, a keyword refinement, and pans under both keyword sets —
 //! through three modes:
@@ -19,13 +18,18 @@
 //!
 //! Every mode's regions are asserted bit-identical (`{:?}` on the region
 //! list — Debug's shortest-roundtrip float rendering distinguishes bit
-//! patterns, `-0.0` included).  With `LCMSR_BENCH_STRICT` set the run fails
-//! when the replay pass is not at least `LCMSR_BENCH_MIN_SESSION_SPEEDUP`
-//! (default 3.0) times faster than the cold pass after one noise re-measure.
+//! patterns, `-0.0` included).  The strict gate holds the replay pass to at
+//! least 3× faster than the cold pass.
 
+use lcmsr_bench::harness::{best_secs, gate, strict_from_env, Limit, Report};
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_roadnet::geo::Rect;
+
+/// Best-of rounds per timed pass.
+const ROUNDS: usize = 3;
+/// Cached replay speed over cold-pass speed.
+const MIN_SPEEDUP: f64 = 3.0;
 
 /// One session step: a label for the report plus the derived query.
 struct Step {
@@ -138,9 +142,7 @@ fn fingerprints(outcomes: &[QueryOutcome]) -> Vec<String> {
 
 fn main() {
     let scale = scale_from_env();
-    let rounds = env_usize("LCMSR_SESSION_ROUNDS", 3).max(1);
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let min_speedup = env_f64("LCMSR_BENCH_MIN_SESSION_SPEEDUP", 3.0);
+    let strict = strict_from_env();
 
     println!("session (building NY-like dataset at {scale:?}…)");
     let dataset = ny_dataset(scale);
@@ -202,33 +204,27 @@ fn main() {
         steps.len()
     );
 
-    // Replay + timed passes, strict gate with one noise re-measure.
-    let mut cold_secs = 0.0;
-    let mut replay_secs = 0.0;
-    let mut replay_speedup = 0.0;
-    for attempt in 0..2 {
-        cold_secs = best_secs(rounds, || {
-            let outcomes = run_trace(&engine, &mut cold_ws, &steps, alpha, false);
-            assert_eq!(outcomes.len(), steps.len());
-        });
-        replay_secs = best_secs(rounds, || {
-            let outcomes = run_trace(&engine, &mut session_ws, &steps, alpha, true);
-            assert!(
-                outcomes.iter().all(|o| o.stats.cache_hit),
-                "replay over a warm cache must hit every step"
-            );
-        });
-        replay_speedup = cold_secs / replay_secs.max(1e-12);
-        if !strict || replay_speedup >= min_speedup {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!(
-                "  replay speedup {replay_speedup:.2}x below {min_speedup:.1}x target; \
-                 re-measuring once"
-            );
-        }
-    }
+    // Replay + timed passes under the strict gate.
+    let (cold_secs, replay_secs, replay_speedup) = gate(
+        strict,
+        "cached replay speedup",
+        Limit::AtLeast(MIN_SPEEDUP),
+        || {
+            let cold_secs = best_secs(ROUNDS, || {
+                let outcomes = run_trace(&engine, &mut cold_ws, &steps, alpha, false);
+                assert_eq!(outcomes.len(), steps.len());
+            });
+            let replay_secs = best_secs(ROUNDS, || {
+                let outcomes = run_trace(&engine, &mut session_ws, &steps, alpha, true);
+                assert!(
+                    outcomes.iter().all(|o| o.stats.cache_hit),
+                    "replay over a warm cache must hit every step"
+                );
+            });
+            (cold_secs, replay_secs, cold_secs / replay_secs.max(1e-12))
+        },
+        |&(_, _, speedup)| speedup,
+    );
 
     // Bit-identity: warm misses, delta steps and cache hits all reproduce the
     // cold regions exactly.
@@ -282,29 +278,25 @@ fn main() {
         identical,
         "cache hits and delta re-queries must be bit-identical to cold runs"
     );
-    if strict {
-        assert!(
-            replay_speedup >= min_speedup,
-            "cached replay speedup {replay_speedup:.2}x below the {min_speedup:.1}x target"
-        );
-    }
 
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_session.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"session\",\n  \"scale\": \"{scale:?}\",\n  \"steps\": {},\n  \"delta_steps\": {delta_steps},\n  \"cold_us_per_step\": {:.3},\n  \"warm_first_us_per_step\": {:.3},\n  \"replay_us_per_step\": {:.3},\n  \"replay_speedup\": {replay_speedup:.4},\n  \"grid_score_cold_us_per_step\": {:.3},\n  \"grid_score_delta_us_per_step\": {:.3},\n  \"delta_prepare_speedup\": {delta_speedup:.4},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"cache_stale\": {},\n  \"cache_entries\": {},\n  \"cache_bytes\": {},\n  \"identical_results\": {identical}\n}}\n",
-        steps.len(),
-        cold_secs / per * 1e6,
-        warm_secs / per * 1e6,
-        replay_secs / per * 1e6,
-        cold_grid_score / per * 1e6,
-        delta_grid_score / delta_steps.max(1) as f64 * 1e6,
-        cache.hits(),
-        cache.misses(),
-        cache.stale(),
-        cache.len(),
-        cache.bytes(),
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_session.json");
-    println!("  wrote {out_path}");
+    Report::new("session", "session", scale)
+        .field("steps", steps.len())
+        .field("delta_steps", delta_steps)
+        .field("cold_us_per_step", cold_secs / per * 1e6)
+        .field("warm_first_us_per_step", warm_secs / per * 1e6)
+        .field("replay_us_per_step", replay_secs / per * 1e6)
+        .field("replay_speedup", replay_speedup)
+        .field("grid_score_cold_us_per_step", cold_grid_score / per * 1e6)
+        .field(
+            "grid_score_delta_us_per_step",
+            delta_grid_score / delta_steps.max(1) as f64 * 1e6,
+        )
+        .field("delta_prepare_speedup", delta_speedup)
+        .field("cache_hits", cache.hits())
+        .field("cache_misses", cache.misses())
+        .field("cache_stale", cache.stale())
+        .field("cache_entries", cache.len())
+        .field("cache_bytes", cache.bytes())
+        .field("identical_results", identical)
+        .write();
 }

@@ -4,9 +4,9 @@
 //! loop.  The design contract is the same as the inert `CancelToken`: a
 //! query that did not ask for tracing must see one predicted branch per
 //! instrumentation point — nothing allocated, nothing timed, nothing stored.
-//! This plain harness pins that contract from three angles and emits a
-//! machine-readable `BENCH_trace.json` (path overridable via
-//! `LCMSR_BENCH_OUT`) so CI can track the overhead trajectory across PRs:
+//! This plain harness pins that contract from three angles and writes
+//! `BENCH_trace.json` (see [`lcmsr_bench::harness`] for the environment it
+//! reads):
 //!
 //! * **inert vs untraced** — the gated ratio.  `untraced` runs the workload
 //!   with requests that never mention tracing; `inert` runs identical
@@ -24,20 +24,25 @@
 //!   for a trace is tracked across PRs; active tracing is sampled 1-in-N in
 //!   production and may legitimately cost a few percent.
 //!
-//! Knobs: `LCMSR_SCALE` (default `tiny`), `LCMSR_TRACE_QUERIES` (default
-//! 32), `LCMSR_TRACE_ROUNDS` (best-of rounds, default 5).  With
-//! `LCMSR_BENCH_STRICT` set the run fails when the inert/untraced ratio
-//! exceeds `LCMSR_BENCH_MAX_TRACE_RATIO` (default 1.05) or the inert span
-//! pair exceeds `LCMSR_BENCH_MAX_INERT_NS` (default 100 ns); each gate
-//! re-measures once to derisk noisy neighbours.
+//! The strict gates hold the inert/untraced ratio to at most 1.05 and the
+//! inert span pair to at most 100 ns.
 
+use lcmsr_bench::harness::{best_secs, gate, strict_from_env, Limit, Report};
 use lcmsr_bench::*;
 use lcmsr_core::prelude::*;
 use lcmsr_core::trace::TraceCollector;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Best-of-`rounds` wall time for one full pass over the workload, with the
+const QUERIES: usize = 32;
+/// Best-of rounds per workload pass.
+const ROUNDS: usize = 5;
+/// Inert-tracing pass time over the untraced pass time.
+const MAX_TRACE_RATIO: f64 = 1.05;
+/// Nanoseconds per disabled span pair.
+const MAX_INERT_NS: f64 = 100.0;
+
+/// Best-of-`ROUNDS` wall time for one full pass over the workload, with the
 /// trace flag applied to every request.  `trace: None` builds the request
 /// without ever mentioning tracing — the untraced baseline.
 fn measure_pass(
@@ -45,9 +50,8 @@ fn measure_pass(
     queries: &[LcmsrQuery],
     algorithm: &Algorithm,
     trace: Option<bool>,
-    rounds: usize,
 ) -> f64 {
-    best_secs(rounds, || {
+    best_secs(ROUNDS, || {
         for query in queries {
             let mut request = QueryRequest::new(query, algorithm.clone());
             if let Some(flag) = trace {
@@ -79,17 +83,13 @@ fn inert_span_ns_per_op() -> f64 {
 
 fn main() {
     let scale = scale_from_env();
-    let num_queries = env_usize("LCMSR_TRACE_QUERIES", 32).max(1);
-    let rounds = env_usize("LCMSR_TRACE_ROUNDS", 5).max(1);
-    let strict = std::env::var("LCMSR_BENCH_STRICT").is_ok();
-    let max_ratio = env_f64("LCMSR_BENCH_MAX_TRACE_RATIO", 1.05);
-    let max_inert_ns = env_f64("LCMSR_BENCH_MAX_INERT_NS", 100.0);
+    let strict = strict_from_env();
 
     let dataset = ny_dataset(scale);
     let params = dataset.default_query_params(2024);
     let queries = make_workload(
         &dataset,
-        num_queries,
+        QUERIES,
         params.num_keywords,
         params.area_km2,
         params.delta_km,
@@ -107,43 +107,30 @@ fn main() {
     let warm_trace = warm.trace.expect("enabled run must carry a trace");
     warm_trace.validate().expect("well-formed warmup trace");
 
-    // The strict gate re-measures once before failing: on shared CI runners
-    // a noisy neighbour can inflate a single measurement window.  Both sides
-    // are re-measured — a stale baseline is as misleading as a noisy
-    // candidate.
-    let mut untraced_secs = 0.0;
-    let mut inert_secs = 0.0;
-    for attempt in 0..2 {
-        untraced_secs = measure_pass(&engine, &queries, &tgen, None, rounds);
-        inert_secs = measure_pass(&engine, &queries, &tgen, Some(false), rounds);
-        if !strict || inert_secs / untraced_secs.max(1e-12) <= max_ratio {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!(
-                "  inert ratio {:.3}x above the {max_ratio:.2}x ceiling; re-measuring once",
-                inert_secs / untraced_secs.max(1e-12)
-            );
-        }
-    }
-    let enabled_secs = measure_pass(&engine, &queries, &tgen, Some(true), rounds);
+    // A re-measure repeats both sides: a stale baseline is as misleading as
+    // a noisy candidate.
+    let (untraced_secs, inert_secs, inert_ratio) = gate(
+        strict,
+        "inert-tracing ratio",
+        Limit::AtMost(MAX_TRACE_RATIO),
+        || {
+            let untraced = measure_pass(&engine, &queries, &tgen, None);
+            let inert = measure_pass(&engine, &queries, &tgen, Some(false));
+            (untraced, inert, inert / untraced.max(1e-12))
+        },
+        |&(_, _, ratio)| ratio,
+    );
+    let enabled_secs = measure_pass(&engine, &queries, &tgen, Some(true));
+    let inert_ns = gate(
+        strict,
+        "inert span pair ns",
+        Limit::AtMost(MAX_INERT_NS),
+        inert_span_ns_per_op,
+        |&ns| ns,
+    );
 
-    let mut inert_ns = 0.0;
-    for attempt in 0..2 {
-        inert_ns = inert_span_ns_per_op();
-        if !strict || inert_ns <= max_inert_ns {
-            break;
-        }
-        if attempt == 0 {
-            eprintln!(
-                "  inert span pair {inert_ns:.1} ns above the {max_inert_ns:.0} ns ceiling; re-measuring once"
-            );
-        }
-    }
-
-    let inert_ratio = inert_secs / untraced_secs.max(1e-12);
     let enabled_ratio = enabled_secs / untraced_secs.max(1e-12);
-    println!("trace_overhead (scale {scale:?}, {num_queries} queries, best of {rounds})");
+    println!("trace_overhead (scale {scale:?}, {QUERIES} queries, best of {ROUNDS})");
     println!("  untraced pass   : {:>10.1} µs", untraced_secs * 1e6);
     println!(
         "  inert pass      : {:>10.1} µs  ({inert_ratio:.3}x untraced)",
@@ -156,26 +143,17 @@ fn main() {
     );
     println!("  inert span pair : {inert_ns:>10.2} ns/op");
 
-    if strict {
-        assert!(
-            inert_ratio <= max_ratio,
-            "inert-tracing solve {inert_ratio:.3}x exceeds the {max_ratio:.2}x ceiling"
-        );
-        assert!(
-            inert_ns <= max_inert_ns,
-            "inert span pair {inert_ns:.1} ns exceeds the {max_inert_ns:.0} ns ceiling"
-        );
-    }
-
-    let out_path =
-        std::env::var("LCMSR_BENCH_OUT").unwrap_or_else(|_| "BENCH_trace.json".to_string());
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \"scale\": \"{scale:?}\",\n  \"queries\": {num_queries},\n  \"rounds\": {rounds},\n  \"untraced_pass_us\": {:.1},\n  \"inert_pass_us\": {:.1},\n  \"enabled_pass_us\": {:.1},\n  \"inert_ratio\": {inert_ratio:.4},\n  \"enabled_ratio\": {enabled_ratio:.4},\n  \"inert_span_ns_per_op\": {inert_ns:.2},\n  \"spans_per_traced_query\": {},\n  \"max_trace_ratio_gate\": {max_ratio:.2},\n  \"max_inert_ns_gate\": {max_inert_ns:.0}\n}}\n",
-        untraced_secs * 1e6,
-        inert_secs * 1e6,
-        enabled_secs * 1e6,
-        warm_trace.spans.len(),
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_trace.json");
-    println!("  wrote {out_path}");
+    Report::new("trace_overhead", "trace", scale)
+        .field("queries", QUERIES)
+        .field("rounds", ROUNDS)
+        .field("untraced_pass_us", untraced_secs * 1e6)
+        .field("inert_pass_us", inert_secs * 1e6)
+        .field("enabled_pass_us", enabled_secs * 1e6)
+        .field("inert_ratio", inert_ratio)
+        .field("enabled_ratio", enabled_ratio)
+        .field("inert_span_ns_per_op", inert_ns)
+        .field("spans_per_traced_query", warm_trace.spans.len())
+        .field("max_trace_ratio_gate", MAX_TRACE_RATIO)
+        .field("max_inert_ns_gate", MAX_INERT_NS)
+        .write();
 }

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Available experiment ids: `table1`, `fig7_8`, `fig9_10`, `fig11_12`,
-//! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`, `all` —
+//! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`,
+//! `ablation_kmst` (APP's k-MST oracle: Garg/GW vs density greedy), `all` —
 //! plus `serve`, which starts the `lcmsr_service` HTTP front-end over the
 //! synthetic NY dataset (flags: `--addr`, `--queue-capacity`,
 //! `--http-workers`, `--slow-ms` for the slow-query threshold and
@@ -47,8 +48,17 @@ fn main() {
     }
     let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "table1", "fig7_8", "fig9_10", "fig11_12", "fig13_14", "fig15", "fig16", "fig17_19",
-            "sec7_5", "fig21_22",
+            "table1",
+            "fig7_8",
+            "fig9_10",
+            "fig11_12",
+            "fig13_14",
+            "fig15",
+            "fig16",
+            "fig17_19",
+            "sec7_5",
+            "fig21_22",
+            "ablation_kmst",
         ]
         .into_iter()
         .map(String::from)
@@ -90,6 +100,7 @@ fn main() {
             "fig17_19" => fig17_19(&ny),
             "sec7_5" => sec7_5(&ny),
             "fig21_22" => fig21_22(&ny, &usanw),
+            "ablation_kmst" => ablation_kmst(&ny),
             other => eprintln!("unknown experiment id '{other}' — skipped"),
         }
     }
@@ -620,5 +631,33 @@ fn fig21_22(ny: &Dataset, usanw: &Dataset) {
                 totals[2] / n
             );
         }
+    }
+}
+
+/// Ablation of APP's k-MST oracle: the Garg/GW-style oracle (the paper's
+/// algorithm, APP's default) against the density-greedy one.  On the
+/// synthetic data the density oracle runs several times faster and finds
+/// regions at least as heavy.
+fn ablation_kmst(ny: &Dataset) {
+    println!("\n## ablation_kmst — APP k-MST oracle (NY): density should be several times faster");
+    let queries = default_workload(ny, 4242);
+    let engine = LcmsrEngine::new(&ny.network, &ny.collection);
+    println!(
+        "{:>8} {:>14} {:>14}",
+        "oracle", "runtime (ms)", "region weight"
+    );
+    for (name, solver) in [
+        ("garg-gw", KMstSolverKind::Garg),
+        ("density", KMstSolverKind::Density),
+    ] {
+        let params = AppParams {
+            solver,
+            ..AppParams::default()
+        };
+        let agg = aggregate(&engine, &queries, &Algorithm::App(params));
+        println!(
+            "{:>8} {:>14.2} {:>14.4}",
+            name, agg.avg_millis, agg.avg_weight
+        );
     }
 }

@@ -1,48 +1,22 @@
 //! Shared fixtures and helpers for the LCMSR benchmark harness.
 //!
-//! The harness regenerates every table and figure of the paper's evaluation
-//! (Section 7) on the synthetic NY-like and USANW-like data sets.  Absolute
-//! numbers differ from the paper (different hardware, language, and — most of
-//! all — synthetic data at reduced scale); what the harness checks and reports
-//! is the *shape* of each result: orderings, trends, and crossovers.
+//! The `experiments` binary regenerates every table and figure of the
+//! paper's evaluation (Section 7) on the synthetic NY-like and USANW-like
+//! data sets.  Absolute numbers differ from the paper (different hardware,
+//! language, and — most of all — synthetic data at reduced scale); what it
+//! reports is the *shape* of each result: orderings, trends, and crossovers.
+//! The seven gated smoke benches under `benches/` share [`harness`].
 //!
 //! Scale is controlled by the `--scale` CLI flag or the `LCMSR_SCALE`
 //! environment variable (`tiny` | `small` | `medium` | `large` | `huge`);
 //! the default is `tiny` so that `cargo bench`/`cargo run -p lcmsr-bench`
 //! finish quickly on a laptop.
 
+pub mod harness;
+
 use lcmsr_core::prelude::*;
 use lcmsr_datagen::prelude::*;
 use std::time::Instant;
-
-/// Reads a `usize` knob from the environment, falling back to `default`.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Reads an `f64` knob from the environment (bench gate thresholds),
-/// falling back to `default`.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Best-of-`rounds` wall-clock seconds for `f` (the plain-harness benches
-/// gate on this; best-of smooths scheduler noise better than a mean).
-pub fn best_secs(rounds: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Resolves the engine worker count shared by the experiments CLI and the
 /// serving path: an explicit `--workers N` flag wins, then the
@@ -175,14 +149,33 @@ pub fn usanw_dataset(scale: NetworkScale) -> Dataset {
     Dataset::build(DatasetConfig::usanw(scale, 733))
 }
 
-/// Experiment-wide default number of queries per setting.  The paper uses 50;
-/// the harness default keeps full sweeps fast and can be raised via
-/// `LCMSR_QUERIES`.
+/// Experiment-wide number of queries per setting, from `LCMSR_QUERIES`
+/// (default 8; the paper uses 50).  Read once, so a malformed value is
+/// reported once.
 pub fn queries_per_setting() -> usize {
-    std::env::var("LCMSR_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
+    static QUERIES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *QUERIES.get_or_init(|| parse_queries_value(std::env::var("LCMSR_QUERIES").ok().as_deref()))
+}
+
+/// The pure half of [`queries_per_setting`].  A value that is not a positive
+/// integer is reported on stderr and falls back to 8, rather than being
+/// silently swallowed: `0` would otherwise print every sweep over empty
+/// workloads as if it had been measured.
+fn parse_queries_value(value: Option<&str>) -> usize {
+    const DEFAULT: usize = 8;
+    match value {
+        None | Some("") => DEFAULT,
+        Some(text) => match text.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!(
+                    "ignoring invalid LCMSR_QUERIES value '{text}' \
+                     (expected a positive integer); using {DEFAULT}"
+                );
+                DEFAULT
+            }
+        },
+    }
 }
 
 /// A concrete workload: LCMSR queries derived from the generator's output.
@@ -470,12 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_to_tiny() {
-        std::env::remove_var("LCMSR_SCALE");
-        assert_eq!(scale_from_env(), NetworkScale::Tiny);
-    }
-
-    #[test]
     fn workers_flag_is_extracted_from_args() {
         let mut args: Vec<String> = ["serve", "--workers", "3", "--addr", "x"]
             .iter()
@@ -550,6 +537,16 @@ mod tests {
         assert_eq!(parse_scale_value(Some("huge")), NetworkScale::Huge);
         // Unknown names report on stderr and fall back to tiny.
         assert_eq!(parse_scale_value(Some("enormous")), NetworkScale::Tiny);
+    }
+
+    #[test]
+    fn queries_value_parsing_matches_env_semantics() {
+        assert_eq!(parse_queries_value(None), 8);
+        assert_eq!(parse_queries_value(Some("")), 8);
+        assert_eq!(parse_queries_value(Some("20")), 20);
+        // Zero and non-numbers report on stderr and fall back to 8.
+        assert_eq!(parse_queries_value(Some("0")), 8);
+        assert_eq!(parse_queries_value(Some("abc")), 8);
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! [`TupleArena`], so enumerating and snapshotting arrays copies handles
 //! only.
 //!
-//! [`run_tgen_baseline`] preserves the PR 3/4 combine loop over the
-//! pre-frontier [`NaiveTupleArray`]; `bench/benches/solve_phase.rs` runs both
-//! on the same workload to gate the frontier's speedup and result identity.
+//! The unit tests keep the PR 3/4 combine loop over the pre-frontier
+//! [`NaiveTupleArray`](crate::tuple_array::NaiveTupleArray) as a reference
+//! and check `run_tgen`'s results, array sizes and tuple counts against it.
 
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
@@ -44,7 +44,7 @@ use crate::error::{LcmsrError, Result};
 use crate::query_graph::QueryGraph;
 use crate::region::RegionTuple;
 use crate::trace::TraceCollector;
-use crate::tuple_array::{BestTracker, ExploredArray, NaiveTupleArray};
+use crate::tuple_array::{BestTracker, ExploredArray};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -294,129 +294,6 @@ pub fn run_tgen(
     })
 }
 
-/// The PR 3/4 TGEN combine loop over [`NaiveTupleArray`]s: per-scaled-weight
-/// pruning only, every combination materialised first and rolled back when
-/// infeasible.  Kept as the measured baseline for the frontier rewrite — the
-/// `solve_phase` bench gates `run_tgen`'s combine-loop speedup and result
-/// identity against this function, and tests compare the two directly.  Not
-/// wired to any engine path.
-#[doc(hidden)]
-pub fn run_tgen_baseline(
-    graph: &QueryGraph,
-    arena: &mut TupleArena,
-    params: &TgenParams,
-) -> Result<TgenOutcome> {
-    params.validate()?;
-    let delta = graph.delta();
-    let n = graph.node_count();
-    let mut best = BestTracker::new();
-    let mut top: Vec<RegionTuple> = Vec::new();
-    let mut edges_processed = 0u64;
-    let mut tuples_generated = 0u64;
-
-    if graph.sigma_max() <= 0.0 {
-        return Ok(TgenOutcome {
-            best: None,
-            top_tuples: Vec::new(),
-            edges_processed: 0,
-            tuples_generated: 0,
-            pruned_pairs: 0,
-            frontier_tuples: 0,
-            frontier_peak: 0,
-            dominance_evictions: 0,
-            interrupted: false,
-        });
-    }
-
-    let mut arrays: Vec<NaiveTupleArray> = Vec::with_capacity(n);
-    for v in 0..n as u32 {
-        let mut arr = NaiveTupleArray::new();
-        let singleton = RegionTuple::singleton(arena, v, graph.weight(v), graph.scaled_weight(v));
-        best.update(&singleton);
-        offer_top(&mut top, &singleton, arena);
-        arr.insert_if_better(singleton);
-        arrays.push(arr);
-    }
-    tuples_generated += n as u64;
-
-    let mut node_processed = vec![false; n];
-    let mut edge_visited = vec![false; graph.edge_count()];
-    let mut enqueued = vec![false; n];
-    let mut left: Vec<RegionTuple> = Vec::new();
-    let mut right: Vec<RegionTuple> = Vec::new();
-    let mut new_tuples: Vec<RegionTuple> = Vec::new();
-
-    for start in 0..n as u32 {
-        if node_processed[start as usize] || enqueued[start as usize] {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        queue.push_back(start);
-        enqueued[start as usize] = true;
-        while let Some(vi) = queue.pop_front() {
-            for &(vj, e) in graph.neighbors(vi) {
-                if edge_visited[e as usize] {
-                    continue;
-                }
-                edge_visited[e as usize] = true;
-                edges_processed += 1;
-                let edge_length = graph.edge(e).length;
-                if edge_length > delta {
-                    continue;
-                }
-                if !enqueued[vj as usize] {
-                    enqueued[vj as usize] = true;
-                    queue.push_back(vj);
-                }
-                left.clear();
-                left.extend(arrays[vi as usize].iter().copied());
-                right.clear();
-                right.extend(arrays[vj as usize].iter().copied());
-                new_tuples.clear();
-                for ti in &left {
-                    for tj in &right {
-                        if ti.shares_nodes(tj, arena) {
-                            continue;
-                        }
-                        let combined = ti.combine(tj, e, edge_length, arena);
-                        tuples_generated += 1;
-                        if combined.length <= delta + 1e-9 {
-                            best.update(&combined);
-                            offer_top(&mut top, &combined, arena);
-                            new_tuples.push(combined);
-                        } else {
-                            combined.free(arena);
-                        }
-                    }
-                }
-                for t in &new_tuples {
-                    for &v in t.nodes(arena) {
-                        if node_processed[v as usize] {
-                            continue;
-                        }
-                        arrays[v as usize].insert_if_better(*t);
-                    }
-                }
-            }
-            node_processed[vi as usize] = true;
-        }
-    }
-
-    let frontier_tuples: u64 = arrays.iter().map(|a| a.len() as u64).sum();
-    let frontier_peak = arrays.iter().map(|a| a.len() as u64).max().unwrap_or(0);
-    Ok(TgenOutcome {
-        best: best.into_best(),
-        top_tuples: top,
-        edges_processed,
-        tuples_generated,
-        pruned_pairs: 0,
-        frontier_tuples,
-        frontier_peak,
-        dominance_evictions: 0,
-        interrupted: false,
-    })
-}
-
 /// Maintains the bounded list of best tuples (distinct node sets), ordered by
 /// the shared quality order ([`RegionTuple::cmp_quality`], the same total
 /// order as `BestTracker::update`), so the head of the list is always the
@@ -473,6 +350,127 @@ mod tests {
     use super::*;
     use crate::cancel::CancelToken;
     use crate::query_graph::test_support::figure2_query_graph;
+    use crate::tuple_array::NaiveTupleArray;
+
+    /// The PR 3/4 TGEN combine loop over [`NaiveTupleArray`]s: per-scaled-
+    /// weight pruning only, every combination materialised first and rolled
+    /// back when infeasible.  The reference `run_tgen` is checked against.
+    fn run_tgen_baseline(
+        graph: &QueryGraph,
+        arena: &mut TupleArena,
+        params: &TgenParams,
+    ) -> Result<TgenOutcome> {
+        params.validate()?;
+        let delta = graph.delta();
+        let n = graph.node_count();
+        let mut best = BestTracker::new();
+        let mut top: Vec<RegionTuple> = Vec::new();
+        let mut edges_processed = 0u64;
+        let mut tuples_generated = 0u64;
+
+        if graph.sigma_max() <= 0.0 {
+            return Ok(TgenOutcome {
+                best: None,
+                top_tuples: Vec::new(),
+                edges_processed: 0,
+                tuples_generated: 0,
+                pruned_pairs: 0,
+                frontier_tuples: 0,
+                frontier_peak: 0,
+                dominance_evictions: 0,
+                interrupted: false,
+            });
+        }
+
+        let mut arrays: Vec<NaiveTupleArray> = Vec::with_capacity(n);
+        for v in 0..n as u32 {
+            let mut arr = NaiveTupleArray::new();
+            let singleton =
+                RegionTuple::singleton(arena, v, graph.weight(v), graph.scaled_weight(v));
+            best.update(&singleton);
+            offer_top(&mut top, &singleton, arena);
+            arr.insert_if_better(singleton);
+            arrays.push(arr);
+        }
+        tuples_generated += n as u64;
+
+        let mut node_processed = vec![false; n];
+        let mut edge_visited = vec![false; graph.edge_count()];
+        let mut enqueued = vec![false; n];
+        let mut left: Vec<RegionTuple> = Vec::new();
+        let mut right: Vec<RegionTuple> = Vec::new();
+        let mut new_tuples: Vec<RegionTuple> = Vec::new();
+
+        for start in 0..n as u32 {
+            if node_processed[start as usize] || enqueued[start as usize] {
+                continue;
+            }
+            let mut queue = VecDeque::new();
+            queue.push_back(start);
+            enqueued[start as usize] = true;
+            while let Some(vi) = queue.pop_front() {
+                for &(vj, e) in graph.neighbors(vi) {
+                    if edge_visited[e as usize] {
+                        continue;
+                    }
+                    edge_visited[e as usize] = true;
+                    edges_processed += 1;
+                    let edge_length = graph.edge(e).length;
+                    if edge_length > delta {
+                        continue;
+                    }
+                    if !enqueued[vj as usize] {
+                        enqueued[vj as usize] = true;
+                        queue.push_back(vj);
+                    }
+                    left.clear();
+                    left.extend(arrays[vi as usize].iter().copied());
+                    right.clear();
+                    right.extend(arrays[vj as usize].iter().copied());
+                    new_tuples.clear();
+                    for ti in &left {
+                        for tj in &right {
+                            if ti.shares_nodes(tj, arena) {
+                                continue;
+                            }
+                            let combined = ti.combine(tj, e, edge_length, arena);
+                            tuples_generated += 1;
+                            if combined.length <= delta + 1e-9 {
+                                best.update(&combined);
+                                offer_top(&mut top, &combined, arena);
+                                new_tuples.push(combined);
+                            } else {
+                                combined.free(arena);
+                            }
+                        }
+                    }
+                    for t in &new_tuples {
+                        for &v in t.nodes(arena) {
+                            if node_processed[v as usize] {
+                                continue;
+                            }
+                            arrays[v as usize].insert_if_better(*t);
+                        }
+                    }
+                }
+                node_processed[vi as usize] = true;
+            }
+        }
+
+        let frontier_tuples: u64 = arrays.iter().map(|a| a.len() as u64).sum();
+        let frontier_peak = arrays.iter().map(|a| a.len() as u64).max().unwrap_or(0);
+        Ok(TgenOutcome {
+            best: best.into_best(),
+            top_tuples: top,
+            edges_processed,
+            tuples_generated,
+            pruned_pairs: 0,
+            frontier_tuples,
+            frontier_peak,
+            dominance_evictions: 0,
+            interrupted: false,
+        })
+    }
 
     #[test]
     fn params_validation() {

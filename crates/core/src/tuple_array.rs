@@ -286,12 +286,11 @@ impl ExploredArray {
 /// The pre-frontier tuple array (PRs 2–4): one minimum-length tuple per
 /// distinct scaled weight, no cross-weight dominance, kept in a `BTreeMap`.
 ///
-/// Retained as the **reference model**: `run_tgen_baseline` drives the PR 3/4
-/// combine loop with it so `bench/benches/solve_phase.rs` can measure the
-/// frontier's combine-loop speedup against the real predecessor on the same
-/// workload (and assert the frontier never holds more tuples), and the
-/// shadow-model proptests in `tests/tuple_frontier.rs` check the frontier
-/// against this model plus a post-hoc dominance filter.
+/// Retained as the **reference model**: `tgen`'s unit tests drive the PR 3/4
+/// combine loop with it and check `run_tgen`'s results, array sizes and tuple
+/// counts against that real predecessor, and the shadow-model proptests in
+/// `tests/tuple_frontier.rs` check the frontier against this model plus a
+/// post-hoc dominance filter.
 #[derive(Debug, Clone, Default)]
 pub struct NaiveTupleArray {
     by_scaled: std::collections::BTreeMap<u64, RegionTuple>,
