@@ -1,6 +1,7 @@
-//! Batch-throughput benchmark: a sequential `execute` loop vs
-//! `execute_batch_with` over scoped workers, plus the fresh-vs-reused `prepare` cost — the two wins the
-//! CSR query graph and the reusable `QueryWorkspace` were built for.
+//! Batch-throughput benchmark: a sequential `execute` loop vs the same
+//! requests on scoped threads over `execute` (`execute_on_threads`), plus the
+//! fresh-vs-reused `prepare` cost — the two wins the CSR query graph and the
+//! pooled, reusable `QueryWorkspace` were built for.
 //!
 //! Writes `BENCH_batch.json` (see [`lcmsr_bench::harness`] for the
 //! environment it reads).  Batched results must be identical to sequential
@@ -80,9 +81,8 @@ fn main() {
                     .collect();
             });
             let batch_secs = best_secs(ROUNDS, || {
-                batched_regions = engine
-                    .execute_batch_with(&requests, WORKERS)
-                    .expect("execute_batch_with")
+                batched_regions = execute_on_threads(&engine, &requests, WORKERS)
+                    .expect("execute_on_threads")
                     .into_iter()
                     .map(|o| o.regions)
                     .collect();

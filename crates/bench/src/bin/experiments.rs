@@ -281,16 +281,14 @@ fn table1(ny: &Dataset, workers: usize) {
             best.node_count()
         );
     }
-    // The same workload through the batched engine path, honouring the
+    // The same workload on scoped threads over the engine, honouring the
     // --workers / LCMSR_WORKERS knob the serve path uses.
     let start = std::time::Instant::now();
     let requests: Vec<QueryRequest<'_>> = queries
         .iter()
         .map(|q| QueryRequest::new(q, Algorithm::App(params)))
         .collect();
-    let results = engine
-        .execute_batch_with(&requests, workers)
-        .expect("batched workload");
+    let results = execute_on_threads(&engine, &requests, workers).expect("batched workload");
     let secs = start.elapsed().as_secs_f64();
     println!(
         "workload: {} queries batched over {} workers in {:.1} ms ({:.1} q/s)",

@@ -16,6 +16,8 @@ pub mod harness;
 
 use lcmsr_core::prelude::*;
 use lcmsr_datagen::prelude::*;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Resolves the engine worker count shared by the experiments CLI and the
@@ -384,6 +386,41 @@ pub fn measure(engine: &LcmsrEngine<'_>, query: &LcmsrQuery, algorithm: &Algorit
             millis,
         },
     }
+}
+
+/// Answers `requests` on `threads` scoped threads that each call
+/// [`LcmsrEngine::execute`], so every request checks a workspace out of the
+/// engine's shared pool.  Threads claim requests from a shared cursor, the
+/// outcomes come back in input order, and a panic on any thread propagates
+/// to the caller.
+pub fn execute_on_threads(
+    engine: &LcmsrEngine<'_>,
+    requests: &[QueryRequest<'_>],
+    threads: usize,
+) -> LcmsrResult<Vec<QueryOutcome>> {
+    let next = AtomicUsize::new(0);
+    let mut answered: Vec<(usize, LcmsrResult<QueryOutcome>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(request) = requests.get(i) else {
+                            break mine;
+                        };
+                        mine.push((i, engine.execute(request)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
+    answered.sort_unstable_by_key(|&(i, _)| i);
+    answered.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Runs a top-k query and measures the wall-clock time.

@@ -15,13 +15,13 @@
 //! far with `partial: true` in [`RunStats`] instead of running to completion.
 //!
 //! Interactive exploration produces many successive queries over the same
-//! network, so the engine supports **batched concurrent execution**:
-//! [`LcmsrEngine::execute_batch_with`] fans a slice of requests out over scoped
-//! worker threads, each owning a [`QueryWorkspace`] whose scratch buffers
+//! network, so each query runs on a [`QueryWorkspace`] whose scratch buffers
 //! (region extraction, keyword scoring, CSR query-graph construction) are
-//! recycled from query to query, so steady-state per-query preparation
-//! allocates near-zero.  Results come back in input order and are identical
-//! to what sequential [`LcmsrEngine::execute`] calls produce.
+//! recycled from query to query, and steady-state per-query preparation
+//! allocates near-zero.  The engine is `Sync`: concurrent callers (the
+//! service's HTTP workers, or any scoped threads) each check a workspace out
+//! of the engine's [`WorkspacePool`], and every answer is identical to a
+//! sequential [`LcmsrEngine::execute`] call.
 
 use crate::app::{run_app, AppParams};
 use crate::arena::TupleArena;
@@ -44,7 +44,7 @@ use lcmsr_roadnet::geo::Rect;
 use lcmsr_roadnet::graph::RoadNetwork;
 use lcmsr_roadnet::node::NodeId;
 use lcmsr_roadnet::subgraph::{RegionScratch, RegionView};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -296,22 +296,15 @@ pub struct MaxRsRegion {
     pub connected_in_network: bool,
 }
 
-/// Default worker count for batched execution: the available hardware
-/// parallelism (1 when it cannot be determined).
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Per-worker reusable state for answering a stream of queries.
 ///
 /// Holds the scratch buffers of every preparation stage — `Q.Λ` extraction
 /// ([`RegionScratch`]), keyword scoring ([`NodeWeights`]) and query-graph
 /// construction ([`QueryGraphBuilder`]) — plus the solve phase's
 /// [`TupleArena`], so repeated [`LcmsrEngine::execute_with`] calls over the
-/// same network allocate near-zero.  Each worker thread of
-/// [`LcmsrEngine::execute_batch_with`] owns one workspace; one-shot
-/// [`LcmsrEngine::execute`] calls check workspaces out of the engine's
-/// [`WorkspacePool`].
+/// same network allocate near-zero.  A caller answering a stream of
+/// requests on one thread can own a workspace; [`LcmsrEngine::execute`]
+/// checks one out of the engine's [`WorkspacePool`] per call.
 #[derive(Debug, Clone, Default)]
 pub struct QueryWorkspace {
     builder: QueryGraphBuilder,
@@ -398,36 +391,36 @@ impl QueryWorkspace {
 
 /// A lock-guarded stack of idle [`QueryWorkspace`]s owned by the engine.
 ///
-/// [`LcmsrEngine::execute`] and every batch worker check a workspace out and
-/// return it afterwards, so successive calls — including successive
-/// [`LcmsrEngine::execute_batch_with`] invocations — reuse the grown scratch
+/// [`LcmsrEngine::execute`] checks a workspace out and returns it afterwards,
+/// so successive calls — from one thread or many — reuse the grown scratch
 /// buffers, query-graph pools and tuple arenas instead of rebuilding them per
 /// call.
 ///
-/// Idle growth is capped at [`WorkspacePool::max_idle`] workspaces (default:
-/// the available hardware parallelism): a burst of concurrent one-shot calls
-/// can momentarily check out more workspaces than that, but `recycle` drops
-/// the excess instead of pinning their grown buffers forever.  Anything above
+/// Idle growth is capped at [`WorkspacePool::max_idle`] workspaces, the
+/// available hardware parallelism: a burst of concurrent calls can
+/// momentarily check out more workspaces than that, but `recycle` drops the
+/// excess instead of pinning their grown buffers forever.  Anything above
 /// the cap could never be handed out concurrently again without the same
 /// burst recurring, so the cap trades a re-warm on the next burst for a
 /// bounded steady-state footprint.
 #[derive(Debug)]
 pub struct WorkspacePool {
     idle: Mutex<Vec<QueryWorkspace>>,
-    max_idle: AtomicUsize,
+    max_idle: usize,
 }
 
 impl Default for WorkspacePool {
     fn default() -> Self {
         WorkspacePool {
             idle: Mutex::new(Vec::new()),
-            max_idle: AtomicUsize::new(default_workers()),
+            max_idle: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 }
 
 impl WorkspacePool {
-    /// Creates an empty pool with `max_idle` = available parallelism.
+    /// Creates an empty pool with `max_idle` = available parallelism (1 when
+    /// it cannot be determined).
     pub fn new() -> Self {
         Self::default()
     }
@@ -446,7 +439,7 @@ impl WorkspacePool {
     /// workspace (and its grown buffers) is dropped instead.
     pub fn recycle(&self, workspace: QueryWorkspace) {
         let mut idle = self.idle.lock().expect("workspace pool poisoned");
-        if idle.len() < self.max_idle.load(AtomicOrdering::Relaxed) {
+        if idle.len() < self.max_idle {
             idle.push(workspace);
         }
     }
@@ -458,15 +451,7 @@ impl WorkspacePool {
 
     /// The cap on idle pooled workspaces.
     pub fn max_idle(&self) -> usize {
-        self.max_idle.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Raises the idle cap to at least `workers`.  The batch paths call this
-    /// with their explicit worker count: a caller asking for N concurrent
-    /// workers wants N workspaces reused across batches, and without this a
-    /// cap below N would silently drop (and re-warm) the excess every batch.
-    pub fn ensure_max_idle(&self, workers: usize) {
-        self.max_idle.fetch_max(workers, AtomicOrdering::Relaxed);
+        self.max_idle
     }
 }
 
@@ -675,9 +660,8 @@ impl<'a> LcmsrEngine<'a> {
         result
     }
 
-    /// Like [`LcmsrEngine::execute`], but reuses a caller-owned workspace —
-    /// the building block of [`LcmsrEngine::execute_batch_with`], also useful
-    /// on its own for a sequential stream of requests.
+    /// Like [`LcmsrEngine::execute`], but reuses a caller-owned workspace,
+    /// for a sequential stream of requests on one thread.
     pub fn execute_with(
         &self,
         workspace: &mut QueryWorkspace,
@@ -862,99 +846,6 @@ impl<'a> LcmsrEngine<'a> {
         })
     }
 
-    /// Answers a batch of requests concurrently on `workers` threads (capped
-    /// at the batch size).  Results are returned in input order and are
-    /// identical to running each request sequentially with
-    /// [`LcmsrEngine::execute`]; the first failing request's error (in input
-    /// order) is returned if any request fails.
-    ///
-    /// Workers pull requests from a shared atomic cursor (dynamic load
-    /// balancing), each runs with its own [`QueryWorkspace`], and every
-    /// result lands in its request's input slot.  Each member runs under its
-    /// own deadline; a front-end that wants one deadline for a dispatched
-    /// group stamps that deadline on every member.
-    pub fn execute_batch_with(
-        &self,
-        requests: &[QueryRequest<'_>],
-        workers: usize,
-    ) -> Result<Vec<QueryOutcome>> {
-        self.batch_over(requests, workers, |ws, request| {
-            self.execute_with(ws, request)
-        })
-    }
-
-    /// Shared batch driver: fans `items` out over `workers` scoped threads,
-    /// each owning a workspace, and reassembles per-item results in input
-    /// order.  A single worker degenerates to an in-place sequential loop
-    /// (still with workspace reuse).
-    fn batch_over<I, T, F>(&self, items: &[I], workers: usize, job: F) -> Result<Vec<T>>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&mut QueryWorkspace, &I) -> Result<T> + Sync,
-    {
-        let workers = workers.max(1).min(items.len().max(1));
-        // An explicit worker count is a statement that `workers` workspaces
-        // are worth keeping around between batches.
-        self.pool.ensure_max_idle(workers);
-        if workers <= 1 {
-            let mut workspace = self.pool.checkout();
-            let result = items.iter().map(|item| job(&mut workspace, item)).collect();
-            self.pool.recycle(workspace);
-            return result;
-        }
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // Reuse a pooled workspace; consecutive batches on the
-                        // same engine keep their grown buffers and arenas.
-                        let mut workspace = self.pool.checkout();
-                        let mut produced = Vec::new();
-                        // Stop claiming work once any item has failed — like
-                        // the sequential path, there is no point finishing a
-                        // batch whose result will be discarded.
-                        while !failed.load(AtomicOrdering::Relaxed) {
-                            let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let result = job(&mut workspace, &items[i]);
-                            if result.is_err() {
-                                failed.store(true, AtomicOrdering::Relaxed);
-                            }
-                            produced.push((i, result));
-                        }
-                        self.pool.recycle(workspace);
-                        produced
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        // The cursor claims indices in increasing order, so processed slots
-        // form a contiguous prefix and any unprocessed tail is preceded by
-        // the failure that aborted the batch — an in-order scan therefore
-        // yields the first error in input order, matching the sequential path.
-        let mut results = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot {
-                Some(Ok(value)) => results.push(value),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("unprocessed item without a preceding error"),
-            }
-        }
-        Ok(results)
-    }
-
     /// Runs the MaxRS baseline over the objects relevant to `query` inside
     /// `Q.Λ`, using a `width` × `height` rectangle (the paper uses 500 m × 500 m),
     /// and derives the measures needed by the Section 7.5 comparison.
@@ -1090,33 +981,6 @@ mod tests {
         k: usize,
     ) -> Result<QueryOutcome> {
         engine.execute(&QueryRequest::new(query, algorithm.clone()).top_k(k))
-    }
-
-    fn batch1(
-        engine: &LcmsrEngine<'_>,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-        workers: usize,
-    ) -> Result<Vec<QueryOutcome>> {
-        let requests: Vec<QueryRequest<'_>> = queries
-            .iter()
-            .map(|q| QueryRequest::new(q, algorithm.clone()))
-            .collect();
-        engine.execute_batch_with(&requests, workers)
-    }
-
-    fn batchk(
-        engine: &LcmsrEngine<'_>,
-        queries: &[LcmsrQuery],
-        algorithm: &Algorithm,
-        k: usize,
-        workers: usize,
-    ) -> Result<Vec<QueryOutcome>> {
-        let requests: Vec<QueryRequest<'_>> = queries
-            .iter()
-            .map(|q| QueryRequest::new(q, algorithm.clone()).top_k(k))
-            .collect();
-        engine.execute_batch_with(&requests, workers)
     }
 
     /// A 6×6 grid network (100 m blocks) with a restaurant cluster in the
@@ -1291,36 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_sequential_run_exactly() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let queries = mixed_workload(&network);
-        assert!(queries.len() >= 32);
-        for algorithm in [
-            Algorithm::App(AppParams::default()),
-            Algorithm::Tgen(TgenParams { alpha: 1.0 }),
-            Algorithm::Greedy(GreedyParams::default()),
-        ] {
-            let sequential: Vec<_> = queries
-                .iter()
-                .map(|q| run1(&engine, q, &algorithm).unwrap().regions)
-                .collect();
-            for workers in [1, 2, 4] {
-                let batched = batch1(&engine, &queries, &algorithm, workers).unwrap();
-                assert_eq!(batched.len(), queries.len());
-                for (i, (seq, bat)) in sequential.iter().zip(&batched).enumerate() {
-                    assert_eq!(
-                        seq,
-                        &bat.regions,
-                        "{} query {i} diverged with {workers} workers",
-                        algorithm.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn prepare_fills_the_timing_split() {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
@@ -1332,40 +1166,6 @@ mod tests {
                 "split must be contained in prepare_time"
             );
         }
-    }
-
-    #[test]
-    fn run_topk_batch_matches_sequential_topk() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let queries = mixed_workload(&network);
-        let algorithm = Algorithm::Tgen(TgenParams { alpha: 1.0 });
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| runk(&engine, q, &algorithm, 3).unwrap().regions)
-            .collect();
-        let batched = batchk(&engine, &queries, &algorithm, 3, 4).unwrap();
-        for (seq, bat) in sequential.iter().zip(&batched) {
-            assert_eq!(seq, &bat.regions);
-        }
-    }
-
-    #[test]
-    fn run_batch_propagates_the_first_error_in_input_order() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let mut queries = mixed_workload(&network);
-        // Bypass the constructor to craft an invalid query mid-batch.
-        queries[5].delta = -1.0;
-        queries[9].keywords.clear();
-        let err = batch1(
-            &engine,
-            &queries,
-            &Algorithm::Greedy(GreedyParams::default()),
-            4,
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::error::LcmsrError::InvalidDelta { .. }));
     }
 
     #[test]
@@ -1391,53 +1191,6 @@ mod tests {
             pool.recycle(ws);
         }
         assert_eq!(pool.idle_count(), cap, "recycle must drop beyond max_idle");
-        // Raising the cap lets future recycles pool more again.
-        pool.ensure_max_idle(cap + 2);
-        for _ in 0..4 {
-            pool.recycle(QueryWorkspace::new());
-        }
-        assert_eq!(pool.idle_count(), cap + 2);
-        // ensure_max_idle only ever raises the cap.
-        pool.ensure_max_idle(1);
-        assert_eq!(pool.max_idle(), cap + 2);
-        pool.ensure_max_idle(cap + 5);
-        assert_eq!(pool.max_idle(), cap + 5);
-    }
-
-    #[test]
-    fn explicit_batch_worker_counts_raise_the_idle_cap() {
-        // A cap below the requested worker count would silently drop (and
-        // re-warm) workspaces every batch — execute_batch_with must widen it.
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let workers = engine.workspace_pool().max_idle() + 2;
-        // At least one query per worker, so the batch keeps every worker.
-        let queries: Vec<LcmsrQuery> = mixed_workload(&network)
-            .into_iter()
-            .cycle()
-            .take(workers.max(32))
-            .collect();
-        let _ = batch1(
-            &engine,
-            &queries,
-            &Algorithm::Greedy(GreedyParams::default()),
-            workers,
-        )
-        .unwrap();
-        assert!(
-            engine.workspace_pool().max_idle() >= workers,
-            "batch with {workers} workers must raise the idle cap, got {}",
-            engine.workspace_pool().max_idle()
-        );
-        // A second batch can now reuse every worker's workspace.
-        let _ = batch1(
-            &engine,
-            &queries,
-            &Algorithm::Greedy(GreedyParams::default()),
-            workers,
-        )
-        .unwrap();
-        assert!(engine.workspace_pool().idle_count() >= 1);
     }
 
     #[test]
@@ -1445,7 +1198,10 @@ mod tests {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
         let cap = engine.workspace_pool().max_idle();
-        assert_eq!(cap, default_workers());
+        assert_eq!(
+            cap,
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        );
         // A burst of one-shot runs through the engine's own pool never pins
         // more than the cap.
         let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
@@ -1480,32 +1236,38 @@ mod tests {
         let second = run1(&engine, &query, &Algorithm::Tgen(TgenParams { alpha: 1.0 })).unwrap();
         assert_eq!(engine.workspace_pool().idle_count(), 1);
         assert_eq!(first.regions, second.regions);
-        // Top-k and batch paths recycle too.
-        let _ = runk(
-            &engine,
-            &query,
-            &Algorithm::Greedy(GreedyParams::default()),
-            2,
-        )
-        .unwrap();
+        // Top-k runs recycle too.
+        let greedy = Algorithm::Greedy(GreedyParams::default());
+        let _ = runk(&engine, &query, &greedy, 2).unwrap();
         assert_eq!(engine.workspace_pool().idle_count(), 1);
+        // So do four threads sharing the pool, and each of their answers
+        // matches a sequential run.
         let queries = mixed_workload(&network);
-        let _ = batch1(
-            &engine,
-            &queries,
-            &Algorithm::Greedy(GreedyParams::default()),
-            4,
-        )
-        .unwrap();
+        let sequential: Vec<Vec<Region>> = queries
+            .iter()
+            .map(|q| run1(&engine, q, &greedy).unwrap().regions)
+            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (engine, queries, sequential, greedy) =
+                    (&engine, &queries, &sequential, &greedy);
+                scope.spawn(move || {
+                    for i in (t..queries.len()).step_by(4) {
+                        let outcome = run1(engine, &queries[i], greedy).unwrap();
+                        assert_eq!(outcome.regions, sequential[i], "query {i}");
+                    }
+                });
+            }
+        });
         let pooled = engine.workspace_pool().idle_count();
         assert!(
             (1..=4).contains(&pooled),
-            "batch workers must recycle their workspaces, pooled {pooled}"
+            "concurrent callers must recycle their workspaces, pooled {pooled}"
         );
         // A failing query still returns the workspace.
         let mut bad = queries[0].clone();
         bad.delta = -1.0;
-        assert!(run1(&engine, &bad, &Algorithm::Greedy(GreedyParams::default())).is_err());
+        assert!(run1(&engine, &bad, &greedy).is_err());
         assert_eq!(engine.workspace_pool().idle_count(), pooled);
     }
 
@@ -2304,13 +2066,11 @@ mod tests {
         for query in queries.iter().take(8) {
             let _ = run1(&engine, query, &Algorithm::Greedy(GreedyParams::default())).unwrap();
         }
-        let _ = batch1(
-            &engine,
-            &queries,
-            &Algorithm::Tgen(TgenParams { alpha: 1.0 }),
-            4,
-        )
-        .unwrap();
+        let mut workspace = QueryWorkspace::new();
+        for query in &queries {
+            let tgen = Algorithm::Tgen(TgenParams { alpha: 1.0 });
+            let _ = run1_with(&engine, &mut workspace, query, &tgen).unwrap();
+        }
         let cache = engine.response_cache();
         assert!(cache.is_empty());
         assert_eq!(cache.hits() + cache.misses() + cache.stale(), 0);

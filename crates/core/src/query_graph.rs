@@ -295,7 +295,7 @@ impl QueryGraph {
 ///
 /// Repeated `build`/`recycle` cycles over the same network therefore allocate
 /// near-zero once the buffers have grown to the workload's high-water mark.
-/// Each worker thread of a batched engine owns one builder.
+/// Each [`crate::engine::QueryWorkspace`] owns one builder.
 #[derive(Debug, Clone, Default)]
 pub struct QueryGraphBuilder {
     /// Global node index → dense local id for the current build.

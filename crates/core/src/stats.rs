@@ -52,7 +52,7 @@ pub struct RunStats {
     pub solve_time: Duration,
     /// Time the query spent parked in a serving front-end's queue before it
     /// was allowed to run.  Always zero on the direct engine paths
-    /// (`execute`, `execute_with`, `execute_batch_with`); the `lcmsr_service`
+    /// (`execute`, `execute_with`); the `lcmsr_service`
     /// admission scheduler measures and fills it in.  Not included in
     /// `elapsed`, which covers engine execution only.
     pub queue_time: Duration,

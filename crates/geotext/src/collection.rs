@@ -19,7 +19,6 @@
 
 use crate::error::Result;
 use crate::grid::GridIndex;
-use crate::mapping::map_points_to_nodes;
 use crate::object::{GeoTextObject, ObjectId};
 use crate::vocab::{TermId, Vocabulary};
 use crate::vsm::QueryVector;
@@ -207,22 +206,26 @@ impl ObjectCollection {
     /// it in the grid, and maps it to its nearest road-network node.
     ///
     /// Objects with empty descriptions or locations outside the network's
-    /// bounding box (expanded by one cell) are skipped rather than rejected,
-    /// so noisy synthetic or crawled data does not abort the build; so is
-    /// every object repeating the id of an earlier kept object.
+    /// bounding box (expanded by one cell; an empty network has none, so it
+    /// keeps no object) are skipped rather than rejected, so noisy synthetic
+    /// or crawled data does not abort the build; so is every object
+    /// repeating the id of an earlier kept object.
     /// [`ObjectCollection::len`] counts the objects kept.
     pub fn build(
         network: &RoadNetwork,
         objects: Vec<GeoTextObject>,
         cell_size: f64,
     ) -> Result<Self> {
+        // An empty network has no bounding box, so every object lies outside
+        // it.
         let extent = network
             .bounding_rect()
-            .unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0))
-            .expanded(cell_size.max(1.0));
+            .map(|r| r.expanded(cell_size.max(1.0)));
         let usable: Vec<GeoTextObject> = objects
             .into_iter()
-            .filter(|o| !o.is_empty() && o.point.is_finite() && extent.contains(&o.point))
+            .filter(|o| {
+                !o.is_empty() && o.point.is_finite() && extent.is_some_and(|e| e.contains(&o.point))
+            })
             .collect();
         // The first object of each id wins.
         let mut first: Vec<(ObjectId, usize)> =
@@ -240,13 +243,20 @@ impl ObjectCollection {
             .collect();
 
         let mut vocabulary = Vocabulary::new();
-        let grid = GridIndex::build(extent, cell_size, &objects, &mut vocabulary)?;
+        // With no objects, any extent of positive size indexes nothing.
+        let grid = GridIndex::build(
+            extent.unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0)),
+            cell_size,
+            &objects,
+            &mut vocabulary,
+        )?;
         let points: Vec<Point> = objects.iter().map(|o| o.point).collect();
-        let object_nodes = if objects.is_empty() {
-            Vec::new()
-        } else {
-            map_points_to_nodes(network, &points)
-        };
+        // Each object sits on its nearest node (the paper's mapping); objects
+        // are kept only on a non-empty network, so every one has a node.
+        let object_nodes: Vec<NodeId> = points
+            .iter()
+            .filter_map(|p| network.nearest_node(p))
+            .collect();
 
         let slot_object = |s: usize| grid.slot_object(s);
         let slot_ids: Vec<ObjectId> = (0..objects.len())
@@ -809,6 +819,19 @@ mod tests {
         let empty_prev = NodeWeights::default();
         coll.node_weights_delta_into(&empty_q, &rects[0], &rects[1], &empty_prev, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn build_on_an_empty_network_keeps_no_object() {
+        let network = GraphBuilder::new().build().unwrap();
+        let objects = vec![GeoTextObject::from_keywords(
+            0u64,
+            Point::new(0.5, 0.5),
+            ["cafe"],
+        )];
+        let coll = ObjectCollection::build(&network, objects, 100.0).unwrap();
+        assert_eq!(coll.len(), 0);
+        assert!(coll.node_of(ObjectId(0)).is_none());
     }
 
     #[test]

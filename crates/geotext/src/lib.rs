@@ -12,7 +12,6 @@
 //!   list of `(object, wto(t))` postings lives in one flat CSR built once
 //!   (the paper keeps these lists in a disk-based B⁺-tree; here they are in
 //!   memory),
-//! * [`mapping`] — object → nearest-road-node mapping,
 //! * [`collection::ObjectCollection`] — the assembled data set scoring a query
 //!   into dense scratch and producing the per-node query weights (`σ_v`,
 //!   [`collection::NodeWeights`]) consumed by `lcmsr-core`.
@@ -44,7 +43,6 @@
 pub mod collection;
 pub mod error;
 pub mod grid;
-pub mod mapping;
 pub mod object;
 pub mod vocab;
 pub mod vsm;

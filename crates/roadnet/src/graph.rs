@@ -20,8 +20,9 @@ pub struct RoadNetwork {
     adj_offsets: Vec<u32>,
     /// Flattened adjacency entries: (neighbour node, connecting edge).
     adj: Vec<(NodeId, EdgeId)>,
-    /// Uniform spatial grid over node locations; `Q.Λ` extraction queries it
-    /// so per-query cost tracks the rectangle's cell cover, not `|V|`.
+    /// Uniform spatial grid over node locations; `Q.Λ` extraction and
+    /// [`RoadNetwork::nearest_node`] query it, so their cost tracks the cells
+    /// they touch, not `|V|`.
     node_grid: NodeGrid,
 }
 
@@ -194,20 +195,11 @@ impl RoadNetwork {
         out
     }
 
-    /// The node nearest to `p` by Euclidean distance, or `None` for an empty network.
-    ///
-    /// This linear scan is used by object→node mapping on construction; query-time
-    /// lookups should go through the grid index in `lcmsr-geotext`.
+    /// The node nearest to `p` by Euclidean distance, the lower id on a
+    /// tie, or `None` for an empty network.  Answered by a ring search over
+    /// the node grid, so the cost tracks the cells around `p`, not `|V|`.
     pub fn nearest_node(&self, p: &Point) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .min_by(|x, y| {
-                x.point
-                    .distance_sq(p)
-                    .partial_cmp(&y.point.distance_sq(p))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|n| n.id)
+        self.node_grid.nearest(&self.nodes, p)
     }
 
     /// Marks a node as hosting one or more geo-textual objects.
@@ -350,6 +342,163 @@ mod tests {
         let g = figure2_graph();
         assert_eq!(g.nearest_node(&Point::new(0.1, 2.1)), Some(NodeId(0)));
         assert_eq!(g.nearest_node(&Point::new(5.0, 1.0)), Some(NodeId(3)));
+    }
+
+    /// The order `nearest_node` must follow: least squared distance, then
+    /// lowest id, found by scanning every node.
+    fn nearest_by_scan(g: &RoadNetwork, p: &Point) -> Option<NodeId> {
+        g.nodes()
+            .iter()
+            .map(|n| (n.point.distance_sq(p), n.id))
+            .min_by(|a, b| a.partial_cmp(b).expect("finite probe"))
+            .map(|(_, id)| id)
+    }
+
+    fn assert_nearest_matches_scan(g: &RoadNetwork, probes: &[Point]) {
+        for p in probes {
+            assert_eq!(g.nearest_node(p), nearest_by_scan(g, p), "probe {p:?}");
+        }
+    }
+
+    fn network_of(points: &[(f64, f64)]) -> RoadNetwork {
+        let mut b = GraphBuilder::new();
+        for &(x, y) in points {
+            b.add_node(Point::new(x, y));
+        }
+        b.build().unwrap()
+    }
+
+    /// An `n × n` lattice of nodes `spacing` apart, ids row-major.
+    fn lattice(n: usize, spacing: f64) -> RoadNetwork {
+        let points: Vec<(f64, f64)> = (0..n * n)
+            .map(|i| ((i % n) as f64 * spacing, (i / n) as f64 * spacing))
+            .collect();
+        network_of(&points)
+    }
+
+    #[test]
+    fn nearest_node_matches_a_linear_scan_on_a_lattice() {
+        let g = lattice(8, 50.0);
+        assert_nearest_matches_scan(
+            &g,
+            &[
+                Point::new(0.0, 0.0),
+                Point::new(351.0, 349.0),
+                Point::new(123.4, 222.2),
+                Point::new(-50.0, -50.0),
+                Point::new(1000.0, 1000.0),
+                Point::new(175.0, 25.0),
+                Point::new(-400.0, 120.0),
+                Point::new(120.0, 5000.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn nearest_node_matches_a_linear_scan_on_random_probes() {
+        // Deterministic pseudo-random probes over a non-uniform network.
+        let g = network_of(&[
+            (0.0, 0.0),
+            (13.0, 94.0),
+            (205.0, 33.0),
+            (87.0, 187.0),
+            (300.0, 300.0),
+            (150.0, 150.0),
+            (40.0, 260.0),
+            (270.0, 120.0),
+        ]);
+        let mut state = 12345u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 20) as f64 % 400.0 - 50.0
+        };
+        let probes: Vec<Point> = (0..200).map(|_| Point::new(next(), next())).collect();
+        assert_nearest_matches_scan(&g, &probes);
+    }
+
+    #[test]
+    fn nearest_node_maps_points_in_input_order() {
+        let g = lattice(4, 100.0);
+        let points = [
+            Point::new(10.0, 10.0),
+            Point::new(290.0, 290.0),
+            // Equidistant from nodes 1 and 2: the lower id wins.
+            Point::new(150.0, 0.0),
+        ];
+        let mapped: Vec<NodeId> = points.iter().filter_map(|p| g.nearest_node(p)).collect();
+        assert_eq!(mapped, vec![NodeId(0), NodeId(15), NodeId(1)]);
+    }
+
+    #[test]
+    fn nearest_node_breaks_ties_by_lowest_id() {
+        // Coincident nodes: the lowest of them wins wherever the probe is.
+        let g = network_of(&[(9.0, 9.0), (5.0, 5.0), (5.0, 5.0), (5.0, 5.0), (0.0, 0.0)]);
+        assert_eq!(g.nearest_node(&Point::new(5.0, 5.0)), Some(NodeId(1)));
+        assert_eq!(g.nearest_node(&Point::new(4.0, 6.0)), Some(NodeId(1)));
+        assert_nearest_matches_scan(&g, &[Point::new(7.0, 7.0), Point::new(2.5, 2.5)]);
+
+        // 32 nodes over [0, 400]² make a 2 × 2 grid of 200 m cells.  The
+        // probe's own cell holds node 1 at 50 m; node 0 sits on the next
+        // cell's edge, also at 50 m, exactly the distance to that cell.
+        let mut points = vec![(200.0, 100.0), (100.0, 100.0), (0.0, 0.0)];
+        points.resize(32, (400.0, 400.0));
+        let g = network_of(&points);
+        assert_eq!(g.node_grid().dimensions(), (2, 2));
+        assert_eq!(g.node_grid().cell_size(), 200.0);
+        assert_eq!(g.nearest_node(&Point::new(150.0, 100.0)), Some(NodeId(0)));
+        // Probes on the cell boundaries.
+        assert_nearest_matches_scan(
+            &g,
+            &[
+                Point::new(200.0, 200.0),
+                Point::new(200.0, 0.0),
+                Point::new(0.0, 200.0),
+                Point::new(200.0, 100.0),
+                Point::new(400.0, 200.0),
+                Point::new(200.0, 400.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn nearest_node_matches_a_linear_scan_on_cell_boundaries() {
+        let g = lattice(9, 37.0);
+        let grid = g.node_grid();
+        let (cols, rows) = grid.dimensions();
+        let cell = grid.cell_size();
+        let mut probes = Vec::new();
+        for c in 0..=cols {
+            for r in 0..=rows {
+                let (x, y) = (f64::from(c) * cell, f64::from(r) * cell);
+                probes.extend([Point::new(x, y), Point::new(x, y + cell / 2.0)]);
+            }
+        }
+        assert_nearest_matches_scan(&g, &probes);
+    }
+
+    #[test]
+    fn nearest_node_handles_degenerate_extents() {
+        let collinear: Vec<(f64, f64)> = (0..50).map(|i| (f64::from(i) * 10.0, 0.0)).collect();
+        let g = network_of(&collinear);
+        assert_nearest_matches_scan(
+            &g,
+            &[
+                Point::new(-5.0, 0.0),
+                Point::new(105.0, 3.0),
+                Point::new(251.0, -40.0),
+                Point::new(700.0, 0.0),
+            ],
+        );
+        assert_eq!(g.nearest_node(&Point::new(105.0, 3.0)), Some(NodeId(10)));
+
+        let single = network_of(&[(3.0, 4.0)]);
+        for p in [
+            Point::new(3.0, 4.0),
+            Point::new(-100.0, 50.0),
+            Point::new(1e6, -1e6),
+        ] {
+            assert_eq!(single.nearest_node(&p), Some(NodeId(0)));
+        }
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! constructor.  Cell size is chosen from the node density so the average
 //! cell holds a handful of nodes; within a cell, ids ascend (the build is a
 //! counting sort over nodes in id order), which downstream sorted merges rely
-//! on.
+//! on.  The same grid answers [`crate::graph::RoadNetwork::nearest_node`]
+//! with a ring search, which is how objects are mapped onto their nearest
+//! nodes.
 
-use crate::geo::Rect;
+use crate::geo::{Point, Rect};
 use crate::node::{NodeId, RoadNode};
 use serde::{Deserialize, Serialize};
 
@@ -161,12 +163,73 @@ impl NodeGrid {
         }
         total
     }
+
+    /// The node of `nodes` (the slice the grid was built from) nearest to
+    /// `p`: least squared distance, then lowest id.  `None` for an empty
+    /// grid.
+    ///
+    /// Scans square rings of cells outward from `p`'s cell and stops once
+    /// the best squared distance is strictly below the squared distance from
+    /// `p` to the nearest unscanned cell, so a tie in the next ring is never
+    /// skipped.
+    pub(crate) fn nearest(&self, nodes: &[RoadNode], p: &Point) -> Option<NodeId> {
+        let extent = self.extent.as_ref()?;
+        let (cols, rows) = (i64::from(self.cols), i64::from(self.rows));
+        // The build's cell arithmetic; the saturating cast and the `min`
+        // clamp a probe outside the extent to the nearest border cell.
+        let col = i64::from((((p.x - extent.min_x) / self.cell_size) as u32).min(self.cols - 1));
+        let row = i64::from((((p.y - extent.min_y) / self.cell_size) as u32).min(self.rows - 1));
+        let edge_x = |c: i64| extent.min_x + c as f64 * self.cell_size;
+        let edge_y = |r: i64| extent.min_y + r as f64 * self.cell_size;
+        let mut best: Option<(f64, NodeId)> = None;
+        for ring in 0.. {
+            let (c_lo, c_hi, r_lo, r_hi) = (col - ring, col + ring, row - ring, row + ring);
+            let mut scan = |r: i64, lo: i64, hi: i64| {
+                // Cells `lo..=hi` of row `r` are contiguous in the CSR arrays.
+                let start = self.cell_offsets[(r * cols + lo) as usize] as usize;
+                let end = self.cell_offsets[(r * cols + hi + 1) as usize] as usize;
+                for &id in &self.node_ids[start..end] {
+                    let d = nodes[id.index()].point.distance_sq(p);
+                    if best.map_or(true, |b| (d, id) < b) {
+                        best = Some((d, id));
+                    }
+                }
+            };
+            for r in r_lo.max(0)..=r_hi.min(rows - 1) {
+                if r == r_lo || r == r_hi {
+                    scan(r, c_lo.max(0), c_hi.min(cols - 1));
+                } else {
+                    // Inner rows of the ring hold only its two end cells.
+                    if c_lo >= 0 {
+                        scan(r, c_lo, c_lo);
+                    }
+                    if c_hi < cols {
+                        scan(r, c_hi, c_hi);
+                    }
+                }
+            }
+            // Distance to the nearest cell beyond the scanned square, over
+            // the sides that still have cells beyond them.
+            let gap = [
+                (c_lo > 0, p.x - edge_x(c_lo)),
+                (c_hi + 1 < cols, edge_x(c_hi + 1) - p.x),
+                (r_lo > 0, p.y - edge_y(r_lo)),
+                (r_hi + 1 < rows, edge_y(r_hi + 1) - p.y),
+            ]
+            .into_iter()
+            .filter_map(|(beyond, d)| beyond.then_some(d.max(0.0)))
+            .fold(f64::INFINITY, f64::min);
+            if gap == f64::INFINITY || best.is_some_and(|(d, _)| d < gap * gap) {
+                break;
+            }
+        }
+        best.map(|(_, id)| id)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geo::Point;
     use crate::node::NodeKind;
 
     fn nodes_on_grid(side: u32, spacing: f64) -> Vec<RoadNode> {

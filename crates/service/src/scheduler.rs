@@ -193,8 +193,6 @@ impl Scheduler {
         metrics: Arc<ServiceMetrics>,
     ) -> Self {
         let permits = config.batch_workers.max(1);
-        // N permits keep N warm workspaces between queries.
-        engine.workspace_pool().ensure_max_idle(permits);
         Scheduler {
             engine,
             config,
@@ -469,7 +467,6 @@ mod tests {
         assert_eq!(metrics.batches.load(Ordering::Relaxed), 6);
         assert_eq!(metrics.batched_queries.load(Ordering::Relaxed), 6);
         assert_eq!(scheduler.queue_depth(), 0);
-        assert!(engine.workspace_pool().max_idle() >= 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Batched concurrent execution tests: `execute_batch_with` must be a drop-in
-//! replacement for a sequential loop of `execute` calls — same regions, same
-//! weights, same lengths, in input order — no matter how many workers execute
-//! the batch, and the prepare/solve split of `RunStats` must be consistent.
+//! Concurrent execution tests: `execute` called from scoped threads on one
+//! engine, sharing its workspace pool, must match a sequential loop of
+//! `execute` calls — same regions, same weights, same lengths, in input
+//! order — no matter how many threads run the batch, and the prepare/solve
+//! split of `RunStats` must be consistent.
 
 use lcmsr::core::engine::{Algorithm, LcmsrEngine};
 use lcmsr::core::{AppParams, GreedyParams, LcmsrQuery, TgenParams};

@@ -1,11 +1,13 @@
 //! Shared helpers for the integration suite: thin wrappers that build the
 //! [`QueryRequest`] for a query and an algorithm and answer it through
-//! [`LcmsrEngine::execute`], `execute_with` or `execute_batch_with`, so the
-//! suites stay focused on algorithm behaviour rather than request plumbing.
+//! [`LcmsrEngine::execute`], `execute_with` or scoped threads over `execute`
+//! ([`execute_on_threads`]), so the suites stay focused on algorithm
+//! behaviour rather than request plumbing.
 #![allow(dead_code)]
 
 use lcmsr::core::engine::{Algorithm, LcmsrEngine, QueryOutcome, QueryRequest, QueryWorkspace};
 use lcmsr::core::{LcmsrQuery, Result};
+use lcmsr_bench::execute_on_threads;
 
 /// Answers a single-region query with a pooled workspace.
 pub fn run1(
@@ -48,7 +50,7 @@ pub fn batchk_with(
         .iter()
         .map(|q| QueryRequest::new(q, algorithm.clone()).top_k(k))
         .collect();
-    engine.execute_batch_with(&requests, workers)
+    execute_on_threads(engine, &requests, workers)
 }
 
 /// Answers a batch of single-region queries on `workers` threads.
@@ -62,5 +64,5 @@ pub fn batch1_with(
         .iter()
         .map(|q| QueryRequest::new(q, algorithm.clone()))
         .collect();
-    engine.execute_batch_with(&requests, workers)
+    execute_on_threads(engine, &requests, workers)
 }

@@ -216,9 +216,10 @@ fn tight_deadline_interrupts_tgen_with_a_feasible_partial() {
     }
 }
 
-/// Deadlines ride through the batched path too: each member of a batch
-/// carries its own deadline, so one doomed member reports partial while its
-/// siblings run to completion and stay bit-identical to solo runs.
+/// Deadlines hold for concurrent callers too: each member of a batch run on
+/// scoped threads carries its own deadline, so one doomed member reports
+/// partial while its siblings run to completion and stay bit-identical to
+/// solo runs.
 #[test]
 fn batched_members_honour_their_own_deadlines() {
     let restaurants: Vec<usize> = vec![0, 1, 5, 6, 12, 17, 23];
@@ -233,7 +234,7 @@ fn batched_members_honour_their_own_deadlines() {
         QueryRequest::new(&q1, tgen.clone()),
         QueryRequest::new(&q2, tgen.clone()).deadline(Deadline::after(Duration::ZERO)),
     ];
-    let results = engine.execute_batch_with(&requests, 2).unwrap();
+    let results = lcmsr_bench::execute_on_threads(&engine, &requests, 2).unwrap();
 
     assert!(
         !results[0].stats.partial,
