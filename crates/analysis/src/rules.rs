@@ -99,9 +99,8 @@ pub struct Finding {
 /// * `unsafe_safety` — everywhere.
 /// * `lock_nesting` — all `crates/*/src` non-test code.
 /// * `cache_key` — `crates/core/src` and `crates/service/src` non-test code,
-///   except the audited fingerprint modules (`core/src/cache.rs`, which owns
-///   `canon_f64`, and `core/src/kmst/garg.rs`, whose λ memo table is keyed by
-///   values the solver itself produced — never request floats).
+///   except the audited fingerprint module `core/src/cache.rs`, which owns
+///   `canon_f64`.
 fn rules_for(path: &str) -> Vec<Rule> {
     let mut rules = vec![Rule::UnsafeSafety];
     let in_crate_src = path.starts_with("crates/") && path.contains("/src/");
@@ -124,8 +123,7 @@ fn rules_for(path: &str) -> Vec<Rule> {
     if in_crate_src {
         rules.push(Rule::LockNesting);
     }
-    const CACHE_KEY_AUDITED: [&str; 2] =
-        ["crates/core/src/cache.rs", "crates/core/src/kmst/garg.rs"];
+    const CACHE_KEY_AUDITED: [&str; 1] = ["crates/core/src/cache.rs"];
     if (path.starts_with("crates/core/src/") || path.starts_with("crates/service/src/"))
         && !CACHE_KEY_AUDITED.contains(&path)
     {
@@ -734,9 +732,17 @@ mod tests {
             names("crates/core/src/cache.rs"),
             vec!["clock", "determinism", "lock_nesting", "unsafe_safety"]
         );
+        // Only `cache.rs` is audited: the k-MST oracle is checked like the
+        // rest of core.
         assert_eq!(
             names("crates/core/src/kmst/garg.rs"),
-            vec!["clock", "determinism", "lock_nesting", "unsafe_safety"]
+            vec![
+                "cache_key",
+                "clock",
+                "determinism",
+                "lock_nesting",
+                "unsafe_safety"
+            ]
         );
         assert_eq!(
             names("crates/bench/src/lib.rs"),

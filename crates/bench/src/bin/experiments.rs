@@ -556,8 +556,9 @@ fn sec7_5(ny: &Dataset) {
             .expect("run");
         let lcmsr_weight = lcmsr.best().map_or(0.0, |r| r.weight);
         // Automatic quality proxy (replaces the paper's human annotators, see
-        // DESIGN.md §4): a result is better when it is connected on the network
-        // and gathers more relevant weight under the same connectivity budget.
+        // README.md § "Substitutions"): a result is better when it is
+        // connected on the network and gathers more relevant weight under the
+        // same connectivity budget.
         let winner = if (!maxrs.connected_in_network && lcmsr_weight > 0.0)
             || lcmsr_weight > maxrs.weight * 1.02
         {
@@ -634,10 +635,10 @@ fn fig21_22(ny: &Dataset, usanw: &Dataset) {
 
 /// Ablation of APP's k-MST oracle: the Garg/GW-style oracle (the paper's
 /// algorithm, APP's default) against the density-greedy one.  On the
-/// synthetic data the density oracle runs several times faster and finds
-/// regions at least as heavy.
+/// synthetic data the density oracle runs about 2× faster at `tiny` and
+/// 3–4× at `small`, and finds regions at least as heavy.
 fn ablation_kmst(ny: &Dataset) {
-    println!("\n## ablation_kmst — APP k-MST oracle (NY): density should be several times faster");
+    println!("\n## ablation_kmst — APP k-MST oracle (NY): density should be faster");
     let queries = default_workload(ny, 4242);
     let engine = LcmsrEngine::new(&ny.network, &ny.collection);
     println!(

@@ -87,59 +87,19 @@ pub struct ArenaStats {
 /// Slab allocator for the sorted `u32` id sets of region tuples.
 ///
 /// See the module docs for the design and the (logical) safety contract.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct TupleArena {
     /// The slab.  Live blocks and free-listed blocks are disjoint.
     data: Vec<u32>,
     /// `free[len]` holds offsets of freed blocks of exactly `len` ids.
     free: Vec<Vec<u32>>,
-    /// Process-unique arena identity (cloned arenas get a fresh one); paired
-    /// with the reset count it forms [`TupleArena::generation`].
-    id: u64,
     stats: ArenaStats,
-}
-
-impl Default for TupleArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-fn next_arena_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl Clone for TupleArena {
-    fn clone(&self) -> Self {
-        TupleArena {
-            data: self.data.clone(),
-            free: self.free.clone(),
-            id: next_arena_id(),
-            stats: self.stats,
-        }
-    }
 }
 
 impl TupleArena {
     /// Creates an empty arena; the slab grows on first use.
     pub fn new() -> Self {
-        TupleArena {
-            data: Vec::new(),
-            free: Vec::new(),
-            id: next_arena_id(),
-            stats: ArenaStats::default(),
-        }
-    }
-
-    /// An identity that changes whenever handles become invalid: unique per
-    /// arena instance and bumped by every [`TupleArena::reset`].  Caches that
-    /// hold handles across calls (e.g. the Garg λ-cache) compare generations
-    /// to drop entries that would otherwise dangle into a reset or different
-    /// arena.
-    pub fn generation(&self) -> (u64, u64) {
-        (self.id, self.stats.resets)
+        Self::default()
     }
 
     /// Invalidates every handle and reclaims the whole slab in one step while

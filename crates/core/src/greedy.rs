@@ -16,7 +16,7 @@
 //! candidate reached through the same tree node it cannot rank candidates, so —
 //! consistent with the prose ("taking into account both the node weight and the
 //! road segment length" of the *candidate*) — we use the candidate's weight
-//! `σ_{v_i}`.  DESIGN.md records this reading.
+//! `σ_{v_i}`.  README.md § "Substitutions" records this reading.
 
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;

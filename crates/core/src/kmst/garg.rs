@@ -5,84 +5,35 @@
 //! for the `λ` at which the collected weight reaches the quota.  We do the same
 //! for the node-weighted variant used by APP: prizes are `λ·σ̂_v` and `λ` is
 //! bisected until the pruned GW tree's scaled weight reaches the quota, keeping
-//! the smallest such tree.  Results are cached per `λ` because APP's outer
-//! binary search issues many quota queries against the same graph.
+//! the smallest such tree.  Every GW run of the search shares one prize buffer
+//! and one [`GwScratch`].
 
-use super::gw::pcst;
+use super::gw::{pcst, GwScratch};
 use super::KMstSolver;
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
 use crate::query_graph::QueryGraph;
 use crate::region::RegionTuple;
 use crate::trace::TraceCollector;
-use std::collections::BTreeMap;
 
-/// Default number of λ-bisection steps.
+/// Number of λ-bisection steps.
 const DEFAULT_LAMBDA_STEPS: usize = 14;
 /// Maximum number of doublings when searching for an upper λ bound.
 const MAX_DOUBLINGS: usize = 24;
 
 /// The GW/Garg-style node-weighted k-MST oracle.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GargKMst {
-    lambda_steps: usize,
-    cache: BTreeMap<u64, RegionTuple>,
-    /// Arena generation the cached handles belong to; the cache is dropped
-    /// whenever the caller's arena identity or reset count differs (cached
-    /// `RegionTuple`s are handles — after a reset they would dangle).
-    cache_generation: Option<(u64, u64)>,
+    /// The current λ's per-node prizes.
+    prizes: Vec<f64>,
+    scratch: GwScratch,
     invocations: u64,
-    gw_runs: u64,
-}
-
-impl Default for GargKMst {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl GargKMst {
-    /// Creates a solver with the default λ-bisection depth.
+    /// Creates a solver.
     pub fn new() -> Self {
-        GargKMst {
-            lambda_steps: DEFAULT_LAMBDA_STEPS,
-            cache: BTreeMap::new(),
-            cache_generation: None,
-            invocations: 0,
-            gw_runs: 0,
-        }
-    }
-
-    /// Creates a solver with a custom λ-bisection depth (more steps → slightly
-    /// shorter trees, more GW runs).
-    pub fn with_lambda_steps(steps: usize) -> Self {
-        GargKMst {
-            lambda_steps: steps.max(4),
-            ..Self::new()
-        }
-    }
-
-    /// Number of underlying GW runs performed so far (cache misses).
-    pub fn gw_runs(&self) -> u64 {
-        self.gw_runs
-    }
-
-    /// Clears the λ cache.  Call when switching to a different query graph
-    /// (arena switches and resets are detected automatically via
-    /// [`TupleArena::generation`]).
-    pub fn reset_cache(&mut self) {
-        self.cache.clear();
-        self.cache_generation = None;
-    }
-
-    /// Drops cached trees whose handles do not belong to `arena`'s current
-    /// generation — they would dangle into reset or foreign slab memory.
-    fn sync_cache_to(&mut self, arena: &TupleArena) {
-        let generation = arena.generation();
-        if self.cache_generation != Some(generation) {
-            self.cache.clear();
-            self.cache_generation = Some(generation);
-        }
+        Self::default()
     }
 
     fn tree_for_lambda(
@@ -91,17 +42,10 @@ impl GargKMst {
         arena: &mut TupleArena,
         lambda: f64,
     ) -> RegionTuple {
-        let key = lambda.to_bits();
-        if let Some(t) = self.cache.get(&key) {
-            return *t;
-        }
-        let prizes: Vec<f64> = (0..graph.node_count() as u32)
-            .map(|v| graph.scaled_weight(v) as f64 * lambda)
-            .collect();
-        self.gw_runs += 1;
-        let result = pcst(graph, arena, &prizes);
-        self.cache.insert(key, result.tree);
-        result.tree
+        self.prizes.clear();
+        self.prizes
+            .extend((0..graph.node_count() as u32).map(|v| graph.scaled_weight(v) as f64 * lambda));
+        pcst(graph, arena, &self.prizes, &mut self.scratch).tree
     }
 
     /// The best single node as a degenerate tree (used for quota 0 or tiny quotas).
@@ -124,7 +68,6 @@ impl KMstSolver for GargKMst {
         tracer: &mut TraceCollector,
     ) -> Option<RegionTuple> {
         self.invocations += 1;
-        self.sync_cache_to(arena);
         let best_single = Self::best_singleton(graph, arena);
         if quota == 0 || best_single.scaled >= quota {
             return Some(best_single);
@@ -158,7 +101,7 @@ impl KMstSolver for GargKMst {
         let mut lo = 0.0f64;
         let mut best = hi_tree;
         let mut hi = lambda_hi;
-        for _ in 0..self.lambda_steps {
+        for _ in 0..DEFAULT_LAMBDA_STEPS {
             // `best` already meets the quota — on cancellation, stop
             // tightening and return it as-is.
             if ctl.is_cancelled() {
@@ -322,113 +265,36 @@ mod tests {
     }
 
     #[test]
-    fn cache_prevents_repeated_gw_runs() {
-        let (_n, qg) = figure2_query_graph(6.0, 0.15);
-        let mut arena = TupleArena::new();
-        let mut solver = GargKMst::new();
-        let _ = solver.solve(
-            &qg,
-            &mut arena,
-            100,
-            &CancelToken::none(),
-            &mut TraceCollector::disabled(),
-        );
-        let runs_after_first = solver.gw_runs();
-        let _ = solver.solve(
-            &qg,
-            &mut arena,
-            100,
-            &CancelToken::none(),
-            &mut TraceCollector::disabled(),
-        );
-        // The second identical call should be mostly served from the cache.
-        assert!(solver.gw_runs() <= runs_after_first + 2);
-        solver.reset_cache();
-        let _ = solver.solve(
-            &qg,
-            &mut arena,
-            100,
-            &CancelToken::none(),
-            &mut TraceCollector::disabled(),
-        );
-        assert!(solver.gw_runs() > runs_after_first);
-    }
-
-    #[test]
-    fn cache_survives_neither_arena_resets_nor_arena_switches() {
-        // Cached trees are arena handles: reusing one solver after a reset
-        // (or with a different arena) must re-run GW instead of returning
-        // handles that dangle into reclaimed slab memory.
+    fn same_tree_after_an_arena_reset_and_on_another_arena() {
+        // Reusing one solver, and so one GW scratch, after an arena reset or
+        // with a different arena must give the same valid tree, allocated in
+        // the arena it was given.
         let (_n, qg) = figure2_query_graph(6.0, 0.15);
         let mut solver = GargKMst::new();
         let mut arena = TupleArena::new();
-        let first = solver
-            .solve(
-                &qg,
-                &mut arena,
-                110,
-                &CancelToken::none(),
-                &mut TraceCollector::disabled(),
-            )
-            .unwrap();
+        let solve = |solver: &mut GargKMst, arena: &mut TupleArena| {
+            solver
+                .solve(
+                    &qg,
+                    arena,
+                    110,
+                    &CancelToken::none(),
+                    &mut TraceCollector::disabled(),
+                )
+                .unwrap()
+        };
+        let first = solve(&mut solver, &mut arena);
         validate_tree(&qg, &arena, &first);
         let first_nodes: Vec<u32> = first.nodes(&arena).to_vec();
-        let runs_warm = solver.gw_runs();
 
-        // Same arena, no reset: served from cache.
-        let again = solver
-            .solve(
-                &qg,
-                &mut arena,
-                110,
-                &CancelToken::none(),
-                &mut TraceCollector::disabled(),
-            )
-            .unwrap();
-        assert_eq!(again.nodes(&arena), first_nodes.as_slice());
-        assert!(solver.gw_runs() <= runs_warm + 2);
-
-        // Reset between queries: the stale cache must be dropped and the
-        // result still be a valid identical tree in the fresh slab.
         arena.reset();
-        let after_reset = solver
-            .solve(
-                &qg,
-                &mut arena,
-                110,
-                &CancelToken::none(),
-                &mut TraceCollector::disabled(),
-            )
-            .unwrap();
+        let after_reset = solve(&mut solver, &mut arena);
         validate_tree(&qg, &arena, &after_reset);
         assert_eq!(after_reset.nodes(&arena), first_nodes.as_slice());
-        assert!(
-            solver.gw_runs() > runs_warm,
-            "reset must invalidate the cache"
-        );
 
-        // A different arena entirely gets the same treatment.
-        let runs_reset = solver.gw_runs();
         let mut other = TupleArena::new();
-        let cross = solver
-            .solve(
-                &qg,
-                &mut other,
-                110,
-                &CancelToken::none(),
-                &mut TraceCollector::disabled(),
-            )
-            .unwrap();
+        let cross = solve(&mut solver, &mut other);
         validate_tree(&qg, &other, &cross);
         assert_eq!(cross.nodes(&other), first_nodes.as_slice());
-        assert!(solver.gw_runs() > runs_reset);
-    }
-
-    #[test]
-    fn custom_lambda_steps_are_clamped() {
-        let solver = GargKMst::with_lambda_steps(1);
-        assert_eq!(solver.lambda_steps, 4);
-        let solver = GargKMst::with_lambda_steps(20);
-        assert_eq!(solver.lambda_steps, 20);
     }
 }

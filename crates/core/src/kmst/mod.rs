@@ -11,7 +11,7 @@
 //! * [`garg::GargKMst`] — the default; runs the GW prize-collecting
 //!   Steiner-tree primal–dual ([`gw`]) with per-node prizes `λ·σ̂_v` and
 //!   bisects `λ` until the quota is met, mirroring the structure of Garg's
-//!   algorithm (see DESIGN.md §4 for the substitution note),
+//!   algorithm (see README.md § "Substitutions"),
 //! * [`density::DensityKMst`] — a fast multi-root greedy used as an ablation
 //!   baseline and as a fallback.
 
@@ -30,8 +30,7 @@ pub trait KMstSolver {
     /// Returns a tree (as a region tuple) whose total *scaled* node weight is at
     /// least `quota`, with total edge length as small as the solver can manage.
     /// The tree's node/edge sets are allocated in `arena` and stay live until
-    /// the arena is reset (solvers may cache and return the same handles for
-    /// repeated quotas).
+    /// the arena is reset.
     ///
     /// Returns `None` when no tree in the query graph can reach the quota
     /// (i.e. the quota exceeds the total scaled weight of the graph).

@@ -7,7 +7,7 @@
 //! The paper evaluates on the DIMACS New York road network with Google Places
 //! objects and a north-west USA network with Flickr-tag objects; neither can be
 //! redistributed with this repository.  This crate generates structurally
-//! similar substitutes (see DESIGN.md §4 for the substitution argument):
+//! similar substitutes (see README.md § "Substitutions"):
 //!
 //! * [`network`] — NY-like (dense grid) and USANW-like (towns + highways) road
 //!   networks at several scales,

@@ -4,10 +4,10 @@
 //! The paper's human annotators preferred LCMSR on 90 % of queries because
 //! MaxRS rectangles cut across blocks and their objects need not be connected
 //! by streets.  This example reproduces the comparison procedure with an
-//! automatic quality proxy (see DESIGN.md §4): the MaxRS result's objects are
-//! connected with a minimum spanning tree in the road-network metric, that
-//! length becomes the LCMSR `∆`, and the two regions are compared on relevance
-//! weight and street connectivity.
+//! automatic quality proxy (see README.md § "Substitutions"): the MaxRS
+//! result's objects are connected with a minimum spanning tree in the
+//! road-network metric, that length becomes the LCMSR `∆`, and the two
+//! regions are compared on relevance weight and street connectivity.
 //!
 //! Run with: `cargo run --release --example maxrs_comparison`
 

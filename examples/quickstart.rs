@@ -8,7 +8,7 @@ use lcmsr::prelude::*;
 fn main() {
     // 1. Build a small synthetic data set (a Manhattan-style grid with
     //    clustered points of interest) — stands in for the paper's New York
-    //    data; see DESIGN.md §4.
+    //    data; see README.md § "Substitutions".
     let dataset = Dataset::build(DatasetConfig::tiny(42));
     println!("network : {}", dataset.network.stats());
     println!(
