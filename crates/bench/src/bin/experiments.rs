@@ -11,8 +11,7 @@
 //! ```
 //!
 //! Available experiment ids: `table1`, `fig7_8`, `fig9_10`, `fig11_12`,
-//! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`,
-//! `ablation_kmst` (APP's k-MST oracle: Garg/GW vs density greedy), `all` —
+//! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`, `all` —
 //! plus `serve`, which starts the `lcmsr_service` HTTP front-end over the
 //! synthetic NY dataset (flags: `--addr`, `--queue-capacity`,
 //! `--http-workers`, `--slow-ms` for the slow-query threshold and
@@ -24,9 +23,8 @@
 //! batched-workload line and the serve scheduler alike), and the dataset
 //! scale honours `--scale NAME` / `LCMSR_SCALE`
 //! (`tiny` | `small` | `medium` | `large` | `huge`); malformed values for
-//! either are reported on stderr instead of silently defaulting.
-//! Absolute numbers differ from the paper (synthetic data, reduced scale);
-//! the reported *shapes* are what EXPERIMENTS.md records and compares.
+//! either are reported on stderr instead of silently defaulting.  Every
+//! flag takes `--flag VALUE` or `--flag=VALUE`; the last occurrence wins.
 
 use lcmsr_bench::*;
 use lcmsr_core::app::run_app;
@@ -39,26 +37,17 @@ fn main() {
     let workers = take_workers_flag(&mut args).unwrap_or_else(workers_from_env);
     let scale = take_scale_flag(&mut args).unwrap_or_else(scale_from_env);
     if args.first().map(String::as_str) == Some("serve") {
-        serve_command(&args[1..], workers, scale);
+        serve_command(args.split_off(1), workers, scale);
         return;
     }
     if args.first().map(String::as_str) == Some("dump") {
-        dump_command(&args[1..], scale);
+        dump_command(args.split_off(1), scale);
         return;
     }
     let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
-            "table1",
-            "fig7_8",
-            "fig9_10",
-            "fig11_12",
-            "fig13_14",
-            "fig15",
-            "fig16",
-            "fig17_19",
-            "sec7_5",
-            "fig21_22",
-            "ablation_kmst",
+            "table1", "fig7_8", "fig9_10", "fig11_12", "fig13_14", "fig15", "fig16", "fig17_19",
+            "sec7_5", "fig21_22",
         ]
         .into_iter()
         .map(String::from)
@@ -100,28 +89,9 @@ fn main() {
             "fig17_19" => fig17_19(&ny),
             "sec7_5" => sec7_5(&ny),
             "fig21_22" => fig21_22(&ny, &usanw),
-            "ablation_kmst" => ablation_kmst(&ny),
             other => eprintln!("unknown experiment id '{other}' — skipped"),
         }
     }
-}
-
-/// Parses `--flag value` / `--flag=value` from a serve-style argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            let value = iter.next().map(String::as_str);
-            if value.is_none() {
-                eprintln!("{flag} requires a value; ignoring");
-            }
-            return value;
-        }
-        if let Some(value) = arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Some(value);
-        }
-    }
-    None
 }
 
 /// `dump`: render the bit-exact golden-region dump (TGEN/APP/Greedy, single +
@@ -129,12 +99,12 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 /// snapshot under `tests/golden/` is regenerated with exactly this command;
 /// `tests/golden_regions.rs` and the CI `golden-regions` job compare against
 /// it byte for byte.
-fn dump_command(args: &[String], scale: NetworkScale) {
+fn dump_command(mut args: Vec<String>, scale: NetworkScale) {
     let dataset = ny_dataset(scale);
     let dump = render_golden_dump(&dataset);
-    match flag_value(args, "--out") {
+    match take_flag(&mut args, "--out") {
         Some(path) => {
-            std::fs::write(path, &dump).expect("write golden dump");
+            std::fs::write(&path, &dump).expect("write golden dump");
             eprintln!(
                 "# wrote {} lines ({} bytes) to {path}",
                 dump.lines().count(),
@@ -146,7 +116,7 @@ fn dump_command(args: &[String], scale: NetworkScale) {
 }
 
 /// `serve`: load/generate a dataset and serve it over HTTP until killed.
-fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
+fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
     use lcmsr_service::http::ServerConfig;
     use lcmsr_service::{leak_engine, serve, BatchConfig, DiagnosticsConfig, ServiceConfig};
 
@@ -164,12 +134,10 @@ fn serve_command(args: &[String], workers: usize, scale: NetworkScale) {
             std::process::exit(2);
         }
     }
-    let addr = flag_value(args, "--addr")
-        .unwrap_or("127.0.0.1:7878")
-        .to_string();
+    let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     // Malformed numeric flags are reported, not silently defaulted — an
     // operator tuning the scheduler must know when a knob did not take.
-    let parse_or = |flag: &str, default: usize| match flag_value(args, flag) {
+    let mut parse_or = |flag: &str, default: usize| match take_flag(&mut args, flag) {
         None => default,
         Some(v) => v.parse().unwrap_or_else(|_| {
             eprintln!("ignoring invalid {flag} value '{v}' (expected a number); using {default}");
@@ -630,33 +598,5 @@ fn fig21_22(ny: &Dataset, usanw: &Dataset) {
                 totals[2] / n
             );
         }
-    }
-}
-
-/// Ablation of APP's k-MST oracle: the Garg/GW-style oracle (the paper's
-/// algorithm, APP's default) against the density-greedy one.  On the
-/// synthetic data the density oracle runs about 2× faster at `tiny` and
-/// 3–4× at `small`, and finds regions at least as heavy.
-fn ablation_kmst(ny: &Dataset) {
-    println!("\n## ablation_kmst — APP k-MST oracle (NY): density should be faster");
-    let queries = default_workload(ny, 4242);
-    let engine = LcmsrEngine::new(&ny.network, &ny.collection);
-    println!(
-        "{:>8} {:>14} {:>14}",
-        "oracle", "runtime (ms)", "region weight"
-    );
-    for (name, solver) in [
-        ("garg-gw", KMstSolverKind::Garg),
-        ("density", KMstSolverKind::Density),
-    ] {
-        let params = AppParams {
-            solver,
-            ..AppParams::default()
-        };
-        let agg = aggregate(&engine, &queries, &Algorithm::App(params));
-        println!(
-            "{:>8} {:>14.2} {:>14.4}",
-            name, agg.avg_millis, agg.avg_weight
-        );
     }
 }

@@ -20,6 +20,30 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+/// Removes every `name VALUE` and `name=VALUE` occurrence from `args`,
+/// leaving the other arguments in place, and returns the last value given.
+/// A trailing `name` with no value is reported on stderr and removed.
+pub fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
+    let mut found = None;
+    let mut i = 0;
+    while i < args.len() {
+        if args[i] == name {
+            if i + 1 < args.len() {
+                found = Some(args.remove(i + 1));
+            } else {
+                eprintln!("{name} requires a value; ignoring");
+            }
+            args.remove(i);
+        } else if let Some(value) = args[i].strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
+            found = Some(value.to_string());
+            args.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    found
+}
+
 /// Resolves the engine worker count shared by the experiments CLI and the
 /// serving path: an explicit `--workers N` flag wins, then the
 /// `LCMSR_WORKERS` environment variable, then the available hardware
@@ -31,13 +55,24 @@ pub fn workers_from_env() -> usize {
 
 /// The pure half of [`workers_from_env`], separated so tests need not mutate
 /// process-global environment (a data race under the parallel test harness).
+/// A value that is not a positive integer is reported on stderr and falls
+/// back to the hardware parallelism.
 fn parse_workers_value(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+    let detected = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    match value {
+        None | Some("") => detected(),
+        Some(text) => match text.parse::<usize>() {
+            Ok(w) if w >= 1 => w,
+            _ => {
+                let w = detected();
+                eprintln!(
+                    "ignoring invalid LCMSR_WORKERS value '{text}' \
+                     (expected a positive integer); using {w}"
+                );
+                w
+            }
+        },
+    }
 }
 
 /// Extracts `--workers N` (or `--workers=N`) from `args`, returning the
@@ -45,31 +80,14 @@ fn parse_workers_value(value: Option<&str>) -> usize {
 /// missing value is reported on stderr and ignored (the caller falls back to
 /// `LCMSR_WORKERS` / auto-detection) rather than silently dropped.
 pub fn take_workers_flag(args: &mut Vec<String>) -> Option<usize> {
-    let mut found = None;
-    let mut report = |value: &str| match value.parse::<usize>() {
-        Ok(w) => found = Some(w.max(1)),
-        Err(_) => eprintln!("ignoring invalid --workers value '{value}' (expected a number)"),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--workers" {
-            if i + 1 < args.len() {
-                let value = args[i + 1].clone();
-                report(&value);
-                args.drain(i..i + 2);
-            } else {
-                eprintln!("--workers requires a value; ignoring");
-                args.remove(i);
-            }
-        } else if let Some(value) = args[i].strip_prefix("--workers=") {
-            let value = value.to_string();
-            report(&value);
-            args.remove(i);
-        } else {
-            i += 1;
+    let value = take_flag(args, "--workers")?;
+    match value.parse::<usize>() {
+        Ok(w) => Some(w.max(1)),
+        Err(_) => {
+            eprintln!("ignoring invalid --workers value '{value}' (expected a number)");
+            None
         }
     }
-    found
 }
 
 /// Maps a preset name to its scale; `None` for unknown names.
@@ -111,34 +129,15 @@ fn parse_scale_value(value: Option<&str>) -> NetworkScale {
 /// or missing value is reported on stderr and ignored (the caller falls back
 /// to `LCMSR_SCALE` / the tiny default) rather than silently dropped.
 pub fn take_scale_flag(args: &mut Vec<String>) -> Option<NetworkScale> {
-    let mut found = None;
-    let mut report = |value: &str| match scale_by_name(value) {
-        Some(scale) => found = Some(scale),
-        None => eprintln!(
+    let value = take_flag(args, "--scale")?;
+    let scale = scale_by_name(&value);
+    if scale.is_none() {
+        eprintln!(
             "ignoring invalid --scale value '{value}' \
              (expected tiny|small|medium|large|huge)"
-        ),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--scale" {
-            if i + 1 < args.len() {
-                let value = args[i + 1].clone();
-                report(&value);
-                args.drain(i..i + 2);
-            } else {
-                eprintln!("--scale requires a value; ignoring");
-                args.remove(i);
-            }
-        } else if let Some(value) = args[i].strip_prefix("--scale=") {
-            let value = value.to_string();
-            report(&value);
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+        );
     }
-    found
+    scale
 }
 
 /// Builds the NY-like dataset at the given scale.
@@ -231,11 +230,6 @@ pub fn default_tgen_alpha(dataset: &Dataset, queries: &[LcmsrQuery]) -> f64 {
         .len()
         .max(1);
     (nodes_in_area as f64 / 65.0).max(1.0)
-}
-
-/// A similar helper for APP's α: the paper's default 0.5 works at any scale.
-pub fn default_app_params() -> AppParams {
-    AppParams::default()
 }
 
 /// The deterministic golden workload: the exact query set the committed

@@ -16,7 +16,7 @@
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
 use crate::error::{LcmsrError, Result};
-use crate::kmst::{make_solver, KMstSolver, KMstSolverKind};
+use crate::kmst::garg::GargKMst;
 use crate::opt_tree::{find_opt_tree, OptTreeResult};
 use crate::query_graph::QueryGraph;
 use crate::region::RegionTuple;
@@ -30,11 +30,6 @@ pub struct AppParams {
     pub alpha: f64,
     /// Binary-search parameter β (paper default 0.1).
     pub beta: f64,
-    /// Which k-MST oracle to use.
-    #[serde(skip)]
-    pub solver: KMstSolverKind,
-    /// Safety cap on binary-search iterations.
-    pub max_iterations: usize,
 }
 
 impl Default for AppParams {
@@ -42,8 +37,6 @@ impl Default for AppParams {
         AppParams {
             alpha: 0.5,
             beta: 0.1,
-            solver: KMstSolverKind::Garg,
-            max_iterations: 64,
         }
     }
 }
@@ -63,13 +56,6 @@ impl AppParams {
                 name: "beta",
                 value: self.beta,
                 expected: "a positive finite number",
-            });
-        }
-        if self.max_iterations == 0 {
-            return Err(LcmsrError::InvalidParameter {
-                name: "max_iterations",
-                value: 0.0,
-                expected: "at least 1",
             });
         }
         Ok(())
@@ -125,6 +111,10 @@ pub struct AppOutcome {
     pub interrupted: bool,
 }
 
+/// Cap on the quota probes of [`binary_search`]: a `u64` quota range halves
+/// down to one value in 64 steps.
+const MAX_SEARCH_STEPS: usize = 64;
+
 /// Runs the quota binary search of Function `binarySearch` (Section 4.2.2),
 /// returning the candidate tree and the trace.
 ///
@@ -133,9 +123,8 @@ pub struct AppOutcome {
 pub fn binary_search(
     graph: &QueryGraph,
     arena: &mut TupleArena,
-    solver: &mut dyn KMstSolver,
+    solver: &mut GargKMst,
     beta: f64,
-    max_iterations: usize,
     ctl: &CancelToken,
     tracer: &mut TraceCollector,
 ) -> (Option<RegionTuple>, Vec<BinarySearchStep>, bool) {
@@ -146,7 +135,7 @@ pub fn binary_search(
     // The best (largest-quota) tree observed whose length stays within 3·Q.∆.
     let mut best_feasible: Option<RegionTuple> = None;
 
-    for step in 1..=max_iterations {
+    for step in 1..=MAX_SEARCH_STEPS {
         if upper <= lower {
             break;
         }
@@ -244,16 +233,9 @@ pub fn run_app(
             interrupted: false,
         });
     }
-    let mut solver = make_solver(params.solver);
-    let (candidate, trace, search_interrupted) = binary_search(
-        graph,
-        arena,
-        solver.as_mut(),
-        params.beta,
-        params.max_iterations,
-        ctl,
-        tracer,
-    );
+    let mut solver = GargKMst::new();
+    let (candidate, trace, search_interrupted) =
+        binary_search(graph, arena, &mut solver, params.beta, ctl, tracer);
     let kmst_calls = solver.invocations();
     let Some(candidate) = candidate else {
         // Fall back to the best single node (always feasible).
@@ -336,12 +318,6 @@ mod tests {
         .is_err());
         assert!(AppParams {
             beta: -0.1,
-            ..AppParams::default()
-        }
-        .validate()
-        .is_err());
-        assert!(AppParams {
-            max_iterations: 0,
             ..AppParams::default()
         }
         .validate()
@@ -464,37 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn density_solver_variant_also_works() {
-        let (_n, qg) = figure2_query_graph(6.0, 0.15);
-        let params = AppParams {
-            solver: KMstSolverKind::Density,
-            ..AppParams::default()
-        };
-        let mut arena = TupleArena::new();
-        let outcome = run_app(
-            &qg,
-            &mut arena,
-            &params,
-            &CancelToken::none(),
-            &mut TraceCollector::disabled(),
-        )
-        .unwrap();
-        let best = outcome.best.unwrap();
-        assert!(best.length <= 6.0 + 1e-9);
-        assert!(best.weight >= 0.5);
-    }
-
-    #[test]
     fn binary_search_alone_returns_a_tree_within_3_delta_or_none() {
         let (_n, qg) = figure2_query_graph(3.0, 0.15);
         let mut arena = TupleArena::new();
-        let mut solver = crate::kmst::garg::GargKMst::new();
+        let mut solver = GargKMst::new();
         let (tree, trace, interrupted) = binary_search(
             &qg,
             &mut arena,
             &mut solver,
             0.1,
-            64,
             &CancelToken::none(),
             &mut TraceCollector::disabled(),
         );

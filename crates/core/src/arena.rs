@@ -1,7 +1,7 @@
 //! [`TupleArena`]: slab storage for region-tuple node/edge id sets.
 //!
 //! The solve phase (TGEN's edge-combine loops, `findOptTree`, the k-MST
-//! oracles) creates and discards large numbers of [`crate::region::RegionTuple`]s,
+//! oracle) creates and discards large numbers of [`crate::region::RegionTuple`]s,
 //! each carrying a sorted node set and a sorted edge set.  Storing those sets
 //! as owned `Vec<u32>`s made every combine, clone and top-list offer a pair of
 //! heap allocations; the arena replaces them with `(offset, len)` handles into

@@ -76,11 +76,6 @@ pub fn request_key(request: &QueryRequest<'_>) -> Vec<u8> {
             key.push(0);
             push_f64(&mut key, p.alpha);
             push_f64(&mut key, p.beta);
-            key.extend_from_slice(&(p.max_iterations as u64).to_le_bytes());
-            key.push(match p.solver {
-                crate::kmst::KMstSolverKind::Garg => 0,
-                crate::kmst::KMstSolverKind::Density => 1,
-            });
         }
         crate::engine::Algorithm::Tgen(p) => {
             key.push(1);

@@ -9,7 +9,6 @@
 //! and one [`GwScratch`].
 
 use super::gw::{pcst, GwScratch};
-use super::KMstSolver;
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
 use crate::query_graph::QueryGraph;
@@ -56,10 +55,24 @@ impl GargKMst {
             .unwrap_or(0);
         RegionTuple::singleton(arena, v, graph.weight(v), graph.scaled_weight(v))
     }
-}
 
-impl KMstSolver for GargKMst {
-    fn solve(
+    /// Returns a tree (as a region tuple) whose total *scaled* node weight is
+    /// at least `quota`, with total edge length as small as the search can
+    /// manage.  The tree's node/edge sets are allocated in `arena` and stay
+    /// live until the arena is reset.
+    ///
+    /// Returns `None` when no tree in the query graph can reach the quota
+    /// (i.e. the quota exceeds the total scaled weight of the graph).
+    ///
+    /// The search polls `ctl` before every λ-doubling and λ-bisection step
+    /// and, once it fires, returns the best quota-meeting tree found so far —
+    /// or `None` when none has been found yet.  Callers detect the
+    /// interruption through the token itself.
+    ///
+    /// The same steps record `lambda_double` and `lambda_step` spans into
+    /// `tracer`; a disabled collector costs one predicted branch, like the
+    /// inert token.
+    pub fn solve(
         &mut self,
         graph: &QueryGraph,
         arena: &mut TupleArena,
@@ -132,11 +145,8 @@ impl KMstSolver for GargKMst {
         Some(best)
     }
 
-    fn name(&self) -> &'static str {
-        "garg-gw"
-    }
-
-    fn invocations(&self) -> u64 {
+    /// Number of [`solve`](Self::solve) calls so far (APP's `kmst_calls`).
+    pub fn invocations(&self) -> u64 {
         self.invocations
     }
 }

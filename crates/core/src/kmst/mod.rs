@@ -1,4 +1,4 @@
-//! Node-weighted k-MST oracles.
+//! The node-weighted k-MST oracle.
 //!
 //! APP (Section 4) relies on a solver for the *node-weighted k minimum spanning
 //! tree* problem: given integer node weights and a weight quota `X`, find the
@@ -6,82 +6,26 @@
 //! least `X`.  The paper adopts Garg's 3-approximation, which is built on the
 //! Goemans–Williamson primal–dual technique for constrained forest problems.
 //!
-//! This module provides the [`KMstSolver`] trait and two implementations:
-//!
-//! * [`garg::GargKMst`] — the default; runs the GW prize-collecting
-//!   Steiner-tree primal–dual ([`gw`]) with per-node prizes `λ·σ̂_v` and
-//!   bisects `λ` until the quota is met, mirroring the structure of Garg's
-//!   algorithm (see README.md § "Substitutions"),
-//! * [`density::DensityKMst`] — a fast multi-root greedy used as an ablation
-//!   baseline and as a fallback.
+//! [`garg::GargKMst`] is that oracle: it runs the GW prize-collecting
+//! Steiner-tree primal–dual ([`gw`]) with per-node prizes `λ·σ̂_v` and bisects
+//! `λ` until the quota is met, mirroring the structure of Garg's algorithm
+//! (see README.md § "Substitutions").  APP's `3·Q.∆` test (Lemma 4) and its
+//! `(5+ε)` bound (Theorem 4) both assume this 3-approximation, so it is the
+//! only oracle.
 
-pub mod density;
 pub mod garg;
 pub mod gw;
 
-use crate::arena::TupleArena;
-use crate::cancel::CancelToken;
-use crate::query_graph::QueryGraph;
-use crate::region::RegionTuple;
-use crate::trace::TraceCollector;
-
-/// A solver for the node-weighted k-MST problem on a query graph.
-pub trait KMstSolver {
-    /// Returns a tree (as a region tuple) whose total *scaled* node weight is at
-    /// least `quota`, with total edge length as small as the solver can manage.
-    /// The tree's node/edge sets are allocated in `arena` and stay live until
-    /// the arena is reset.
-    ///
-    /// Returns `None` when no tree in the query graph can reach the quota
-    /// (i.e. the quota exceeds the total scaled weight of the graph).
-    ///
-    /// Solvers poll `ctl` at their outer iteration boundaries (λ-bisection
-    /// steps, candidate roots) and, once it fires, return the best
-    /// quota-meeting tree found so far — or `None` when none has been found
-    /// yet.  Callers detect the interruption through the token itself.
-    ///
-    /// The same boundaries record spans into `tracer` (λ-bisection iterations,
-    /// candidate roots); a disabled collector costs one predicted branch, like
-    /// the inert token.
-    fn solve(
-        &mut self,
-        graph: &QueryGraph,
-        arena: &mut TupleArena,
-        quota: u64,
-        ctl: &CancelToken,
-        tracer: &mut TraceCollector,
-    ) -> Option<RegionTuple>;
-
-    /// Human-readable solver name (used in experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Number of times the underlying optimisation routine ran (for statistics).
-    fn invocations(&self) -> u64;
-}
-
-/// Which k-MST oracle APP should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KMstSolverKind {
-    /// GW primal–dual with λ-bisection (Garg-style); the default.
-    #[default]
-    Garg,
-    /// Multi-root density greedy (fast ablation baseline).
-    Density,
-}
-
-/// Instantiates a boxed solver of the requested kind.
-pub fn make_solver(kind: KMstSolverKind) -> Box<dyn KMstSolver> {
-    match kind {
-        KMstSolverKind::Garg => Box::new(garg::GargKMst::new()),
-        KMstSolverKind::Density => Box::new(density::DensityKMst::new()),
-    }
-}
-
-/// Checks that a tuple returned by a solver is a valid tree in the graph:
-/// connected, edge endpoints inside the node set, |E| = |V| − 1, and measures
-/// consistent with the graph.  Used by tests for every solver.
+/// Checks that a tuple returned by the oracle or by one GW run is a valid
+/// tree in the graph: connected, edge endpoints inside the node set,
+/// |E| = |V| − 1, and measures consistent with the graph.  Used by the
+/// [`garg`] and [`gw`] tests.
 #[cfg(test)]
-pub(crate) fn validate_tree(graph: &QueryGraph, arena: &TupleArena, tree: &RegionTuple) {
+pub(crate) fn validate_tree(
+    graph: &crate::query_graph::QueryGraph,
+    arena: &crate::arena::TupleArena,
+    tree: &crate::region::RegionTuple,
+) {
     use std::collections::{BTreeMap, BTreeSet, VecDeque};
     let nodes = tree.nodes(arena);
     let edges = tree.edges(arena);
@@ -118,16 +62,4 @@ pub(crate) fn validate_tree(graph: &QueryGraph, arena: &TupleArena, tree: &Regio
         }
     }
     assert_eq!(seen.len(), nodes.len(), "tree is not connected");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn make_solver_returns_requested_kind() {
-        assert_eq!(make_solver(KMstSolverKind::Garg).name(), "garg-gw");
-        assert_eq!(make_solver(KMstSolverKind::Density).name(), "density");
-        assert_eq!(KMstSolverKind::default(), KMstSolverKind::Garg);
-    }
 }

@@ -15,7 +15,8 @@
 //! * [`tgen`] — the TGEN heuristic (graph-wide region-tuple generation),
 //! * [`greedy`] — the fast Greedy expansion,
 //! * [`topk`] — top-k variants of all three,
-//! * [`kmst`] — node-weighted k-MST oracles (GW primal–dual and a density greedy),
+//! * [`kmst`] — APP's node-weighted k-MST oracle (Garg-style λ search over the
+//!   GW primal–dual),
 //! * [`exact`] — an exhaustive solver used to validate accuracy on small inputs,
 //! * [`maxrs`] — the MaxRS fixed-rectangle baseline used in the paper's
 //!   comparison study,
@@ -90,7 +91,6 @@ pub mod prelude {
     pub use crate::error::{LcmsrError, Result as LcmsrResult};
     pub use crate::exact::{ExactSolver, ExactTopK};
     pub use crate::greedy::GreedyParams;
-    pub use crate::kmst::KMstSolverKind;
     pub use crate::query::LcmsrQuery;
     pub use crate::query_graph::{QueryGraph, QueryGraphBuilder};
     pub use crate::region::Region;

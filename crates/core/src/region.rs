@@ -51,7 +51,7 @@ impl RegionTuple {
     }
 
     /// Builds a tuple from explicit measures and sorted id slices (used by the
-    /// exact solver, the k-MST oracles and tests).
+    /// exact solver, the k-MST oracle and tests).
     pub fn from_parts(
         arena: &mut TupleArena,
         length: f64,

@@ -15,7 +15,7 @@ use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
 use crate::error::Result;
 use crate::greedy::{run_greedy_excluding, GreedyParams};
-use crate::kmst::make_solver;
+use crate::kmst::garg::GargKMst;
 use crate::opt_tree::find_opt_tree;
 use crate::query_graph::QueryGraph;
 use crate::region::RegionTuple;
@@ -86,16 +86,9 @@ pub fn topk_app(
     if k == 0 || graph.sigma_max() <= 0.0 {
         return Ok(TopKOutcome::default());
     }
-    let mut solver = make_solver(params.solver);
-    let (candidate, _trace, search_interrupted) = binary_search(
-        graph,
-        arena,
-        solver.as_mut(),
-        params.beta,
-        params.max_iterations,
-        ctl,
-        tracer,
-    );
+    let mut solver = GargKMst::new();
+    let (candidate, _trace, search_interrupted) =
+        binary_search(graph, arena, &mut solver, params.beta, ctl, tracer);
     let kmst_calls = solver.invocations();
     let Some(candidate) = candidate else {
         // Fall back to the k best single nodes.

@@ -10,7 +10,8 @@
 //! * [`builder::GraphBuilder`] — incremental construction with validation,
 //! * [`geo`] — planar geometry, rectangles (`Q.Λ`), WGS84→UTM projection,
 //! * [`subgraph::RegionView`] — the subgraph induced by a query rectangle,
-//! * [`traversal`] — BFS/DFS/Dijkstra/MST used by the algorithms and baselines,
+//! * [`traversal`] — connected components (used by [`generator`]) and the
+//!   Dijkstra reference for the region view's distances,
 //! * [`dimacs`] — reader for the DIMACS challenge-9 files the paper's New York
 //!   and USA networks are distributed in,
 //! * [`generator`] — deterministic synthetic network generators used by the

@@ -1,57 +1,9 @@
-//! Graph traversal: BFS, DFS, Dijkstra shortest paths, and connected components.
+//! Graph traversal: connected components and Dijkstra shortest distances.
 
-use crate::edge::EdgeId;
 use crate::graph::RoadNetwork;
 use crate::node::NodeId;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Breadth-first search order from `start`, restricted to nodes for which
-/// `allowed` returns true.  Returns the visited nodes in visit order.
-pub fn bfs_order(
-    graph: &RoadNetwork,
-    start: NodeId,
-    allowed: impl Fn(NodeId) -> bool,
-) -> Vec<NodeId> {
-    if !allowed(start) {
-        return Vec::new();
-    }
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &(n, _) in graph.neighbors(v) {
-            if !visited[n.index()] && allowed(n) {
-                visited[n.index()] = true;
-                queue.push_back(n);
-            }
-        }
-    }
-    order
-}
-
-/// Depth-first search order from `start` over the whole graph.
-pub fn dfs_order(graph: &RoadNetwork, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        if visited[v.index()] {
-            continue;
-        }
-        visited[v.index()] = true;
-        order.push(v);
-        for &(n, _) in graph.neighbors(v) {
-            if !visited[n.index()] {
-                stack.push(n);
-            }
-        }
-    }
-    order
-}
 
 /// Connected components of the graph; each component is a list of node ids.
 /// Components are returned largest first.
@@ -107,20 +59,13 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Result of a single-source shortest-path computation.
+/// Result of a single-source shortest-distance computation.
 #[derive(Debug, Clone)]
 pub struct ShortestPaths {
-    source: NodeId,
     dist: Vec<f64>,
-    prev: Vec<Option<(NodeId, EdgeId)>>,
 }
 
 impl ShortestPaths {
-    /// The source node of this computation.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
     /// Network distance from the source to `node`, or `None` if unreachable.
     pub fn distance(&self, node: NodeId) -> Option<f64> {
         let d = self.dist[node.index()];
@@ -129,34 +74,6 @@ impl ShortestPaths {
         } else {
             None
         }
-    }
-
-    /// Reconstructs the node path from the source to `target`, or `None` if
-    /// the target is unreachable.
-    pub fn path_to(&self, target: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(target)?;
-        let mut path = vec![target];
-        let mut cur = target;
-        while let Some((p, _)) = self.prev[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        debug_assert_eq!(path.first(), Some(&self.source));
-        Some(path)
-    }
-
-    /// Edges of the path from the source to `target`, or `None` if unreachable.
-    pub fn path_edges_to(&self, target: NodeId) -> Option<Vec<EdgeId>> {
-        self.distance(target)?;
-        let mut edges = Vec::new();
-        let mut cur = target;
-        while let Some((p, e)) = self.prev[cur.index()] {
-            edges.push(e);
-            cur = p;
-        }
-        edges.reverse();
-        Some(edges)
     }
 }
 
@@ -170,7 +87,6 @@ pub fn dijkstra(
 ) -> ShortestPaths {
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
     if allowed(source) {
         dist[source.index()] = 0.0;
@@ -190,80 +106,11 @@ pub fn dijkstra(
             let nd = d + graph.length(e);
             if nd < dist[u.index()] {
                 dist[u.index()] = nd;
-                prev[u.index()] = Some((v, e));
                 heap.push(HeapEntry { dist: nd, node: u });
             }
         }
     }
-    ShortestPaths { source, dist, prev }
-}
-
-/// Dijkstra over the whole graph (no node restriction).
-pub fn dijkstra_all(graph: &RoadNetwork, source: NodeId) -> ShortestPaths {
-    dijkstra(graph, source, |_| true)
-}
-
-/// A spanning tree (or forest edge set) produced by [`minimum_spanning_tree`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanningTree {
-    /// Edges of the tree.
-    pub edges: Vec<EdgeId>,
-    /// Total length of the tree edges.
-    pub total_length: f64,
-}
-
-/// Kruskal's minimum spanning tree over the subgraph induced by `nodes`.
-///
-/// If the induced subgraph is disconnected the result is a minimum spanning
-/// forest.  Used for computing the minimum connecting length of a MaxRS result
-/// (Section 7.5 of the paper) and inside tests.
-pub fn minimum_spanning_tree(graph: &RoadNetwork, nodes: &[NodeId]) -> SpanningTree {
-    let mut in_set = vec![false; graph.node_count()];
-    for &n in nodes {
-        in_set[n.index()] = true;
-    }
-    let mut candidate_edges: Vec<EdgeId> = graph
-        .edges()
-        .iter()
-        .filter(|e| in_set[e.a.index()] && in_set[e.b.index()])
-        .map(|e| e.id)
-        .collect();
-    candidate_edges.sort_by(|&x, &y| {
-        graph
-            .length(x)
-            .partial_cmp(&graph.length(y))
-            .unwrap_or(Ordering::Equal)
-    });
-    let mut parent: Vec<u32> = (0..graph.node_count() as u32).collect();
-    fn find(parent: &mut [u32], x: u32) -> u32 {
-        let mut root = x;
-        while parent[root as usize] != root {
-            root = parent[root as usize];
-        }
-        let mut cur = x;
-        while parent[cur as usize] != root {
-            let next = parent[cur as usize];
-            parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
-    let mut edges = Vec::new();
-    let mut total = 0.0;
-    for e in candidate_edges {
-        let edge = graph.edge(e);
-        let ra = find(&mut parent, edge.a.0);
-        let rb = find(&mut parent, edge.b.0);
-        if ra != rb {
-            parent[ra as usize] = rb;
-            edges.push(e);
-            total += edge.length;
-        }
-    }
-    SpanningTree {
-        edges,
-        total_length: total,
-    }
+    ShortestPaths { dist }
 }
 
 #[cfg(test)]
@@ -300,36 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_visits_all_reachable_nodes_once() {
-        let g = figure2();
-        let order = bfs_order(&g, NodeId(0), |_| true);
-        assert_eq!(order.len(), 6);
-        let mut sorted = order.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 6);
-        assert_eq!(order[0], NodeId(0));
-    }
-
-    #[test]
-    fn bfs_respects_allowed_predicate() {
-        let g = line_graph(5);
-        // Block node 2: only 0 and 1 reachable.
-        let order = bfs_order(&g, NodeId(0), |n| n != NodeId(2));
-        assert_eq!(order, vec![NodeId(0), NodeId(1)]);
-        // Start not allowed => empty.
-        assert!(bfs_order(&g, NodeId(0), |n| n != NodeId(0)).is_empty());
-    }
-
-    #[test]
-    fn dfs_visits_all_nodes() {
-        let g = figure2();
-        let order = dfs_order(&g, NodeId(3));
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], NodeId(3));
-    }
-
-    #[test]
     fn connected_components_of_disconnected_graph() {
         let mut b = GraphBuilder::new();
         let a = b.add_node(Point::new(0.0, 0.0));
@@ -350,26 +167,16 @@ mod tests {
     #[test]
     fn dijkstra_on_line_graph() {
         let g = line_graph(5);
-        let sp = dijkstra_all(&g, NodeId(0));
+        let sp = dijkstra(&g, NodeId(0), |_| true);
         assert_eq!(sp.distance(NodeId(4)), Some(4.0));
-        assert_eq!(
-            sp.path_to(NodeId(3)).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
-        );
-        assert_eq!(sp.path_edges_to(NodeId(2)).unwrap().len(), 2);
-        assert_eq!(sp.source(), NodeId(0));
     }
 
     #[test]
     fn dijkstra_finds_shortest_route_in_figure2() {
         let g = figure2();
-        let sp = dijkstra_all(&g, NodeId(0));
+        let sp = dijkstra(&g, NodeId(0), |_| true);
         // v1 -> v2 -> v6: 1.0 + 1.6 = 2.6, shorter than the direct 3.2 edge.
         assert!((sp.distance(NodeId(5)).unwrap() - 2.6).abs() < 1e-12);
-        assert_eq!(
-            sp.path_to(NodeId(5)).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(5)]
-        );
     }
 
     #[test]
@@ -380,10 +187,8 @@ mod tests {
         let c = b.add_node(Point::new(1.0, 0.0));
         b.add_edge(a, c, 1.0).unwrap();
         let g = b.build().unwrap();
-        let sp = dijkstra_all(&g, a);
+        let sp = dijkstra(&g, a, |_| true);
         assert!(sp.distance(NodeId(1)).is_none());
-        assert!(sp.path_to(NodeId(1)).is_none());
-        assert!(sp.path_edges_to(NodeId(1)).is_none());
     }
 
     #[test]
@@ -392,39 +197,5 @@ mod tests {
         // Block v2 (index 1): v1 to v6 must use the direct 3.2 edge.
         let sp = dijkstra(&g, NodeId(0), |n| n != NodeId(1));
         assert!((sp.distance(NodeId(5)).unwrap() - 3.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mst_of_line_subset() {
-        let g = line_graph(6);
-        let all: Vec<NodeId> = g.node_ids().collect();
-        let t = minimum_spanning_tree(&g, &all);
-        assert_eq!(t.edges.len(), 5);
-        assert!((t.total_length - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mst_of_cycle_drops_longest_edge() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let c = b.add_node(Point::new(1.0, 0.0));
-        let d = b.add_node(Point::new(1.0, 1.0));
-        b.add_edge(a, c, 1.0).unwrap();
-        b.add_edge(c, d, 2.0).unwrap();
-        b.add_edge(d, a, 5.0).unwrap();
-        let g = b.build().unwrap();
-        let all: Vec<NodeId> = g.node_ids().collect();
-        let t = minimum_spanning_tree(&g, &all);
-        assert_eq!(t.edges.len(), 2);
-        assert!((t.total_length - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mst_of_disconnected_subset_is_forest() {
-        let g = line_graph(5);
-        // Nodes 0,1 and 3,4 (node 2 excluded) → forest with 2 edges.
-        let t = minimum_spanning_tree(&g, &[NodeId(0), NodeId(1), NodeId(3), NodeId(4)]);
-        assert_eq!(t.edges.len(), 2);
-        assert!((t.total_length - 2.0).abs() < 1e-12);
     }
 }

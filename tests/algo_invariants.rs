@@ -15,11 +15,20 @@
 //!   entries may tie on measures, never on identity.
 //! * **Budget feasibility**: every region any algorithm returns — single or
 //!   top-k — satisfies `length ≤ Q.∆ + ε`.
+//!
+//! On the golden tiny-NY workload, APP's `kmst_calls` counts exactly the
+//! k-MST oracle probes of its quota search.
 
+use lcmsr::core::app::run_app;
 use lcmsr::core::engine::{Algorithm, LcmsrEngine};
-use lcmsr::core::{AppParams, GreedyParams, LcmsrQuery, TgenParams};
+use lcmsr::core::topk::topk_app;
+use lcmsr::core::{
+    AppParams, CancelToken, GreedyParams, LcmsrQuery, TgenParams, TraceCollector, TupleArena,
+};
+use lcmsr::datagen::prelude::NetworkScale;
 use lcmsr::geotext::{GeoTextObject, ObjectCollection};
 use lcmsr::roadnet::{GraphBuilder, NodeId, Point, RoadNetwork};
+use lcmsr_bench::{golden_workload, ny_dataset};
 use proptest::prelude::*;
 
 mod common;
@@ -97,6 +106,49 @@ fn ranks_not_worse(a: &lcmsr::core::region::Region, b: &lcmsr::core::region::Reg
             std::cmp::Ordering::Equal => a.length <= b.length + 1e-12,
         },
     }
+}
+
+/// `kmst_calls` — perfbench's `app.kmst_calls` and the wire's
+/// `stats.kmst_calls` — is one oracle probe per binary-search step plus one
+/// per step that also probed `(1+β)·X`.  Top-k runs the same search, so it
+/// reports the same count.
+#[test]
+fn kmst_calls_count_exactly_the_oracle_probes() {
+    let dataset = ny_dataset(NetworkScale::Tiny);
+    let engine = LcmsrEngine::new(&dataset.network, &dataset.collection);
+    let params = AppParams::default();
+    let none = CancelToken::none();
+    let mut total = 0;
+    for query in golden_workload(&dataset) {
+        let graph = engine.prepare(&query, params.alpha).unwrap();
+        let mut arena = TupleArena::new();
+        let single = run_app(
+            &graph,
+            &mut arena,
+            &params,
+            &none,
+            &mut TraceCollector::disabled(),
+        )
+        .unwrap();
+        let beta_probes = single.trace.iter().filter(|s| s.x_beta > 0).count();
+        assert_eq!(
+            single.kmst_calls,
+            (single.trace.len() + beta_probes) as u64,
+            "{query:?}"
+        );
+        let top3 = topk_app(
+            &graph,
+            &mut arena,
+            &params,
+            3,
+            &none,
+            &mut TraceCollector::disabled(),
+        )
+        .unwrap();
+        assert_eq!(top3.kmst_calls, single.kmst_calls, "{query:?}");
+        total += single.kmst_calls;
+    }
+    assert!(total > 0, "the workload must probe the oracle");
 }
 
 proptest! {
