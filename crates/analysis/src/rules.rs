@@ -22,7 +22,7 @@ use crate::lexer::{lex, text, Token, TokenKind};
 pub enum Rule {
     /// `HashMap`/`HashSet` in deterministic solver code.
     Determinism,
-    /// `Instant::now()`/`SystemTime::now()` outside the audited clock files.
+    /// `Instant::now()`/`SystemTime::now()` outside the audited clock file.
     Clock,
     /// `unwrap`/`expect`/`panic!`/`unreachable!` in serving code.
     PanicFree,
@@ -92,9 +92,9 @@ pub struct Finding {
 ///
 /// * `determinism` — the deterministic solve path: `crates/core/src` and
 ///   `crates/geotext/src`, test code included (tests feed golden snapshots).
-/// * `clock` — all `crates/*/src` except the audited clock files
-///   (`core/src/{cancel,trace}.rs`, `service/src/{scheduler,metrics,http}.rs`) and
-///   the bench crate; `#[cfg(test)]` code may use clocks freely.
+/// * `clock` — all `crates/*/src` except the audited clock file
+///   (`core/src/cancel.rs`) and the bench crate; `#[cfg(test)]` code may use
+///   clocks freely.
 /// * `panic_free` — `crates/service/src` non-test code.
 /// * `unsafe_safety` — everywhere.
 /// * `lock_nesting` — all `crates/*/src` non-test code.
@@ -107,13 +107,7 @@ fn rules_for(path: &str) -> Vec<Rule> {
     if path.starts_with("crates/core/src/") || path.starts_with("crates/geotext/src/") {
         rules.push(Rule::Determinism);
     }
-    const CLOCK_AUDITED: [&str; 5] = [
-        "crates/core/src/cancel.rs",
-        "crates/core/src/trace.rs",
-        "crates/service/src/scheduler.rs",
-        "crates/service/src/metrics.rs",
-        "crates/service/src/http.rs",
-    ];
+    const CLOCK_AUDITED: [&str; 1] = ["crates/core/src/cancel.rs"];
     if in_crate_src && !path.starts_with("crates/bench/") && !CLOCK_AUDITED.contains(&path) {
         rules.push(Rule::Clock);
     }
@@ -446,9 +440,8 @@ fn check_determinism(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 }
 
 /// clock: no raw `Instant::now()`/`SystemTime::now()` outside the audited
-/// clock files — deadline arithmetic must flow through `core::cancel` (and
-/// serving metrics through `service::metrics`) so anytime-query promptness
-/// stays auditable.
+/// clock file — every time read flows through `core::cancel::now` so
+/// anytime-query promptness stays auditable.
 fn check_clock(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     for idx in 0..ctx.code.len().saturating_sub(3) {
         let Some(head) = ctx.ident_at(idx) else {
@@ -473,16 +466,15 @@ fn check_clock(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             Rule::Clock,
             token,
             format!(
-                "raw {}::now() outside the audited clock modules; use core::cancel::now() \
-                 (solver paths) or service::metrics::now() (serving paths)",
+                "raw {}::now() outside the audited clock module; use core::cancel::now()",
                 String::from_utf8_lossy(head)
             ),
         );
     }
 }
 
-/// panic_free: serving code answers with 4xx/5xx, never a panic — a panicking
-/// worker poisons locks and kills keep-alive connections for everyone.
+/// panic_free: serving code answers with 4xx/5xx, never a panic — a panic
+/// poisons locks and drops the client's connection without an answer.
 fn check_panic_free(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     for idx in 0..ctx.code.len() {
         let Some(name) = ctx.ident_at(idx) else {
@@ -721,10 +713,17 @@ mod tests {
                 "unsafe_safety"
             ]
         );
-        // Audited clock file: no clock rule, still panic-free.
+        // The audited clock file is `core::cancel` alone: the scheduler
+        // reads the clock through it like the rest of the service.
         assert_eq!(
             names("crates/service/src/scheduler.rs"),
-            vec!["cache_key", "lock_nesting", "panic_free", "unsafe_safety"]
+            vec![
+                "cache_key",
+                "clock",
+                "lock_nesting",
+                "panic_free",
+                "unsafe_safety"
+            ]
         );
         // Audited fingerprint module: no cache_key rule on the file that
         // defines the canonicalizers.

@@ -14,11 +14,11 @@
 //! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`, `all` —
 //! plus `serve`, which starts the `lcmsr_service` HTTP front-end over the
 //! synthetic NY dataset (flags: `--addr`, `--queue-capacity`,
-//! `--http-workers`, `--slow-ms` for the slow-query threshold and
-//! `--trace-sample` for 1-in-N span tracing), and `dump`,
-//! which renders the
-//! bit-exact golden-region snapshot (`--out FILE`, default stdout) that
-//! `tests/golden/` pins.  Engine worker counts honour
+//! `--http-workers` for the most connections served at once, `--slow-ms`
+//! for the slow-query threshold and `--trace-sample` for 1-in-N span
+//! tracing; any other argument refuses to start with exit code 2), and
+//! `dump`, which renders the bit-exact golden-region snapshot (`--out FILE`,
+//! default stdout) that `tests/golden/` pins.  Engine worker counts honour
 //! `--workers N` / `LCMSR_WORKERS` everywhere they apply (the `table1`
 //! batched-workload line and the serve scheduler alike), and the dataset
 //! scale honours `--scale NAME` / `LCMSR_SCALE`
@@ -120,20 +120,6 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
     use lcmsr_service::http::ServerConfig;
     use lcmsr_service::{leak_engine, serve, BatchConfig, DiagnosticsConfig, ServiceConfig};
 
-    // The scheduler no longer batches: refuse the batching flags instead of
-    // silently ignoring a knob the operator believes is in effect.
-    for removed in ["--max-batch", "--max-delay-ms"] {
-        let passed = args
-            .iter()
-            .any(|a| a == removed || a.strip_prefix(removed).is_some_and(|v| v.starts_with('=')));
-        if passed {
-            eprintln!(
-                "{removed} was removed: the service runs each query on its HTTP worker under \
-                 --workers permits, with no batching window"
-            );
-            std::process::exit(2);
-        }
-    }
     let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
     // Malformed numeric flags are reported, not silently defaulted — an
     // operator tuning the scheduler must know when a knob did not take.
@@ -149,6 +135,13 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
     let diag_defaults = DiagnosticsConfig::default();
     let slow_ms = parse_or("--slow-ms", diag_defaults.slow_ms as usize) as u64;
     let trace_sample = parse_or("--trace-sample", diag_defaults.trace_sample as usize) as u64;
+    // Whatever is left is an argument `serve` does not take (a typo, or a
+    // removed knob such as `--max-batch`): refuse to start rather than run
+    // without a setting the operator believes is in effect.
+    if let Some(unknown) = args.first() {
+        eprintln!("serve: unknown argument '{unknown}'");
+        std::process::exit(2);
+    }
 
     println!("# lcmsr serve");
     println!("# building NY-like dataset at scale {scale:?}…");
@@ -179,7 +172,7 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
         },
     };
     println!(
-        "# scheduler  : {workers} permits (queries run on their http worker), queue {queue_capacity}, {http_workers} http workers"
+        "# scheduler  : {workers} permits (queries run on their connection's thread), queue {queue_capacity}, at most {http_workers} connections at once"
     );
     println!(
         "# diagnostics: slow-query threshold {slow_ms} ms (0 = off), span tracing 1-in-{trace_sample} (0 = off)"

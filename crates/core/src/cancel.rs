@@ -29,11 +29,12 @@ use std::time::{Duration, Instant};
 
 /// Reads the monotonic clock.
 ///
-/// This module is the audited clock source for solver-side code: everything
-/// under `crates/core` that needs a timestamp (deadline stamping, phase
-/// timing in [`crate::stats::RunStats`]) goes through here, so a reviewer —
-/// or `lcmsr-lint`'s `clock` rule — can find every time dependency of the
-/// solve path in one place.
+/// This module is the one audited clock source: every timestamp outside
+/// tests and benches — deadline stamping, phase timing in
+/// [`crate::stats::RunStats`], span timestamps in [`crate::trace`], and the
+/// service's latency, queue-wait and uptime stamps — goes through here, so a
+/// reviewer — or `lcmsr-lint`'s `clock` rule — can find every time
+/// dependency in one place.
 #[must_use]
 pub fn now() -> Instant {
     Instant::now()

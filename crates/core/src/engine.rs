@@ -19,9 +19,9 @@
 //! (region extraction, keyword scoring, CSR query-graph construction) are
 //! recycled from query to query, and steady-state per-query preparation
 //! allocates near-zero.  The engine is `Sync`: concurrent callers (the
-//! service's HTTP workers, or any scoped threads) each check a workspace out
-//! of the engine's [`WorkspacePool`], and every answer is identical to a
-//! sequential [`LcmsrEngine::execute`] call.
+//! service's connection threads, or any scoped threads) each check a
+//! workspace out of the engine's [`WorkspacePool`], and every answer is
+//! identical to a sequential [`LcmsrEngine::execute`] call.
 
 use crate::app::{run_app, AppParams};
 use crate::arena::TupleArena;

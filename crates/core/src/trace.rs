@@ -20,17 +20,8 @@
 //! [`QueryTrace`] (labels are `&'static str`, so snapshots are `'static` and
 //! can sit in a serving-side ring buffer).
 
+use crate::cancel::now;
 use std::time::Instant;
-
-/// Reads the monotonic clock.
-///
-/// The audited clock source for the tracing layer: span timestamps are taken
-/// here and nowhere else, so every time dependency of a trace is findable in
-/// one place (`lcmsr-lint`'s `clock` rule enforces this).
-#[must_use]
-pub fn now() -> Instant {
-    Instant::now()
-}
 
 /// Handle to an open span; [`SpanId::NONE`] is returned by a disabled (or
 /// span-capped) collector and makes every later operation on it a no-op.

@@ -1,6 +1,6 @@
 //! A tiny blocking HTTP/1.1 client over one keep-alive connection — just
-//! enough for the end-to-end tests, the CI smoke checks and the closed-loop
-//! `service_throughput` benchmark clients.  Not a general HTTP client.
+//! enough for the end-to-end tests and the benchmark's `served_sessions`
+//! clients.  Not a general HTTP client.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -1,15 +1,17 @@
-//! A minimal HTTP/1.1 server on `std::net`: one acceptor thread feeding a
-//! worker-thread pool through a condvar-signalled connection queue, with
-//! keep-alive support and graceful shutdown.
+//! A minimal HTTP/1.1 server on `std::net`: one acceptor thread that serves
+//! each accepted connection on a thread of its own, with keep-alive support
+//! and graceful shutdown.
 //!
 //! The server is deliberately small: `GET`/`POST`, `Content-Length` framing
 //! only (no chunked transfer), byte-limited headers and bodies, and a
 //! [`Handler`] trait the LCMSR service implements.  Anything malformed gets a
-//! clean `400` and the connection closed — a bad client can cost the worker
-//! one response, never a panic.
+//! clean `400` and the connection closed.  At most `http_workers`
+//! connections are served at once; later ones wait in the kernel's listen
+//! backlog until one closes.  A connection frees its slot when its thread
+//! returns or unwinds, so a panicking handler costs its own connection,
+//! never the server.
 
 use crate::sync::{lock_or_recover, wait_or_recover};
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,13 +26,14 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Connection-handling worker threads.
+    /// The most connections served at once, each on its own thread.  Later
+    /// connections wait in the kernel's listen backlog until one closes.
     pub http_workers: usize,
     /// Largest accepted request body, bytes; larger bodies get a `400`.
     pub max_body_bytes: usize,
-    /// Per-read socket timeout.  A silent or idle connection releases its
-    /// worker after this long instead of parking it forever — without it a
-    /// handful of open-and-say-nothing clients would wedge the whole pool.
+    /// Per-read socket timeout.  A silent or idle connection frees its slot
+    /// after this long instead of holding it forever — without it a handful
+    /// of open-and-say-nothing clients would take every `http_workers` slot.
     pub read_timeout: Duration,
 }
 
@@ -134,7 +137,7 @@ impl HttpResponse {
         }
     }
 
-    fn write_to(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
+    fn write_to(&self, mut stream: &TcpStream, close: bool) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
@@ -200,7 +203,7 @@ enum HeadLine {
 /// Reads one line, never buffering more than `budget + 1` bytes (the hard cap
 /// a hostile client cannot push past by simply omitting newlines).
 fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     line: &mut String,
     budget: &mut usize,
 ) -> std::io::Result<HeadLine> {
@@ -222,7 +225,7 @@ fn read_head_line(
 }
 
 fn read_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<&TcpStream>,
     max_body_bytes: usize,
 ) -> std::io::Result<ReadOutcome> {
     let mut line = String::new();
@@ -331,38 +334,62 @@ fn read_request(
 #[derive(Debug)]
 struct ServerShared {
     shutdown: AtomicBool,
-    /// Accepted connections waiting for a worker, oldest first (FIFO).
-    pending: Mutex<VecDeque<TcpStream>>,
-    available: Condvar,
-    /// `try_clone`d handles of live connections, shut down to unblock workers
-    /// parked in `read` during graceful shutdown.
+    /// `try_clone`d handles of the open connections, shut down to unblock
+    /// connection threads parked in `read` during graceful shutdown.  Its
+    /// length is the number of slots in use.
     open: Mutex<Vec<(u64, TcpStream)>>,
+    /// Signalled when a connection closes, and at shutdown.
+    slot_freed: Condvar,
     next_conn_id: AtomicU64,
+    /// The most connections served at once (`http_workers`).
+    max_open: usize,
     max_body_bytes: usize,
-    /// Cap on connections parked in `pending`; the acceptor drops beyond it.
-    max_pending: usize,
     /// Per-read socket timeout applied to every accepted connection.
     read_timeout: Duration,
 }
 
 impl ServerShared {
-    fn register(&self, stream: &TcpStream) -> u64 {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            lock_or_recover(&self.open).push((id, clone));
+    /// Blocks while every slot is taken; `false` once shutdown has begun.
+    fn wait_for_slot(&self) -> bool {
+        let mut open = lock_or_recover(&self.open);
+        while open.len() >= self.max_open && !self.shutdown.load(Ordering::SeqCst) {
+            open = wait_or_recover(&self.slot_freed, open);
         }
-        // Close the register-vs-shutdown race: if shutdown swept the registry
-        // before this connection appeared in it (the worker popped it from
-        // `pending` just as shutdown began), unpark its reader ourselves so
-        // the worker cannot block forever on a silent client.
-        if self.shutdown.load(Ordering::SeqCst) {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        id
+        !self.shutdown.load(Ordering::SeqCst)
     }
 
-    fn deregister(&self, id: u64) {
-        lock_or_recover(&self.open).retain(|(conn_id, _)| *conn_id != id);
+    /// Takes a slot for `stream`, or drops it if shutdown has begun (or its
+    /// handle cannot be cloned).  The flag is read under the registry lock,
+    /// so the shutdown sweep either sees this connection or it is never
+    /// served.
+    fn register(&self, stream: TcpStream) -> Option<Connection<'_>> {
+        let clone = stream.try_clone().ok()?;
+        let mut open = lock_or_recover(&self.open);
+        if self.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        open.push((id, clone));
+        Some(Connection {
+            shared: self,
+            id,
+            stream,
+        })
+    }
+}
+
+/// An open connection holding one slot.  Dropping it — on return or on
+/// unwind — closes the socket and frees the slot.
+struct Connection<'a> {
+    shared: &'a ServerShared,
+    id: u64,
+    stream: TcpStream,
+}
+
+impl Drop for Connection<'_> {
+    fn drop(&mut self) {
+        lock_or_recover(&self.shared.open).retain(|(id, _)| *id != self.id);
+        self.shared.slot_freed.notify_one();
     }
 }
 
@@ -372,7 +399,6 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<ServerShared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -390,149 +416,99 @@ impl ServerHandle {
     /// Blocks until the server stops (i.e. forever, for a foreground server
     /// that only dies with the process).
     pub fn wait(mut self) {
-        // Join errors mean a thread panicked; the panic is already on stderr
-        // and re-raising it here would only take the supervisor down too.
+        // A join error means a thread panicked (the acceptor's scope re-raises
+        // a connection thread's panic when it closes); the panic is already
+        // on stderr and re-raising it here would only take the supervisor
+        // down too.
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 
     fn shutdown_in_place(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor with a wake-up connection to ourselves.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Never-served connections are dropped (reset), not handed to workers.
-        lock_or_recover(&self.shared.pending).clear();
-        // Unblock workers parked reading the next keep-alive request.  The
-        // pending guard above is a temporary dropped at its statement's end,
-        // so it cannot still be held when the open registry is locked here.
-        // lcmsr-lint: allow(lock_nesting) — the pending guard dies at its own
-        // statement; the two guards can never be held at the same time.
+        // Wake an acceptor parked in `accept` with a connection to ourselves.
+        // Bounded: a backlog full enough to stall the handshake means the
+        // acceptor is not in `accept`, so it does not need this wake-up.
+        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(100));
+        // Unblock connection threads parked reading the next keep-alive
+        // request.  The sweep takes the registry lock after the flag is set,
+        // so an acceptor that saw the flag unset in `wait_for_slot` is
+        // already waiting, and the notification below wakes it.
         for (_, stream) in lock_or_recover(&self.shared.open).iter() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        self.shared.slot_freed.notify_all();
+        // The acceptor's scope joins every connection thread.
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if self.acceptor.is_some() {
             self.shutdown_in_place();
         }
     }
 }
 
-/// Starts the server: binds, spawns the acceptor and `http_workers` workers.
-// By-value by design: the caller hands over its share of the handler; a
-// `&Arc` parameter would just move the clone to every call site.
-#[allow(clippy::needless_pass_by_value)]
+/// Starts the server: binds and spawns the acceptor thread.
 pub fn start(config: &ServerConfig, handler: Arc<dyn Handler>) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     let shared = Arc::new(ServerShared {
         shutdown: AtomicBool::new(false),
-        pending: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
         open: Mutex::new(Vec::new()),
+        slot_freed: Condvar::new(),
         next_conn_id: AtomicU64::new(0),
+        max_open: config.http_workers.max(1),
         max_body_bytes: config.max_body_bytes,
-        max_pending: (config.http_workers * 16).max(64),
         read_timeout: config.read_timeout,
     });
-
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("lcmsr-acceptor".into())
-            .spawn(move || {
-                for incoming in listener.incoming() {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = incoming else {
-                        // Persistent accept failures (e.g. fd exhaustion
-                        // under overload) must not busy-spin a core.
-                        std::thread::sleep(Duration::from_millis(10));
-                        continue;
-                    };
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(shared.read_timeout));
-                    let mut pending = lock_or_recover(&shared.pending);
-                    if pending.len() >= shared.max_pending {
-                        // A connection flood: drop the newcomer (reset) rather
-                        // than queueing unboundedly behind connections we can
-                        // already not keep up with.
-                        continue;
-                    }
-                    pending.push_back(stream);
-                    drop(pending);
-                    shared.available.notify_one();
-                }
-            })?
+            .spawn(move || accept_loop(&listener, &shared, handler.as_ref()))?
     };
-
-    let workers = (0..config.http_workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            let handler = Arc::clone(&handler);
-            std::thread::Builder::new()
-                .name(format!("lcmsr-http-{i}"))
-                .spawn(move || worker_loop(&shared, handler.as_ref()))
-        })
-        .collect::<std::io::Result<Vec<_>>>()?;
-
     Ok(ServerHandle {
         local_addr,
         shared,
         acceptor: Some(acceptor),
-        workers,
     })
 }
 
-fn worker_loop(shared: &ServerShared, handler: &dyn Handler) {
-    loop {
-        let stream = {
-            let mut pending = lock_or_recover(&shared.pending);
-            loop {
-                // FIFO: the connection waiting longest is served next.
-                if let Some(stream) = pending.pop_front() {
-                    break stream;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                pending = wait_or_recover(&shared.available, pending);
-            }
-        };
-        handle_connection(shared, handler, stream);
-        // The first pending guard was confined to the block that produced
-        // `stream` and is long dead by the time this drain check re-locks.
-        // lcmsr-lint: allow(lock_nesting) — re-acquisition after the first
-        // guard's block closed; the two guards can never overlap.
-        if shared.shutdown.load(Ordering::SeqCst) && lock_or_recover(&shared.pending).is_empty() {
-            return;
+/// Accepts connections until shutdown, each served on a thread of its own
+/// once a slot is free.  Returns only after every connection thread ends.
+fn accept_loop(listener: &TcpListener, shared: &ServerShared, handler: &dyn Handler) {
+    std::thread::scope(|scope| {
+        while shared.wait_for_slot() {
+            let Ok((stream, _)) = listener.accept() else {
+                // Persistent accept failures (e.g. fd exhaustion under
+                // overload) must not busy-spin a core.
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            };
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(shared.read_timeout));
+            let Some(connection) = shared.register(stream) else {
+                continue;
+            };
+            // If no thread can be started, the closure is dropped with the
+            // connection in it: that connection closes, the server goes on.
+            let _ = std::thread::Builder::new()
+                .name("lcmsr-http".into())
+                .spawn_scoped(scope, move || serve_connection(&connection, handler));
         }
-    }
+    });
 }
 
-fn handle_connection(shared: &ServerShared, handler: &dyn Handler, stream: TcpStream) {
-    let conn_id = shared.register(&stream);
-    let Ok(read_half) = stream.try_clone() else {
-        shared.deregister(conn_id);
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut write_half = stream;
+fn serve_connection(connection: &Connection<'_>, handler: &dyn Handler) {
+    let shared = connection.shared;
+    let stream = &connection.stream;
+    let mut reader = BufReader::new(stream);
     loop {
         match read_request(&mut reader, shared.max_body_bytes) {
             Err(_) | Ok(ReadOutcome::Closed) => break,
@@ -543,20 +519,19 @@ fn handle_connection(shared: &ServerShared, handler: &dyn Handler, stream: TcpSt
                     400,
                     crate::api::error_body(&format!("malformed request: {message}")),
                 );
-                let _ = response.write_to(&mut write_half, true);
+                let _ = response.write_to(stream, true);
                 break;
             }
             Ok(ReadOutcome::Request(request)) => {
                 let response = handler.handle(&request);
                 let close =
                     response.close || request.wants_close || shared.shutdown.load(Ordering::SeqCst);
-                if response.write_to(&mut write_half, close).is_err() || close {
+                if response.write_to(stream, close).is_err() || close {
                     break;
                 }
             }
         }
     }
-    shared.deregister(conn_id);
 }
 
 #[cfg(test)]
@@ -791,6 +766,58 @@ mod tests {
                 c.get("/x").is_err()
             }
         );
+    }
+
+    /// Panics on `/panic`, echoes otherwise.
+    struct PanicHandler;
+
+    impl Handler for PanicHandler {
+        fn handle(&self, request: &HttpRequest) -> HttpResponse {
+            assert_ne!(request.path, "/panic", "injected handler panic");
+            EchoHandler.handle(request)
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_closes_its_own_connection_and_the_server_serves_on() {
+        let http_workers = 2;
+        let server = start(
+            &ServerConfig {
+                addr: "127.0.0.1:0".into(),
+                http_workers,
+                max_body_bytes: 1024,
+                ..ServerConfig::default()
+            },
+            Arc::new(PanicHandler),
+        )
+        .unwrap();
+        // One more panic than there are slots: a panic that kept its slot,
+        // or its socket, would wedge the server or hang its client.
+        for _ in 0..=http_workers {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+            stream.write_all(b"GET /panic HTTP/1.1\r\n\r\n").unwrap();
+            let mut response = Vec::new();
+            stream
+                .read_to_end(&mut response)
+                .expect("the panicking request's connection closes within 1 s");
+            assert!(response.is_empty(), "{response:?}");
+        }
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        stream
+            .write_all(b"GET /alive HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("an honest request is answered within 2 s");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        server.shutdown();
     }
 
     /// Sheds everything: `/estimated` carries an explicit Retry-After, the

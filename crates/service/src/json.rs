@@ -4,10 +4,10 @@
 //!
 //! The decoder is a recursive-descent parser over UTF-8 input with a hard
 //! nesting-depth limit, so adversarial bodies (`[[[[…`) fail with a clean
-//! [`JsonError`] instead of overflowing the worker's stack.  The encoder
-//! prints `f64` numbers with Rust's shortest-round-trip `Display`, so every
-//! finite value survives encode → decode bit-exactly — the property the
-//! service's "bit-identical to a direct engine call" guarantee rests on.
+//! [`JsonError`] instead of overflowing the connection thread's stack.  The
+//! encoder prints `f64` numbers with Rust's shortest-round-trip `Display`, so
+//! every finite value survives encode → decode bit-exactly — the property
+//! the service's "bit-identical to a direct engine call" guarantee rests on.
 
 use std::fmt;
 

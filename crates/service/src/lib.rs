@@ -9,8 +9,10 @@
 //! Everything is hand-rolled on `std::net` (the build environment has no
 //! crates.io access):
 //!
-//! * [`http`] — a minimal HTTP/1.1 listener: acceptor thread + worker pool,
-//!   keep-alive, byte limits, graceful shutdown;
+//! * [`http`] — a minimal HTTP/1.1 listener: an acceptor thread and one
+//!   thread per connection, at most `http_workers` at once (later
+//!   connections wait in the listen backlog), keep-alive, byte limits,
+//!   graceful shutdown; a panicking request closes only its own connection;
 //! * [`json`] — a JSON codec (encoder + recursive-descent decoder with a
 //!   nesting cap) whose `f64` round-trip is bit-exact;
 //! * [`api`] — the wire types: query requests (`algorithm`, `keywords`,
@@ -18,7 +20,7 @@
 //!   [`lcmsr_core::stats::RunStats`] including queue wait;
 //! * [`scheduler`] — the heart: an **admission scheduler** with two
 //!   priority lanes (interactive callers get free permits first).  Each
-//!   query runs on the HTTP worker that received it, once one of
+//!   query runs on the thread of the connection that received it, once one of
 //!   `batch_workers` permits is free; callers wait for a permit in their
 //!   lane, FIFO.  There is no batching window, so an idle service starts a
 //!   query as soon as it is admitted.  A request that finds `queue_capacity`
@@ -30,8 +32,8 @@
 //!   `"partial": true`;
 //! * [`metrics`] — atomically-maintained counters and a fixed-bucket latency
 //!   histogram behind `/metrics`, plus `/healthz`;
-//! * [`client`] — a tiny blocking client for tests, smoke checks and the
-//!   closed-loop throughput benchmark;
+//! * [`client`] — a tiny blocking client for tests and the benchmark's
+//!   served workload;
 //! * [`diag`] — per-query diagnostics: `X-Request-Id` propagation, rings of
 //!   recently completed and slow query traces behind `/debug/trace/recent`
 //!   and `/debug/slow`, and the sampled slow-query log.

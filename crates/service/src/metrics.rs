@@ -6,18 +6,7 @@
 //! coarse but monotone, cheap, and entirely allocation-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Reads the monotonic clock.
-///
-/// The audited clock source for serving-side code outside the scheduler and
-/// HTTP listener: request-latency stamps and the uptime anchor go through
-/// here so every time dependency of the serving path is findable in one
-/// place (`lcmsr-lint`'s `clock` rule enforces this).
-#[must_use]
-pub(crate) fn now() -> Instant {
-    Instant::now()
-}
+use std::time::Duration;
 
 /// Upper bounds (inclusive) of the latency buckets, in microseconds; a final
 /// overflow bucket catches everything beyond the last bound.
@@ -102,7 +91,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters shared by the HTTP workers and the admission scheduler.
+/// Counters shared by the connection threads and the admission scheduler.
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// HTTP requests received on any route.

@@ -2,7 +2,7 @@
 //! thread that submitted it.
 //!
 //! [`Scheduler::submit`] admits an engine [`QueryRequest`], parks the calling
-//! HTTP worker in the lane of the request's priority until one of
+//! connection thread in the lane of the request's priority until one of
 //! `batch_workers` permits is free, and then runs [`LcmsrEngine::execute`] on
 //! that same thread.  The **interactive** lane always gets the next free
 //! permit before the **batch** lane, so bulk work parked behind the service
@@ -28,13 +28,13 @@
 
 use crate::metrics::ServiceMetrics;
 use crate::sync::{lock_or_recover, wait_or_recover};
-use lcmsr_core::cancel::Deadline;
+use lcmsr_core::cancel::{self, Deadline};
 use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOutcome, QueryRequest};
 use lcmsr_core::error::Result as LcmsrResult;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
@@ -226,7 +226,7 @@ impl Scheduler {
         let permit = self.admit(options.priority, options.deadline.as_ref())?;
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         self.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
+        let started = cancel::now();
         let outcome = self.engine.execute(request);
         let ran_for = started.elapsed();
         let queued_for = permit.queued_for;
@@ -268,7 +268,7 @@ impl Scheduler {
                 queued_for: Duration::ZERO,
             });
         }
-        let parked = Instant::now();
+        let parked = cancel::now();
         let ticket = lanes.next_ticket;
         lanes.next_ticket += 1;
         lanes.lane(priority).push_back(ticket);
@@ -368,6 +368,7 @@ mod tests {
     use lcmsr_roadnet::builder::GraphBuilder;
     use lcmsr_roadnet::geo::Point;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     /// A 5×5 grid with restaurants in one corner, leaked for 'static tests.
     fn leaked_engine() -> &'static LcmsrEngine<'static> {

@@ -23,7 +23,7 @@ use crate::http::{self, Handler, HttpRequest, HttpResponse, ServerConfig, Server
 use crate::json::Json;
 use crate::metrics::ServiceMetrics;
 use crate::scheduler::{BatchConfig, Scheduler, SubmitError};
-use lcmsr_core::cancel::Deadline;
+use lcmsr_core::cancel::{self, Deadline};
 use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOptions, QueryRequest};
 use lcmsr_core::trace::QueryTrace;
 use std::net::SocketAddr;
@@ -62,7 +62,7 @@ struct ServedQuery {
 
 impl ServiceHandlerInner {
     fn handle_query(&self, request: &HttpRequest, request_id: &str) -> HttpResponse {
-        let start = crate::metrics::now();
+        let start = cancel::now();
         // Sampling is decided at admission so the engine runs the whole query
         // with one collector state — no mid-query arming.
         let trace_enabled = self.diag.should_trace();
@@ -135,8 +135,8 @@ impl ServiceHandlerInner {
                 cache: parsed.cache.unwrap_or(priority == Priority::Interactive),
             },
         };
-        // The query runs on this HTTP worker once the scheduler grants it a
-        // permit; the scheduler counts it in `queries` at admission.
+        // The query runs on this connection's thread once the scheduler grants
+        // it a permit; the scheduler counts it in `queries` at admission.
         let outcome = self
             .scheduler
             .submit(&request)
@@ -259,7 +259,7 @@ impl ServiceHandle {
 
 /// Starts serving `engine` with the given configuration.
 ///
-/// The engine reference must be `'static` because the HTTP worker threads
+/// The engine reference must be `'static` because the connection threads
 /// that run the queries outlive the caller's stack frame; for a
 /// process-lifetime server obtain one with [`crate::leak_engine`].
 pub fn serve(
@@ -278,7 +278,7 @@ pub fn serve(
         scheduler,
         metrics,
         diag: Diagnostics::new(diagnostics),
-        started: crate::metrics::now(),
+        started: cancel::now(),
     });
     let server = http::start(&server, Arc::clone(&handler) as Arc<dyn Handler>)?;
     Ok(ServiceHandle { server, handler })

@@ -2,12 +2,12 @@
 //!
 //! `std`'s lock APIs return `Err` when another thread panicked while holding
 //! the lock.  In a server that error is not actionable at the call site —
-//! aborting the request (or the whole worker) over someone *else's* panic
+//! aborting the request (or the whole connection) over someone *else's* panic
 //! just amplifies the failure — so serving code recovers the guard and
 //! carries on.  Every state these locks protect is safe to observe after an
-//! interrupted critical section: the scheduler's lanes and permit count,
-//! queues of owned connections, and join-handle registries, none of which
-//! have multi-step invariants that a panic could leave half-applied.
+//! interrupted critical section: the scheduler's lanes and permit count, and
+//! the HTTP server's registry of open connections, none of which have
+//! multi-step invariants that a panic could leave half-applied.
 //!
 //! Centralizing the recovery here also keeps the `panic_free` lint rule
 //! meaningful: the serving crates contain no `.lock().expect(…)` at all, and

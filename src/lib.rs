@@ -22,8 +22,8 @@
 //! * [`core`] — the LCMSR algorithms: APP (5+ε approximation), TGEN, Greedy,
 //!   their top-k variants, an exact reference solver and the MaxRS baseline,
 //! * [`service`] — a concurrent HTTP serving subsystem: each query runs on
-//!   its HTTP worker under priority-laned permits, hand-rolled JSON codec,
-//!   `/healthz` and `/metrics`.
+//!   its connection's thread under priority-laned permits, hand-rolled JSON
+//!   codec, `/healthz` and `/metrics`.
 //!
 //! # Quick start
 //!
