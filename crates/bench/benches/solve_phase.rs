@@ -8,8 +8,8 @@
 //!   queries (the steady state every pooled workspace reaches),
 //! * **solve fresh** — `run_tgen` with a brand-new arena per query (the cost
 //!   a one-shot caller pays before any capacity has grown),
-//! * combine-loop effectiveness: pairs budget-pruned without materialisation,
-//!   array sizes, and arena activity.
+//! * combine-loop effectiveness: tuples generated, pairs budget-pruned
+//!   without being looked at, array sizes, and arena activity.
 //!
 //! Fresh-arena results must be bit-identical to the warm arena's.  The
 //! strict gate holds warm-arena solving to at least 0.9× the fresh-arena
@@ -173,7 +173,7 @@ fn main() {
         fresh_secs * 1e6
     );
     println!(
-        "  combine loop    : {tuples_per_query:>10.0} materialised + {pruned_per_query:>8.0} pruned pairs/query"
+        "  combine loop    : {tuples_per_query:>10.0} generated + {pruned_per_query:>8.0} pruned pairs/query"
     );
     println!(
         "  arrays          : {frontier_per_query:>10.0} tuples/query resident, peak {frontier_peak}"

@@ -5,7 +5,7 @@
 //! [`NodeId`]/[`EdgeId`]s plus the region's length, weight and scaled weight.
 //!
 //! Since PR 3 a tuple's node/edge sets live in a [`TupleArena`] — the tuple
-//! itself is a 32-byte `Copy` struct of measures plus two `(offset, len)`
+//! itself is a 40-byte `Copy` struct of measures plus two `(offset, len)`
 //! handles, so the combine loops of TGEN and `findOptTree` move no id data
 //! when they enumerate, clone or rank tuples.  Only [`Region`], the public
 //! result type, still owns its id vectors.
@@ -46,6 +46,19 @@ impl RegionTuple {
             weight,
             scaled,
             node_set: arena.alloc(&[node]),
+            edge_set: IdSetHandle::EMPTY,
+        }
+    }
+
+    /// A tuple with the given measures and empty node and edge sets.  TGEN
+    /// ranks a candidate with it before deciding to merge the candidate's
+    /// sets; nothing stores it.
+    pub(crate) fn measures(length: f64, weight: f64, scaled: u64) -> Self {
+        RegionTuple {
+            length,
+            weight,
+            scaled,
+            node_set: IdSetHandle::EMPTY,
             edge_set: IdSetHandle::EMPTY,
         }
     }
@@ -287,6 +300,14 @@ mod tests {
         assert!(!t.contains_node(2, &arena));
         assert!(t.edges(&arena).is_empty());
         assert_eq!(t.edge_count(), 0);
+    }
+
+    #[test]
+    fn a_tuple_is_five_words() {
+        // Every solver's arrays, snapshots and top lists copy tuples by the
+        // million; a per-solver extra (such as TGEN's node signature) belongs
+        // beside the tuple in that solver's own structures.
+        assert_eq!(size_of::<RegionTuple>(), 40);
     }
 
     #[test]

@@ -64,7 +64,9 @@ pub struct RunStats {
     pub relevant_nodes: usize,
     /// Number of k-MST oracle invocations (APP only).
     pub kmst_calls: u64,
-    /// Number of region tuples materialised (APP's DP and TGEN).
+    /// Number of region tuples generated (APP's DP and TGEN; TGEN counts
+    /// every feasible node-disjoint combination, merged into the arena or
+    /// not).
     pub tuples_generated: u64,
     /// Number of greedy expansion steps (Greedy only).
     pub greedy_steps: u64,

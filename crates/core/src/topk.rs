@@ -55,7 +55,9 @@ pub struct TopKOutcome {
     pub tuples: Vec<RegionTuple>,
     /// Number of k-MST oracle invocations (APP only).
     pub kmst_calls: u64,
-    /// Number of region tuples materialised (APP's DP and TGEN).
+    /// Number of region tuples generated (APP's DP and TGEN; TGEN counts
+    /// every feasible node-disjoint combination, merged into the arena or
+    /// not).
     pub tuples_generated: u64,
     /// Number of greedy expansion steps across all seeds (Greedy only).
     pub greedy_steps: u64,

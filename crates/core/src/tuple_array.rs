@@ -187,19 +187,28 @@ impl TupleArray {
 /// frontier is sound there and only there.  This analysis is pinned by
 /// `tests/golden_regions.rs`.
 ///
-/// Iteration is ascending scaled weight, bit-compatible with the `BTreeMap`
-/// array PRs 2–4 used; the flat layout is what the combine loop's snapshots
-/// and the per-edge length-sorted permutation for budget pruning index into.
+/// Each entry carries the tuple's 64-bit node signature beside it
+/// ([`ExploredEntry`]), which lets TGEN's combine loop prove most pairs
+/// disjoint without reading the arena.  Iteration is ascending scaled weight,
+/// bit-compatible with the `BTreeMap` array PRs 2–4 used.
 #[derive(Debug, Clone, Default)]
 pub struct ExploredArray {
-    by_scaled: Vec<RegionTuple>,
+    by_scaled: Vec<ExploredEntry>,
     /// Entries replaced by a same-scaled shorter tuple (Lemma 6 pruning;
     /// cumulative, diagnostics).
     replacements: u64,
-    /// Bumped on every content change; snapshot caches (TGEN's per-edge
-    /// length-sorted right snapshot) compare it to skip rebuild+re-sort when
-    /// the array is unchanged since the last snapshot.
-    version: u64,
+}
+
+/// An [`ExploredArray`] entry: a tuple and its node signature, the word with
+/// bit `v % 64` set for every node `v` of the tuple.  Two tuples whose
+/// signatures share no bit share no node; the converse does not hold, since
+/// nodes 64 ids apart set the same bit.
+#[derive(Debug, Clone, Copy)]
+pub struct ExploredEntry {
+    /// The stored tuple.
+    pub tuple: RegionTuple,
+    /// The tuple's node signature.
+    pub signature: u64,
 }
 
 impl ExploredArray {
@@ -221,54 +230,56 @@ impl ExploredArray {
     /// The stored tuple for scaled weight `s`, if any.
     pub fn get(&self, s: u64) -> Option<&RegionTuple> {
         self.by_scaled
-            .binary_search_by(|t| t.scaled.cmp(&s))
+            .binary_search_by(|e| e.tuple.scaled.cmp(&s))
             .ok()
-            .map(|i| &self.by_scaled[i])
+            .map(|i| &self.by_scaled[i].tuple)
     }
 
-    /// Inserts `tuple` if no tuple with the same scaled weight exists or the
-    /// existing one is longer.  Returns true when the array changed.
-    pub fn insert_if_better(&mut self, tuple: RegionTuple) -> bool {
-        match self
-            .by_scaled
-            .binary_search_by(|t| t.scaled.cmp(&tuple.scaled))
-        {
+    /// Whether [`ExploredArray::insert_if_better`] would keep a tuple with
+    /// these measures: no entry has its scaled weight, or that entry is
+    /// strictly longer.  Reads the array without changing it.
+    pub fn would_keep(&self, scaled: u64, length: f64) -> bool {
+        self.place(scaled, length).is_some()
+    }
+
+    /// Inserts `tuple` with its node `signature` if no tuple with the same
+    /// scaled weight exists or the existing one is longer.  Returns true when
+    /// the array changed, exactly when [`ExploredArray::would_keep`] said so.
+    pub fn insert_if_better(&mut self, tuple: RegionTuple, signature: u64) -> bool {
+        let Some(slot) = self.place(tuple.scaled, tuple.length) else {
+            return false;
+        };
+        let entry = ExploredEntry { tuple, signature };
+        match slot {
             Ok(i) => {
-                if self.by_scaled[i].length <= tuple.length {
-                    return false;
-                }
-                self.by_scaled[i] = tuple;
+                self.by_scaled[i] = entry;
                 self.replacements += 1;
-                self.version += 1;
-                true
             }
-            Err(i) => {
-                self.by_scaled.insert(i, tuple);
-                self.version += 1;
-                true
-            }
+            Err(i) => self.by_scaled.insert(i, entry),
         }
+        true
     }
 
     /// Iterates over the stored tuples in ascending scaled-weight order.
     pub fn iter(&self) -> impl Iterator<Item = &RegionTuple> {
-        self.by_scaled.iter()
+        self.by_scaled.iter().map(|e| &e.tuple)
     }
 
-    /// The array as a slice in ascending scaled-weight order.
-    pub fn as_slice(&self) -> &[RegionTuple] {
+    /// The entries, tuples with their signatures, in ascending scaled-weight
+    /// order.
+    pub fn entries(&self) -> &[ExploredEntry] {
         &self.by_scaled
     }
 
     /// The stored tuple with the largest scaled weight (one tuple per scaled
     /// weight, so the paper's tie-break is built in).
     pub fn best(&self) -> Option<&RegionTuple> {
-        self.by_scaled.last()
+        self.by_scaled.last().map(|e| &e.tuple)
     }
 
     /// Drains the array, returning all tuples in ascending scaled-weight order.
     pub fn into_tuples(self) -> Vec<RegionTuple> {
-        self.by_scaled
+        self.by_scaled.into_iter().map(|e| e.tuple).collect()
     }
 
     /// Entries replaced by same-scaled shorter tuples since construction.
@@ -276,10 +287,17 @@ impl ExploredArray {
         self.replacements
     }
 
-    /// Content version: changes exactly when the array's contents change.
-    /// Starts at 0 for an empty array.
-    pub fn version(&self) -> u64 {
-        self.version
+    /// Where a tuple with these measures goes: `Ok(i)` replaces the longer
+    /// entry `i` of the same scaled weight, `Err(i)` inserts at `i`, and
+    /// `None` means an entry of that scaled weight is no longer.
+    fn place(&self, scaled: u64, length: f64) -> Option<Result<usize, usize>> {
+        match self
+            .by_scaled
+            .binary_search_by(|e| e.tuple.scaled.cmp(&scaled))
+        {
+            Ok(i) if self.by_scaled[i].tuple.length <= length => None,
+            slot => Some(slot),
+        }
     }
 }
 
@@ -566,26 +584,50 @@ mod tests {
     }
 
     #[test]
-    fn explored_version_changes_exactly_with_the_contents() {
+    fn explored_would_keep_answers_what_insert_then_returns() {
+        // splitmix64 over few scaled weights and lengths, so repeated scaled
+        // weights meet equal, shorter and longer incumbents.
+        let mut state = 0x7467_656e_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
         let mut arena = TupleArena::new();
         let mut arr = ExploredArray::new();
-        assert_eq!(arr.version(), 0);
-        let t = tuple(&mut arena, 10, 5.0, 1);
-        assert!(arr.insert_if_better(t));
-        assert_eq!(arr.version(), 1, "insert bumps the version");
-        let t = tuple(&mut arena, 10, 6.0, 2);
-        assert!(!arr.insert_if_better(t));
-        assert_eq!(arr.version(), 1, "rejected insert leaves the version alone");
-        let t = tuple(&mut arena, 10, 4.0, 3);
-        assert!(arr.insert_if_better(t));
-        assert_eq!(
-            arr.version(),
-            2,
-            "same-scaled replacement bumps the version"
-        );
-        let t = tuple(&mut arena, 20, 9.0, 4);
-        assert!(arr.insert_if_better(t));
-        assert_eq!(arr.version(), 3);
+        let (mut kept, mut replaced) = (0, 0);
+        for step in 0..2_000u32 {
+            let scaled = next() % 12;
+            let length = [0.0, 1.0, 1.5, 2.0, 3.0][(next() % 5) as usize];
+            let t = tuple(&mut arena, scaled, length, step);
+            let incumbent = arr.get(scaled).copied();
+            let would = arr.would_keep(scaled, length);
+            assert_eq!(
+                arr.insert_if_better(t, u64::from(step)),
+                would,
+                "step {step}"
+            );
+            let stored = arr.get(scaled).expect("an entry exists after an offer");
+            if would {
+                kept += 1;
+                replaced += usize::from(incumbent.is_some());
+                assert_eq!(stored.nodes(&arena), &[step]);
+            } else {
+                let incumbent = incumbent.expect("only an incumbent can reject");
+                assert!(incumbent.length <= length);
+                assert!(stored.same_nodes(&incumbent, &arena));
+            }
+        }
+        assert_eq!(arr.replacements(), replaced as u64);
+        assert!(kept > arr.len() && kept < 2_000, "both answers occur");
+        let scaled: Vec<u64> = arr.iter().map(|t| t.scaled).collect();
+        assert!(scaled.windows(2).all(|w| w[0] < w[1]));
+        // Each entry's signature is the one its tuple was inserted with.
+        for e in arr.entries() {
+            assert_eq!(u64::from(e.tuple.nodes(&arena)[0]), e.signature);
+        }
     }
 
     #[test]

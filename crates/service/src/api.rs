@@ -467,7 +467,7 @@ pub struct StatsDto {
     pub relevant_nodes: u64,
     /// k-MST oracle invocations (APP).
     pub kmst_calls: u64,
-    /// Tuples materialised (APP/TGEN).
+    /// Tuples generated (APP/TGEN).
     pub tuples_generated: u64,
     /// Greedy expansion steps.
     pub greedy_steps: u64,
