@@ -168,7 +168,6 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
         diagnostics: DiagnosticsConfig {
             slow_ms,
             trace_sample,
-            ..diag_defaults
         },
     };
     println!(

@@ -1,4 +1,4 @@
-//! What the seven gated smoke benches under `crates/bench/benches` share:
+//! What the six gated smoke benches under `crates/bench/benches` share:
 //! best-of timing, a nearest-rank percentile, the strict gate with its one
 //! re-measure, and the JSON report.
 //!

@@ -5,7 +5,7 @@
 //! data sets.  Absolute numbers differ from the paper (different hardware,
 //! language, and — most of all — synthetic data at reduced scale); what it
 //! reports is the *shape* of each result: orderings, trends, and crossovers.
-//! The seven gated smoke benches under `benches/` share [`harness`].
+//! The six gated smoke benches under `benches/` share [`harness`].
 //!
 //! Scale is controlled by the `--scale` CLI flag or the `LCMSR_SCALE`
 //! environment variable (`tiny` | `small` | `medium` | `large` | `huge`);

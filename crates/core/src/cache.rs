@@ -12,9 +12,9 @@
 //! The key covers everything that can change the answer under one dataset
 //! epoch — the algorithm with its parameters, the keywords in their original
 //! order, the length budget `Q.∆`, the region of interest `Q.Λ`, and the
-//! top-k setting — and nothing that cannot (deadline, priority, tracing,
-//! cancellation).  The epoch rides on the
-//! stored entry instead, so epoch bumps surface as stale lookups.  Floats are canonicalized through [`canon_f64`] before
+//! top-k setting — and nothing that cannot (deadline, tracing).  The epoch
+//! rides on the stored entry instead, so epoch bumps surface as stale
+//! lookups.  Floats are canonicalized through [`canon_f64`] before
 //! their bit patterns enter the key, so `-0.0` and `0.0` fingerprints agree;
 //! rectangle corner order is already normalised by
 //! [`lcmsr_roadnet::geo::Rect::new`] at construction.  All raw
@@ -394,13 +394,12 @@ mod tests {
             base,
             request_key(&QueryRequest::new(&q, alg.clone()).top_k(3))
         );
-        // Deadline, priority, and tracing are execution detail, not identity.
+        // Deadline and tracing are execution detail, not identity.
         assert_eq!(
             base,
             request_key(
                 &QueryRequest::new(&q, alg)
                     .deadline_in(std::time::Duration::from_secs(1))
-                    .priority(crate::engine::Priority::Batch)
                     .trace(true)
             )
         );

@@ -1,30 +1,27 @@
-//! Cooperative cancellation and deadlines for the solve phase.
+//! Deadlines for the solve phase.
 //!
 //! LCMSR retrieval is an *interactive* primitive: a user pans, refines and
 //! moves on, so a solver must be able to abandon work the instant the answer
 //! stops mattering.  This module provides the anytime-query plumbing the
 //! engine threads through every solver layer:
 //!
-//! * [`CancelToken`] — a cheap, cloneable poll point.  Solvers call
-//!   [`CancelToken::is_cancelled`] at combine-loop and enumeration boundaries
-//!   and, on expiry, return the **best region found so far** instead of either
-//!   running to completion or aborting with nothing.  The result is flagged
-//!   `partial: true` with a `deadline_exceeded` cause in
-//!   [`crate::stats::RunStats`].
+//! * [`CancelToken`] — a `Copy` poll point holding the request's deadline
+//!   instant.  Solvers call [`CancelToken::is_cancelled`] at combine-loop and
+//!   enumeration boundaries and, once the deadline has passed, return the
+//!   **best region found so far** instead of either running to completion or
+//!   aborting with nothing.  The result is flagged `partial: true` with a
+//!   `deadline_exceeded` cause in [`crate::stats::RunStats`].
 //! * [`Deadline`] — an absolute expiry [`Instant`] paired with the relative
 //!   budget it was derived from.  The instant drives the token (so time spent
 //!   queued in a serving front-end counts against the budget); the budget is
 //!   what gets reported back on the wire, because an `Instant` is neither
 //!   serializable nor meaningful across processes.
 //!
-//! A default-constructed token ([`CancelToken::none`]) carries no shared
-//! state at all: polling it is a branch on a `None`, it can never fire, and
-//! the solve path is bit-for-bit identical to one with no cancellation
-//! support compiled in.  This is what keeps the golden-region suite byte
-//! exact when no deadline is set.
+//! The inert token ([`CancelToken::none`]) holds no instant: polling it is a
+//! branch on a `None`, it can never fire, and the solve path is bit-for-bit
+//! identical to one with no deadline support compiled in.  This is what
+//! keeps the golden-region suite byte exact when no deadline is set.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reads the monotonic clock.
@@ -59,11 +56,6 @@ impl Deadline {
         }
     }
 
-    /// The absolute expiry instant.
-    pub fn at(&self) -> Instant {
-        self.at
-    }
-
     /// The relative budget this deadline was created with (reported on the
     /// wire as `deadline_ns`).
     pub fn budget(&self) -> Duration {
@@ -82,100 +74,33 @@ impl Deadline {
 
     /// A token that fires at this deadline.
     pub fn token(&self) -> CancelToken {
-        CancelToken::with_deadline(self.at)
+        CancelToken { at: Some(self.at) }
     }
 }
 
-/// Shared state behind an armed token.
-#[derive(Debug)]
-struct TokenInner {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-/// A cooperative cancellation token polled by the solvers.
+/// The deadline poll point the solvers check.
 ///
-/// Cloning is cheap (an `Arc` bump, or nothing for an inert token); clones
-/// observe the same cancellation state.  The inert token returned by
-/// [`CancelToken::none`] (and `Default`) holds no allocation and can never
-/// fire — the hot loops pay one easily-predicted branch for it.
-///
-/// Once a token reports cancelled it stays cancelled: after the deadline
-/// check first trips, the flag is latched so subsequent polls are a plain
-/// atomic load with no clock read.
-#[derive(Debug, Clone, Default)]
+/// A token fires once the monotonic clock reaches its instant, so once fired
+/// it stays fired.  The inert token returned by [`CancelToken::none`] has no
+/// instant and can never fire — the hot loops pay one easily-predicted
+/// branch for it.
+#[derive(Debug, Clone, Copy)]
 pub struct CancelToken {
-    inner: Option<Arc<TokenInner>>,
+    at: Option<Instant>,
 }
 
 impl CancelToken {
     /// The inert token: never fires, costs nothing to poll.
     pub const fn none() -> Self {
-        CancelToken { inner: None }
-    }
-
-    /// An armed token with no deadline; fires only via [`CancelToken::cancel`].
-    pub fn manual() -> Self {
-        CancelToken {
-            inner: Some(Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// A token that fires once `Instant::now()` reaches `at` (or earlier via
-    /// [`CancelToken::cancel`]).
-    pub fn with_deadline(at: Instant) -> Self {
-        CancelToken {
-            inner: Some(Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                deadline: Some(at),
-            })),
-        }
-    }
-
-    /// A token that fires `budget` from now.
-    pub fn after(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
-    }
-
-    /// Fires the token (a no-op on the inert token).
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether this token can ever fire (false for the inert token).
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The deadline instant, when this token has one.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_ref().and_then(|inner| inner.deadline)
+        CancelToken { at: None }
     }
 
     /// Polls the token.  The poll points are coarse (once per enumerated
-    /// edge, subset stride, binary-search probe, …), so the occasional clock
-    /// read here is noise next to the work between polls.
+    /// edge, subset stride, binary-search probe, …), so the clock read here
+    /// is noise next to the work between polls.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        let Some(inner) = &self.inner else {
-            return false;
-        };
-        if inner.cancelled.load(Ordering::Relaxed) {
-            return true;
-        }
-        match inner.deadline {
-            Some(at) if Instant::now() >= at => {
-                // Latch, so later polls skip the clock read.
-                inner.cancelled.store(true, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -185,35 +110,17 @@ mod tests {
 
     #[test]
     fn inert_token_never_fires() {
-        let t = CancelToken::none();
-        assert!(!t.is_armed());
-        assert!(!t.is_cancelled());
-        t.cancel(); // no-op
-        assert!(!t.is_cancelled());
-        assert_eq!(t.deadline(), None);
-        assert!(!CancelToken::default().is_armed());
-    }
-
-    #[test]
-    fn manual_token_fires_and_latches_across_clones() {
-        let t = CancelToken::manual();
-        assert!(t.is_armed());
-        assert!(!t.is_cancelled());
-        let clone = t.clone();
-        clone.cancel();
-        assert!(t.is_cancelled());
-        assert!(clone.is_cancelled());
+        assert!(!CancelToken::none().is_cancelled());
     }
 
     #[test]
     fn deadline_token_fires_after_expiry() {
-        let t = CancelToken::after(Duration::from_secs(3600));
+        let t = Deadline::after(Duration::from_secs(3600)).token();
         assert!(!t.is_cancelled(), "one hour out must not fire");
-        assert!(t.deadline().is_some());
 
-        let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let expired = Deadline::after(Duration::ZERO).token();
         assert!(expired.is_cancelled());
-        // Latched: still cancelled on re-poll.
+        // Still cancelled on re-poll.
         assert!(expired.is_cancelled());
     }
 
@@ -224,10 +131,7 @@ mod tests {
         assert_eq!(d.budget(), budget);
         assert!(!d.expired());
         assert!(d.remaining() <= budget);
-        assert!(d.at() > Instant::now());
-        let token = d.token();
-        assert!(token.is_armed());
-        assert_eq!(token.deadline(), Some(d.at()));
+        assert!(!d.token().is_cancelled());
 
         let tight = Deadline::after(Duration::ZERO);
         assert!(tight.expired());

@@ -7,12 +7,13 @@
 //! [`Region`].
 //!
 //! Requests are described by a [`QueryRequest`] — query, algorithm with its
-//! parameters, and [`QueryOptions`] (top-k, deadline, priority, tracing,
-//! cache) — and answered by [`LcmsrEngine::execute`] with a [`QueryOutcome`].
-//! A request with a [`crate::cancel::Deadline`] runs as an *anytime query*:
-//! the solvers poll a cooperative [`crate::cancel::CancelToken`] at their
-//! loop boundaries and, on expiry, return the best feasible region found so
-//! far with `partial: true` in [`RunStats`] instead of running to completion.
+//! parameters, and [`QueryOptions`] (top-k, deadline, tracing, cache) — and
+//! answered by [`LcmsrEngine::execute`] with a [`QueryOutcome`].  A request
+//! with a [`crate::cancel::Deadline`] runs as an *anytime query*: the solvers
+//! poll a [`crate::cancel::CancelToken`] holding the deadline at their loop
+//! boundaries and, once it has passed, return the best feasible region found
+//! so far with `partial: true` in [`RunStats`] instead of running to
+//! completion.
 //!
 //! Interactive exploration produces many successive queries over the same
 //! network, so each query runs on a [`QueryWorkspace`] whose scratch buffers
@@ -89,48 +90,11 @@ impl Algorithm {
     }
 }
 
-/// Scheduling priority of a request.  The engine itself treats priorities
-/// identically; serving front-ends (the `lcmsr_service` scheduler) use them
-/// to pick queue lanes — interactive requests preempt batch ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Priority {
-    /// A user is waiting on the answer; served first.
-    #[default]
-    Interactive,
-    /// Throughput work; served when no interactive request is queued.
-    Batch,
-}
-
-impl Priority {
-    /// The stable wire/display spelling ("interactive" / "batch").
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-        }
-    }
-
-    /// Parses the wire spelling back into a priority.
-    pub fn parse(s: &str) -> Option<Priority> {
-        match s {
-            "interactive" => Some(Priority::Interactive),
-            "batch" => Some(Priority::Batch),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Per-request execution options carried by a [`QueryRequest`].
 ///
 /// The `Default` options reproduce the classic single-region run exactly: no
-/// top-k, no deadline — and, crucially, no armed cancellation token, so the
-/// solve path is bit-identical to one without anytime support.
+/// top-k and no deadline, so the solvers poll the inert token and the solve
+/// path is bit-identical to one without anytime support.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// `Some(k)` answers the request as a top-k query (up to `k` best
@@ -140,16 +104,9 @@ pub struct QueryOptions {
     /// the engine returns the best feasible region found so far and marks the
     /// stats `partial: true` with a `deadline_exceeded` cause.
     pub deadline: Option<Deadline>,
-    /// External cancellation hook, polled by the solvers exactly like a
-    /// deadline.  When set it replaces the token the deadline would have
-    /// produced, so a caller combining both should arm this token with the
-    /// deadline instant itself ([`CancelToken::with_deadline`]).
-    pub cancel: Option<CancelToken>,
-    /// Scheduling priority (engine-neutral; see [`Priority`]).
-    pub priority: Priority,
     /// Records a structured span trace of the run.  `false` (the default)
     /// keeps the collector inert — solver hot loops see one predicted branch,
-    /// exactly like an unarmed [`CancelToken`] — and the outcome carries no
+    /// exactly like the inert [`CancelToken`] — and the outcome carries no
     /// trace.  `true` fills [`QueryOutcome::trace`] with the span tree.
     pub trace: bool,
     /// Runs the request in cache mode: the engine consults its response
@@ -162,24 +119,13 @@ pub struct QueryOptions {
     pub cache: bool,
 }
 
-impl QueryOptions {
-    /// The token the solvers should poll for this request.
-    fn solve_token(&self) -> CancelToken {
-        if let Some(token) = &self.cancel {
-            return token.clone();
-        }
-        self.deadline.map_or_else(CancelToken::none, |d| d.token())
-    }
-}
-
 /// A self-describing query request: the query, the algorithm with its
 /// parameters, and the execution options.
 ///
 /// ```ignore
 /// let request = QueryRequest::new(&query, Algorithm::Exact)
 ///     .top_k(3)
-///     .deadline_in(Duration::from_millis(50))
-///     .priority(Priority::Batch);
+///     .deadline_in(Duration::from_millis(50));
 /// let outcome = engine.execute(&request)?;
 /// ```
 #[derive(Debug, Clone)]
@@ -217,19 +163,6 @@ impl<'q> QueryRequest<'q> {
     /// Runs under a deadline `budget` from now.
     pub fn deadline_in(mut self, budget: Duration) -> Self {
         self.options.deadline = Some(Deadline::after(budget));
-        self
-    }
-
-    /// Polls `token` instead of a deadline-derived one (see
-    /// [`QueryOptions::cancel`]).
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.options.cancel = Some(token);
-        self
-    }
-
-    /// Sets the scheduling priority.
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.options.priority = priority;
         self
     }
 
@@ -670,7 +603,7 @@ impl<'a> LcmsrEngine<'a> {
         let start = crate::cancel::now();
         let algorithm = &request.algorithm;
         let options = &request.options;
-        let ctl = options.solve_token();
+        let ctl = options.deadline.map_or(CancelToken::none(), |d| d.token());
         workspace.tracer.begin(options.trace);
         let query_span = workspace.tracer.start("query");
         let mut cache_key = None;
@@ -815,14 +748,9 @@ impl<'a> LcmsrEngine<'a> {
                 return Err(e);
             }
         };
-        // A token can fire before the request's deadline (an external
-        // cancel), so the cause is the deadline only once it has passed.
+        // Only the request's deadline arms the token.
         if interrupted {
-            stats.mark_partial(if options.deadline.is_some_and(|d| d.expired()) {
-                PartialCause::DeadlineExceeded
-            } else {
-                PartialCause::Cancelled
-            });
+            stats.mark_partial(PartialCause::DeadlineExceeded);
         }
         let regions: Vec<Region> = tuples
             .iter()
@@ -1629,61 +1557,17 @@ mod tests {
         assert!(!full.is_partial());
         assert_eq!(full.stats.partial_cause, None);
         assert!(full.best().unwrap().weight + 1e-9 >= incumbent.weight);
-    }
-
-    #[test]
-    fn manual_cancellation_marks_partial_cancelled() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
-        let token = CancelToken::manual();
-        token.cancel();
-        let request = QueryRequest::new(&query, Algorithm::Greedy(GreedyParams::default()))
-            .cancel_token(token);
-        let outcome = engine.execute(&request).unwrap();
-        assert!(outcome.is_partial());
-        // No deadline was set, so the cause is attributed to cancellation.
-        assert_eq!(outcome.stats.partial_cause, Some(PartialCause::Cancelled));
-        assert_eq!(outcome.stats.deadline, None);
-        // Greedy seeds its best before the expansion loop, so a region is
-        // still returned.
-        assert!(outcome.best().is_some());
-    }
-
-    #[test]
-    fn a_cancelled_request_blames_its_deadline_only_once_it_expired() {
-        let (network, collection) = small_world();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
-        let greedy = Algorithm::Greedy(GreedyParams::default());
-        // Cancelled up front with an hour of deadline left: the token fired,
-        // not the deadline.
-        let token = CancelToken::manual();
-        token.cancel();
-        let cancelled = engine
+        // Greedy seeds its best before the expansion loop, so it still
+        // returns a region when the deadline fires at its first poll.
+        let whole = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
+        let greedy = engine
             .execute(
-                &QueryRequest::new(&query, greedy.clone())
-                    .deadline_in(Duration::from_secs(3600))
-                    .cancel_token(token),
+                &QueryRequest::new(&whole, Algorithm::Greedy(GreedyParams::default()))
+                    .deadline(Deadline::after(Duration::ZERO)),
             )
             .unwrap();
-        assert!(cancelled.is_partial());
-        assert_eq!(cancelled.stats.partial_cause, Some(PartialCause::Cancelled));
-        assert_eq!(cancelled.stats.deadline, Some(Duration::from_secs(3600)));
-        // A token armed with the request's own deadline, already expired.
-        let deadline = Deadline::after(Duration::ZERO);
-        let expired = engine
-            .execute(
-                &QueryRequest::new(&query, greedy)
-                    .deadline(deadline)
-                    .cancel_token(CancelToken::with_deadline(deadline.at())),
-            )
-            .unwrap();
-        assert!(expired.is_partial());
-        assert_eq!(
-            expired.stats.partial_cause,
-            Some(PartialCause::DeadlineExceeded)
-        );
+        assert!(greedy.is_partial());
+        assert!(greedy.best().is_some());
     }
 
     #[test]
@@ -1710,16 +1594,6 @@ mod tests {
             .unwrap();
         assert!(!outcome.is_partial());
         assert_eq!(outcome.stats.partial_cause, None);
-    }
-
-    #[test]
-    fn priority_parses_and_displays_stably() {
-        assert_eq!(Priority::parse("interactive"), Some(Priority::Interactive));
-        assert_eq!(Priority::parse("batch"), Some(Priority::Batch));
-        assert_eq!(Priority::parse("bogus"), None);
-        assert_eq!(Priority::Interactive.to_string(), "interactive");
-        assert_eq!(Priority::Batch.as_str(), "batch");
-        assert_eq!(Priority::default(), Priority::Interactive);
     }
 
     #[test]

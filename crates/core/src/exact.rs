@@ -8,7 +8,7 @@
 //!
 //! The solver exists to *validate* the approximation algorithms: integration
 //! and property tests compare APP, TGEN and Greedy against it on graphs with up
-//! to [`ExactSolver::DEFAULT_NODE_LIMIT`] nodes.
+//! to [`ExactSolver::NODE_LIMIT`] nodes.
 
 use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
@@ -24,31 +24,16 @@ use std::cmp::Ordering;
 const CANCEL_POLL_STRIDE: u32 = 256;
 
 /// Exhaustive-enumeration LCMSR solver.
-#[derive(Debug, Clone)]
-pub struct ExactSolver {
-    node_limit: usize,
-}
-
-impl Default for ExactSolver {
-    fn default() -> Self {
-        ExactSolver {
-            node_limit: Self::DEFAULT_NODE_LIMIT,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ExactSolver;
 
 impl ExactSolver {
-    /// Default maximum number of nodes the solver will enumerate (2^n subsets).
-    pub const DEFAULT_NODE_LIMIT: usize = 20;
+    /// Maximum number of nodes the solver will enumerate (2^n subsets).
+    pub const NODE_LIMIT: usize = 20;
 
-    /// Creates a solver with the default node limit.
+    /// Creates a solver.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a solver with a custom node limit (values above ~24 are impractical).
-    pub fn with_node_limit(limit: usize) -> Self {
-        ExactSolver { node_limit: limit }
+        ExactSolver
     }
 
     /// Finds the optimal region (maximum weight, length ≤ `Q.∆`), or `None`
@@ -104,10 +89,10 @@ impl ExactSolver {
         let mut feasible_enumerated = 0u64;
         if k == 0 {
             // Still validate the graph-size limit for a consistent API.
-            if graph.sigma_max() > 0.0 && graph.node_count() > self.node_limit {
+            if graph.sigma_max() > 0.0 && graph.node_count() > Self::NODE_LIMIT {
                 return Err(LcmsrError::GraphTooLargeForExact {
                     nodes: graph.node_count(),
-                    limit: self.node_limit,
+                    limit: Self::NODE_LIMIT,
                 });
             }
             return Ok(ExactTopK {
@@ -156,10 +141,10 @@ impl ExactSolver {
             // No relevant node: the answer is empty regardless of the graph size.
             return Ok(false);
         }
-        if n > self.node_limit {
+        if n > Self::NODE_LIMIT {
             return Err(LcmsrError::GraphTooLargeForExact {
                 nodes: n,
-                limit: self.node_limit,
+                limit: Self::NODE_LIMIT,
             });
         }
         let delta = graph.delta();
@@ -313,6 +298,29 @@ mod tests {
     use super::*;
     use crate::query_graph::test_support::figure2_query_graph;
 
+    /// A path of `NODE_LIMIT + 1` weighted nodes 1 m apart: one node over
+    /// the limit.
+    fn oversized_query_graph() -> QueryGraph {
+        use lcmsr_geotext::collection::NodeWeights;
+        use lcmsr_roadnet::builder::GraphBuilder;
+        use lcmsr_roadnet::geo::Point;
+        use lcmsr_roadnet::node::NodeId;
+        use lcmsr_roadnet::subgraph::RegionView;
+
+        let n = ExactSolver::NODE_LIMIT + 1;
+        let mut b = GraphBuilder::new();
+        let ids: Vec<_> = (0..n)
+            .map(|i| b.add_node(Point::new(i as f64, 0.0)))
+            .collect();
+        for pair in ids.windows(2) {
+            b.add_edge(pair[0], pair[1], 1.0).unwrap();
+        }
+        let network = b.build().unwrap();
+        let weights = NodeWeights::from_node_weights((0..n).map(|i| (NodeId(i as u32), 0.5)));
+        let view = RegionView::whole(&network);
+        QueryGraph::build(&view, &weights, 5.0, 0.5).unwrap()
+    }
+
     fn solve_best(qg: &QueryGraph, arena: &mut TupleArena) -> Option<RegionTuple> {
         ExactSolver::new()
             .solve(
@@ -451,9 +459,9 @@ mod tests {
             .tuples
             .is_empty());
         // The size limit still applies for k = 0 on a relevant graph.
-        assert!(ExactSolver::with_node_limit(3)
+        assert!(ExactSolver::new()
             .solve_topk(
-                &qg,
+                &oversized_query_graph(),
                 &mut arena,
                 0,
                 &CancelToken::none(),
@@ -487,16 +495,17 @@ mod tests {
 
     #[test]
     fn rejects_oversized_graphs() {
-        let (_n, qg) = figure2_query_graph(6.0, 0.15);
-        let solver = ExactSolver::with_node_limit(3);
         assert!(matches!(
-            solver.solve(
-                &qg,
+            ExactSolver::new().solve(
+                &oversized_query_graph(),
                 &mut TupleArena::new(),
                 &CancelToken::none(),
                 &mut TraceCollector::disabled()
             ),
-            Err(LcmsrError::GraphTooLargeForExact { nodes: 6, limit: 3 })
+            Err(LcmsrError::GraphTooLargeForExact {
+                nodes: 21,
+                limit: 20
+            })
         ));
     }
 

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::cache::{CacheLookup, ResponseCache};
     pub use crate::cancel::{CancelToken, Deadline};
     pub use crate::engine::{
-        Algorithm, LcmsrEngine, MaxRsRegion, Priority, QueryOptions, QueryOutcome, QueryRequest,
+        Algorithm, LcmsrEngine, MaxRsRegion, QueryOptions, QueryOutcome, QueryRequest,
         QueryWorkspace, WorkspacePool,
     };
     pub use crate::error::{LcmsrError, Result as LcmsrResult};
@@ -105,8 +105,7 @@ pub use arena::TupleArena;
 pub use cache::{CacheLookup, ResponseCache};
 pub use cancel::{CancelToken, Deadline};
 pub use engine::{
-    Algorithm, LcmsrEngine, Priority, QueryOptions, QueryOutcome, QueryRequest, QueryWorkspace,
-    WorkspacePool,
+    Algorithm, LcmsrEngine, QueryOptions, QueryOutcome, QueryRequest, QueryWorkspace, WorkspacePool,
 };
 pub use error::{LcmsrError, Result};
 pub use greedy::GreedyParams;

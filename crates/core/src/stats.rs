@@ -10,8 +10,6 @@ pub enum PartialCause {
     /// The query's deadline expired mid-solve; the solver stopped at the next
     /// poll point and returned its incumbent.
     DeadlineExceeded,
-    /// The query's cancellation token was fired explicitly.
-    Cancelled,
 }
 
 impl PartialCause {
@@ -19,7 +17,6 @@ impl PartialCause {
     pub fn as_str(&self) -> &'static str {
         match self {
             PartialCause::DeadlineExceeded => "deadline_exceeded",
-            PartialCause::Cancelled => "cancelled",
         }
     }
 }
@@ -83,8 +80,8 @@ pub struct RunStats {
     /// Frontier entries evicted by dominating inserts (Lemma 6 extended
     /// across scaled weights) during the solve phase.
     pub dominance_evictions: u64,
-    /// Whether the solver stopped early (deadline or cancellation) and the
-    /// result is its best-so-far incumbent rather than the full answer.
+    /// Whether the solver stopped early (its deadline passed) and the result
+    /// is its best-so-far incumbent rather than the full answer.
     pub partial: bool,
     /// Why the result is partial (`None` for complete runs).
     pub partial_cause: Option<PartialCause>,
@@ -252,11 +249,14 @@ mod tests {
     fn partial_marking_keeps_the_first_cause_and_shows_in_display() {
         let mut s = RunStats::new("Exact");
         s.mark_partial(PartialCause::DeadlineExceeded);
-        s.mark_partial(PartialCause::Cancelled);
+        s.mark_partial(PartialCause::DeadlineExceeded);
         assert!(s.partial);
         assert_eq!(s.partial_cause, Some(PartialCause::DeadlineExceeded));
         assert_eq!(PartialCause::DeadlineExceeded.as_str(), "deadline_exceeded");
-        assert_eq!(PartialCause::Cancelled.to_string(), "cancelled");
+        assert_eq!(
+            PartialCause::DeadlineExceeded.to_string(),
+            "deadline_exceeded"
+        );
         assert!(s.to_string().contains("[partial: deadline_exceeded]"));
         assert!(!RunStats::new("Exact").to_string().contains("partial"));
     }

@@ -52,6 +52,7 @@
 //! [`lcmsr_core::engine::LcmsrEngine::execute`] calls with `==`.
 
 use crate::json::{parse, Json, JsonError};
+use crate::scheduler::Priority;
 use lcmsr_core::prelude::*;
 use lcmsr_core::{AppParams, GreedyParams, TgenParams};
 use lcmsr_roadnet::edge::EdgeId;
@@ -480,11 +481,11 @@ pub struct StatsDto {
     pub frontier_peak: u64,
     /// Frontier entries evicted by dominating inserts.
     pub dominance_evictions: u64,
-    /// Whether the result is a best-so-far partial answer (deadline expired
-    /// or the query was cancelled mid-solve).
+    /// Whether the result is a best-so-far partial answer (the deadline
+    /// expired mid-solve).
     pub partial: bool,
-    /// Why the result is partial: `"deadline_exceeded"` or `"cancelled"`
-    /// (absent for complete runs).
+    /// Why the result is partial: `"deadline_exceeded"` (absent for complete
+    /// runs).
     pub partial_cause: Option<String>,
     /// The deadline budget the query ran under, in nanoseconds (absent when
     /// no deadline was set).

@@ -27,6 +27,9 @@ pub const MAX_REQUEST_ID_LEN: usize = 64;
 /// The response/request header carrying the request id.
 pub const REQUEST_ID_HEADER: &str = "x-request-id";
 
+/// Slots in each of the recent-traces and slow-query rings.
+const RING_CAPACITY: usize = 32;
+
 /// Whether a client-sent request id is acceptable: 1..=64 characters from
 /// `[A-Za-z0-9_-]`.  Anything else is replaced by a generated id rather than
 /// echoed back (an unconstrained header would let a client inject arbitrary
@@ -157,11 +160,6 @@ impl TraceRing {
         }
     }
 
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Inserts a trace, overwriting the oldest slot.  A slot contended by a
     /// concurrent reader or writer drops the trace instead of blocking.
     pub fn push(&self, trace: Arc<CompletedTrace>) {
@@ -198,10 +196,6 @@ pub struct DiagnosticsConfig {
     /// Span tracing runs on 1-in-`trace_sample` queries (1 = every query,
     /// 0 = never).  Sampled traces land in the recent ring.
     pub trace_sample: u64,
-    /// Capacity of the recent-traces ring.
-    pub recent_capacity: usize,
-    /// Capacity of the slow-query ring.
-    pub slow_capacity: usize,
 }
 
 impl Default for DiagnosticsConfig {
@@ -209,8 +203,6 @@ impl Default for DiagnosticsConfig {
         DiagnosticsConfig {
             slow_ms: 500,
             trace_sample: 16,
-            recent_capacity: 32,
-            slow_capacity: 32,
         }
     }
 }
@@ -230,20 +222,13 @@ pub struct Diagnostics {
 impl Diagnostics {
     /// Creates diagnostics state from its configuration.
     pub fn new(config: DiagnosticsConfig) -> Self {
-        let recent = TraceRing::new(config.recent_capacity);
-        let slow = TraceRing::new(config.slow_capacity);
         Diagnostics {
             config,
             ids: RequestIdGen::new(),
             sample_counter: AtomicU64::new(0),
-            recent,
-            slow,
+            recent: TraceRing::new(RING_CAPACITY),
+            slow: TraceRing::new(RING_CAPACITY),
         }
-    }
-
-    /// The configuration this state was built from.
-    pub fn config(&self) -> &DiagnosticsConfig {
-        &self.config
     }
 
     /// Resolves the request id: the client's header value when well-formed,
@@ -389,7 +374,6 @@ mod tests {
         let diag = Diagnostics::new(DiagnosticsConfig {
             slow_ms: 100,
             trace_sample: 1,
-            ..DiagnosticsConfig::default()
         });
         // Fast and untraced: dropped.
         assert!(diag

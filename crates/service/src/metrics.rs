@@ -1,9 +1,9 @@
 //! Service counters and a fixed-bucket latency histogram.
 //!
 //! Everything is lock-free atomics so the hot path (one `record` per request)
-//! never contends with `/metrics` scrapes.  Quantiles are estimated from the
-//! histogram as the upper bound of the bucket containing the target rank —
-//! coarse but monotone, cheap, and entirely allocation-free.
+//! never contends with `/metrics` scrapes.  The histogram is exported with
+//! its cumulative buckets, sum and count, from which Prometheus derives the
+//! mean and quantile estimates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -39,38 +39,6 @@ impl LatencyHistogram {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.total_us.load(Ordering::Relaxed) as f64 / count as f64
-        }
-    }
-
-    /// Estimated quantile (`q` in 0..=1) as the upper bound of the bucket
-    /// holding the target rank, in microseconds.  The overflow bucket reports
-    /// twice the last bound.  Returns 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, count) in self.counts.iter().enumerate() {
-            seen += count.load(Ordering::Relaxed);
-            if seen >= target {
-                return LATENCY_BOUNDS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 1] * 2);
-            }
-        }
-        LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 1] * 2
-    }
-
     /// Sum of all recorded latencies, in microseconds (the Prometheus
     /// histogram `_sum`, in the same unit as the bucket bounds).
     pub fn total_us(&self) -> u64 {
@@ -102,13 +70,14 @@ pub struct ServiceMetrics {
     pub responses_ok: AtomicU64,
     /// `4xx` responses (malformed or invalid requests).
     pub responses_client_error: AtomicU64,
-    /// `503` load-shed responses (`queue_capacity` callers already parked).
+    /// `503` load-shed responses (`queue_capacity` callers already parked;
+    /// only possible when `queue_capacity` is below `http_workers`).
     pub shed: AtomicU64,
     /// `503` responses shed because the request's deadline was already blown
     /// or would be blown by the predicted wait for a permit.
     pub deadline_shed: AtomicU64,
-    /// `200` responses whose result was partial (deadline or cancellation
-    /// stopped the solver at its best-so-far incumbent).
+    /// `200` responses whose result was partial (the deadline stopped the
+    /// solver at its best-so-far incumbent).
     pub partial: AtomicU64,
     /// Served queries at or beyond the diagnostics slow threshold.
     pub slow_queries: AtomicU64,
@@ -315,24 +284,6 @@ impl ServiceMetrics {
             "Served queries whose prepare phase was delta-built from the previous session step.",
             load(&self.delta_prepares),
         );
-        series(
-            "lcmsr_latency_mean_us",
-            "gauge",
-            "Mean end-to-end query latency, microseconds.",
-            format!("{:.1}", self.latency.mean_us()),
-        );
-        series(
-            "lcmsr_latency_p50_us",
-            "gauge",
-            "Estimated median end-to-end query latency, microseconds.",
-            self.latency.quantile_us(0.50).to_string(),
-        );
-        series(
-            "lcmsr_latency_p99_us",
-            "gauge",
-            "Estimated p99 end-to-end query latency, microseconds.",
-            self.latency.quantile_us(0.99).to_string(),
-        );
         out.push_str("# HELP lcmsr_latency End-to-end query latency, microseconds.\n");
         out.push_str("# TYPE lcmsr_latency histogram\n");
         for (bound, cumulative) in self.latency.cumulative() {
@@ -356,10 +307,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
+    fn histogram_buckets_are_cumulative() {
         let h = LatencyHistogram::default();
-        assert_eq!(h.quantile_us(0.5), 0);
-        assert_eq!(h.mean_us(), 0.0);
+        assert_eq!(h.count(), 0);
         // 90 fast observations, 10 slow ones.
         for _ in 0..90 {
             h.record(Duration::from_micros(80));
@@ -368,12 +318,16 @@ mod tests {
             h.record(Duration::from_micros(40_000));
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 100, "p50 lands in the first bucket");
-        assert_eq!(h.quantile_us(0.99), 50_000, "p99 lands in the slow bucket");
-        assert!(h.mean_us() > 80.0 && h.mean_us() < 40_000.0);
-        // Overflow bucket reports a finite sentinel.
+        assert_eq!(h.total_us(), 90 * 80 + 10 * 40_000);
+        let cumulative = h.cumulative();
+        assert_eq!(
+            cumulative[0],
+            (100, 90),
+            "the fast ones fill the first bucket"
+        );
+        assert_eq!(cumulative[8], (50_000, 100), "the slow ones land by 50 ms");
+        // Beyond the last bound a sample lands in the overflow bucket.
         h.record(Duration::from_secs(60));
-        assert_eq!(h.quantile_us(1.0), LATENCY_BOUNDS_US[14] * 2);
         let cumulative = h.cumulative();
         assert_eq!(cumulative.last().unwrap(), &(u64::MAX, 101));
         // Cumulative counts are monotone.
@@ -433,8 +387,6 @@ mod tests {
             "lcmsr_delta_prepares_total 1",
             "lcmsr_latency_sum 3000",
             "lcmsr_latency_count 1",
-            "lcmsr_latency_p50_us",
-            "lcmsr_latency_p99_us",
             "lcmsr_latency_bucket{le=\"+Inf\"} 1",
         ] {
             assert!(text.contains(series), "missing {series:?} in:\n{text}");

@@ -2,7 +2,7 @@
 //! thread that submitted it.
 //!
 //! [`Scheduler::submit`] admits an engine [`QueryRequest`], parks the calling
-//! connection thread in the lane of the request's priority until one of
+//! connection thread in the lane of the given [`Priority`] until one of
 //! `batch_workers` permits is free, and then runs [`LcmsrEngine::execute`] on
 //! that same thread.  The **interactive** lane always gets the next free
 //! permit before the **batch** lane, so bulk work parked behind the service
@@ -29,12 +29,48 @@
 use crate::metrics::ServiceMetrics;
 use crate::sync::{lock_or_recover, wait_or_recover};
 use lcmsr_core::cancel::{self, Deadline};
-use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOutcome, QueryRequest};
+use lcmsr_core::engine::{LcmsrEngine, QueryOutcome, QueryRequest};
 use lcmsr_core::error::Result as LcmsrResult;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// The lane a caller waits in for a permit: a free permit goes to the
+/// interactive lane before the batch lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Priority {
+    /// A user is waiting on the answer; served first.
+    #[default]
+    Interactive,
+    /// Throughput work; served when no interactive request is queued.
+    Batch,
+}
+
+impl Priority {
+    /// The stable wire/display spelling ("interactive" / "batch").
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Priority::Interactive => "interactive",
+            Priority::Batch => "batch",
+        }
+    }
+
+    /// Parses the wire spelling back into a priority.
+    pub fn parse(s: &str) -> Option<Priority> {
+        match s {
+            "interactive" => Some(Priority::Interactive),
+            "batch" => Some(Priority::Batch),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Priority {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone)]
@@ -42,7 +78,10 @@ pub struct BatchConfig {
     /// Ignored: the scheduler has no batching window.  Defaults to zero.
     #[deprecated(note = "the scheduler has no batching window; this field is ignored")]
     pub max_delay: Duration,
-    /// Submissions are shed once this many callers are parked.
+    /// Submissions are shed once this many callers are parked.  Behind the
+    /// HTTP server every parked caller is a connection thread, so at most
+    /// `http_workers` callers can park: this bound sheds only when it is set
+    /// below `http_workers`, and the default of 1 024 never does.
     pub queue_capacity: usize,
     /// Permits: how many queries run on the engine at once (at least one).
     pub batch_workers: usize,
@@ -64,14 +103,14 @@ impl Default for BatchConfig {
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// `queue_capacity` callers are already parked — shed with `503`.
+    /// `queue_capacity` callers are already parked — shed with `503`.  Behind
+    /// the HTTP server this fires only when `queue_capacity` is set below
+    /// `http_workers`, the most connection threads that can park.
     Overloaded,
     /// The request's deadline has already expired, or the predicted wait for
     /// a permit exceeds what is left of it — shed with `503` + `Retry-After`
     /// now instead of burning engine time on an answer nobody is waiting for.
     DeadlineUnmeetable,
-    /// The scheduler is shutting down.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -81,7 +120,6 @@ impl std::fmt::Display for SubmitError {
             SubmitError::DeadlineUnmeetable => {
                 write!(f, "deadline unmeetable given queue wait, request shed")
             }
-            SubmitError::ShuttingDown => write!(f, "service shutting down"),
         }
     }
 }
@@ -96,7 +134,6 @@ struct Lanes {
     free: usize,
     /// The ticket the next parking caller draws.
     next_ticket: u64,
-    shutdown: bool,
 }
 
 impl Lanes {
@@ -201,7 +238,6 @@ impl Scheduler {
                 batch: VecDeque::new(),
                 free: permits,
                 next_ticket: 0,
-                shutdown: false,
             }),
             changed: Condvar::new(),
             metrics,
@@ -213,17 +249,17 @@ impl Scheduler {
         self.config.batch_workers.max(1)
     }
 
-    /// Admits `request` in the lane of its priority, waits on the calling
-    /// thread for a permit, and runs the query there; the request's deadline
-    /// counts against admission.  The outer error is a shed or shutdown
-    /// refusal; the inner result is the engine's answer, with the wait for
-    /// the permit in `stats.queue_time`, or its query error.
+    /// Admits `request` in `priority`'s lane, waits on the calling thread for
+    /// a permit, and runs the query there; the request's deadline counts
+    /// against admission.  The outer error is a shed; the inner result is the
+    /// engine's answer, with the wait for the permit in `stats.queue_time`,
+    /// or its query error.
     pub fn submit(
         &self,
         request: &QueryRequest<'_>,
+        priority: Priority,
     ) -> Result<LcmsrResult<QueryOutcome>, SubmitError> {
-        let options = &request.options;
-        let permit = self.admit(options.priority, options.deadline.as_ref())?;
+        let permit = self.admit(priority, request.options.deadline.as_ref())?;
         self.metrics.batches.fetch_add(1, Ordering::Relaxed);
         self.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
         let started = cancel::now();
@@ -248,9 +284,6 @@ impl Scheduler {
         deadline: Option<&Deadline>,
     ) -> Result<Permit<'_>, SubmitError> {
         let mut lanes = lock_or_recover(&self.lanes);
-        if lanes.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
         if lanes.parked() >= self.config.queue_capacity {
             self.metrics.shed.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Overloaded);
@@ -348,13 +381,6 @@ impl Scheduler {
             self.permits(),
         )
     }
-
-    /// Stops admitting requests: later submits get [`SubmitError::ShuttingDown`],
-    /// while callers already admitted still run to completion on their own
-    /// threads.  Idempotent.
-    pub fn shutdown(&self) {
-        lock_or_recover(&self.lanes).shutdown = true;
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +434,7 @@ mod tests {
         LcmsrQuery::new(["restaurant"], delta, roi).unwrap()
     }
 
-    /// An interactive, deadline-free, untraced, cache-off TGEN request.
+    /// A deadline-free, untraced, cache-off TGEN request.
     fn request(query: &LcmsrQuery) -> QueryRequest<'_> {
         QueryRequest::new(query, Algorithm::Tgen(TgenParams { alpha: 1.0 }))
     }
@@ -440,6 +466,16 @@ mod tests {
     }
 
     #[test]
+    fn priority_parses_and_displays_stably() {
+        assert_eq!(Priority::parse("interactive"), Some(Priority::Interactive));
+        assert_eq!(Priority::parse("batch"), Some(Priority::Batch));
+        assert_eq!(Priority::parse("bogus"), None);
+        assert_eq!(Priority::Interactive.to_string(), "interactive");
+        assert_eq!(Priority::Batch.as_str(), "batch");
+        assert_eq!(Priority::default(), Priority::Interactive);
+    }
+
+    #[test]
     fn concurrent_results_match_direct_engine_calls() {
         let engine = leaked_engine();
         let metrics = Arc::new(ServiceMetrics::new());
@@ -457,7 +493,7 @@ mod tests {
                 let scheduler = &scheduler;
                 scope.spawn(move || {
                     let q = query(engine, delta);
-                    let answer = served(scheduler.submit(&request(&q)));
+                    let answer = served(scheduler.submit(&request(&q), Priority::Interactive));
                     let direct = engine.execute(&request(&q)).unwrap();
                     assert_eq!(answer.regions, direct.regions, "delta {delta}");
                 });
@@ -474,7 +510,8 @@ mod tests {
     fn a_lone_job_on_an_idle_scheduler_runs_without_queueing() {
         let engine = leaked_engine();
         let scheduler = start(engine, BatchConfig::default());
-        let result = served(scheduler.submit(&request(&query(engine, 300.0))));
+        let result =
+            served(scheduler.submit(&request(&query(engine, 300.0)), Priority::Interactive));
         assert_eq!(result.stats.queue_time, Duration::ZERO);
         assert!(result.best().is_some());
         assert!(result.stats.prepare_time + result.stats.solve_time <= result.stats.elapsed);
@@ -530,12 +567,14 @@ mod tests {
                 .iter()
                 .map(|q| {
                     let scheduler = &scheduler;
-                    scope.spawn(move || scheduler.submit(&request(q)))
+                    scope.spawn(move || scheduler.submit(&request(q), Priority::Interactive))
                 })
                 .collect();
             wait_parked(&scheduler, 2);
             assert_eq!(
-                scheduler.submit(&request(&queries[2])).unwrap_err(),
+                scheduler
+                    .submit(&request(&queries[2]), Priority::Interactive)
+                    .unwrap_err(),
                 SubmitError::Overloaded
             );
             assert_eq!(metrics.shed.load(Ordering::Relaxed), 1);
@@ -560,7 +599,7 @@ mod tests {
                 let doomed = query(engine, 300.0);
                 let deadline = Deadline::after(Duration::from_millis(50));
                 deadline_tx.send(deadline).unwrap();
-                scheduler.submit(&request(&doomed).deadline(deadline))
+                scheduler.submit(&request(&doomed).deadline(deadline), Priority::Interactive)
             });
             let deadline = deadline_rx.recv().unwrap();
             wait_parked(scheduler, 1);
@@ -587,7 +626,9 @@ mod tests {
         let held = scheduler.admit(Priority::Interactive, None).unwrap();
         let (result, held_for) = std::thread::scope(|scope| {
             let scheduler = &scheduler;
-            let parked = scope.spawn(move || scheduler.submit(&request(&query(engine, 300.0))));
+            let parked = scope.spawn(move || {
+                scheduler.submit(&request(&query(engine, 300.0)), Priority::Interactive)
+            });
             wait_parked(scheduler, 1);
             // The caller is parked from here on; keep the permit across some
             // real engine work before handing it over.
@@ -605,28 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_refuses_new_submits_while_parked_callers_finish() {
-        let engine = leaked_engine();
-        let scheduler = start(engine, one_permit());
-        let held = scheduler.admit(Priority::Interactive, None).unwrap();
-        std::thread::scope(|scope| {
-            let scheduler = &scheduler;
-            let parked = scope.spawn(move || scheduler.submit(&request(&query(engine, 300.0))));
-            wait_parked(scheduler, 1);
-            scheduler.shutdown();
-            scheduler.shutdown(); // idempotent
-            assert_eq!(
-                scheduler
-                    .submit(&request(&query(engine, 100.0)))
-                    .unwrap_err(),
-                SubmitError::ShuttingDown
-            );
-            drop(held);
-            assert!(served(parked.join().unwrap()).best().is_some());
-        });
-    }
-
-    #[test]
     fn a_panic_while_holding_a_permit_releases_it() {
         let engine = leaked_engine();
         let scheduler = start(engine, one_permit());
@@ -641,7 +660,8 @@ mod tests {
         assert!(crashed.is_err());
         // The only permit came back: the next submit runs instead of parking
         // forever.
-        let result = served(scheduler.submit(&request(&query(engine, 300.0))));
+        let result =
+            served(scheduler.submit(&request(&query(engine, 300.0)), Priority::Interactive));
         assert_eq!(result.stats.queue_time, Duration::ZERO);
     }
 
@@ -652,8 +672,11 @@ mod tests {
         // Exact over the whole 25-node grid exceeds the solver's node cap.
         let q = query(engine, 300.0);
         let exact = QueryRequest::new(&q, Algorithm::Exact);
-        assert!(scheduler.submit(&exact).unwrap().is_err());
-        served(scheduler.submit(&request(&q)));
+        assert!(scheduler
+            .submit(&exact, Priority::Interactive)
+            .unwrap()
+            .is_err());
+        served(scheduler.submit(&request(&q), Priority::Interactive));
     }
 
     #[test]
@@ -664,7 +687,9 @@ mod tests {
         let q = query(engine, 300.0);
         let doomed = request(&q).deadline(Deadline::after(Duration::ZERO));
         assert_eq!(
-            scheduler.submit(&doomed).unwrap_err(),
+            scheduler
+                .submit(&doomed, Priority::Interactive)
+                .unwrap_err(),
             SubmitError::DeadlineUnmeetable
         );
         assert_eq!(metrics.deadline_shed.load(Ordering::Relaxed), 1);
@@ -707,22 +732,20 @@ mod tests {
                 .map(|i| {
                     scope.spawn(move || {
                         let q = query(engine, 100.0 + f64::from(i));
-                        scheduler.submit(&request(&q).priority(Priority::Batch))
+                        scheduler.submit(&request(&q), Priority::Batch)
                     })
                 })
                 .collect();
             wait_parked(scheduler, 8);
             // A batch-lane request queues behind all eight: 80 ms > 50 ms.
-            let late_bulk = request(&q)
-                .priority(Priority::Batch)
-                .deadline(Deadline::after(Duration::from_millis(50)));
+            let late_bulk = request(&q).deadline(Deadline::after(Duration::from_millis(50)));
             assert_eq!(
-                scheduler.submit(&late_bulk).unwrap_err(),
+                scheduler.submit(&late_bulk, Priority::Batch).unwrap_err(),
                 SubmitError::DeadlineUnmeetable
             );
             // An interactive request overtakes them all, so nothing is ahead.
             let urgent = request(&q).deadline(Deadline::after(Duration::from_millis(50)));
-            let interactive = scope.spawn(move || scheduler.submit(&urgent));
+            let interactive = scope.spawn(move || scheduler.submit(&urgent, Priority::Interactive));
             wait_parked(scheduler, 9);
             drop(held);
             served(interactive.join().unwrap());
@@ -756,7 +779,7 @@ mod tests {
         let scheduler = start(engine, BatchConfig::default());
         // Fresh scheduler: nobody parked, no EWMA → the 1 s floor.
         assert_eq!(scheduler.retry_after_secs(), 1);
-        served(scheduler.submit(&request(&query(engine, 200.0))));
+        served(scheduler.submit(&request(&query(engine, 200.0)), Priority::Interactive));
         // With a (tiny) EWMA sample and nobody parked the floor still holds,
         // and the estimate always stays within the clamp.
         let estimate = scheduler.retry_after_secs();
@@ -773,14 +796,14 @@ mod tests {
         );
         let cached = request(&q).cache(true);
         let scheduler = start(engine, BatchConfig::default());
-        let result = served(scheduler.submit(&cached));
+        let result = served(scheduler.submit(&cached, Priority::Interactive));
         assert!(result.stats.cache, "the cache flag must reach the engine");
         // A repeat of the same request replays from the response cache.
-        let result = served(scheduler.submit(&cached));
+        let result = served(scheduler.submit(&cached, Priority::Interactive));
         assert!(result.stats.cache_hit, "the repeat must hit the cache");
         // A top-k request comes back with the engine's top-k answer.
         let wide = query(engine, 300.0);
-        let topk = served(scheduler.submit(&request(&wide).top_k(2)));
+        let topk = served(scheduler.submit(&request(&wide).top_k(2), Priority::Interactive));
         let direct = engine.execute(&request(&wide).top_k(2)).unwrap();
         assert_eq!(topk.regions.len(), 2, "{:?}", topk.regions);
         assert_eq!(topk.regions, direct.regions);
@@ -802,7 +825,7 @@ mod tests {
         );
         // A served query feeds its own engine time, undivided.
         let fresh = start(engine, BatchConfig::default());
-        let result = served(fresh.submit(&request(&query(engine, 300.0))));
+        let result = served(fresh.submit(&request(&query(engine, 300.0)), Priority::Interactive));
         let sample = fresh.service_time_ns.load(Ordering::Relaxed);
         assert!(sample > 0);
         assert!(

@@ -22,9 +22,9 @@ use crate::diag::{Diagnostics, DiagnosticsConfig, TraceRing, REQUEST_ID_HEADER};
 use crate::http::{self, Handler, HttpRequest, HttpResponse, ServerConfig, ServerHandle};
 use crate::json::Json;
 use crate::metrics::ServiceMetrics;
-use crate::scheduler::{BatchConfig, Scheduler, SubmitError};
+use crate::scheduler::{BatchConfig, Priority, Scheduler};
 use lcmsr_core::cancel::{self, Deadline};
-use lcmsr_core::engine::{LcmsrEngine, Priority, QueryOptions, QueryRequest};
+use lcmsr_core::engine::{LcmsrEngine, QueryOptions, QueryRequest};
 use lcmsr_core::trace::QueryTrace;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
@@ -38,7 +38,7 @@ pub struct ServiceConfig {
     pub server: ServerConfig,
     /// Scheduler knobs: permits and the bound on parked callers.
     pub batch: BatchConfig,
-    /// Diagnostics knobs: slow-query threshold, trace sampling, ring sizes.
+    /// Diagnostics knobs: slow-query threshold and trace sampling.
     pub diagnostics: DiagnosticsConfig,
 }
 
@@ -125,8 +125,6 @@ impl ServiceHandlerInner {
                 deadline: parsed
                     .deadline_ms
                     .map(|ms| Deadline::after(Duration::from_millis(ms))),
-                cancel: None,
-                priority,
                 trace: trace_enabled,
                 // Interactive traffic defaults into the response cache
                 // (pan/zoom sessions repeat themselves); batch sweeps default
@@ -139,17 +137,12 @@ impl ServiceHandlerInner {
         // it a permit; the scheduler counts it in `queries` at admission.
         let outcome = self
             .scheduler
-            .submit(&request)
+            .submit(&request, priority)
             .map_err(|e| {
                 // Shed counting happens inside the scheduler; every shed
-                // variant maps to a 503 with a Retry-After derived from the
-                // EWMA service time and the current backlog.
-                let status = match e {
-                    SubmitError::Overloaded
-                    | SubmitError::DeadlineUnmeetable
-                    | SubmitError::ShuttingDown => 503,
-                };
-                HttpResponse::json(status, error_body(&e.to_string()))
+                // maps to a 503 with a Retry-After derived from the EWMA
+                // service time and the current backlog.
+                HttpResponse::json(503, error_body(&e.to_string()))
                     .with_header("Retry-After", self.scheduler.retry_after_secs().to_string())
             })?
             .map_err(|e| {
@@ -244,11 +237,11 @@ impl ServiceHandle {
         &self.handler.metrics
     }
 
-    /// Gracefully stops the HTTP server (in-flight requests finish), then
-    /// closes the scheduler to new submissions.
+    /// Gracefully stops the HTTP server: in-flight requests finish, and
+    /// joining the acceptor joins every connection thread, so no query is
+    /// submitted afterwards.
     pub fn shutdown(self) {
         self.server.shutdown();
-        self.handler.scheduler.shutdown();
     }
 
     /// Blocks until the server stops (foreground serving).

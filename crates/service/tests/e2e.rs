@@ -109,6 +109,25 @@ fn slow_exact_request() -> QueryRequest {
     request
 }
 
+/// An Exact request over a 5×4-node corner of the city: 20 nodes, the
+/// solver's limit, so free-running it enumerates 2^20 node subsets.
+fn slowest_exact_request() -> QueryRequest {
+    let mut request = slow_exact_request();
+    request.rect = Rect::new(-50.0, -50.0, 450.0, 350.0);
+    request
+}
+
+/// The `queue_depth` `/healthz` reports.
+fn queue_depth(client: &mut HttpClient) -> u64 {
+    let (status, body) = client.get("/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
+    lcmsr_service::json::parse(&body)
+        .unwrap()
+        .get("queue_depth")
+        .and_then(lcmsr_service::json::Json::as_u64)
+        .unwrap_or_else(|| panic!("no queue_depth in {body}"))
+}
+
 /// Wall time of an undeadlined direct engine run of `request`.
 fn direct_run_time(engine: &LcmsrEngine<'_>, request: &QueryRequest) -> Duration {
     let query = request.to_query().unwrap();
@@ -319,8 +338,7 @@ fn healthz_and_metrics_expose_service_state() {
         "lcmsr_responses_ok_total 3",
         "lcmsr_batches_total",
         "lcmsr_queue_depth",
-        "lcmsr_latency_p50_us",
-        "lcmsr_latency_p99_us",
+        "lcmsr_latency_count 3",
         "lcmsr_latency_bucket{le=\"+Inf\"} 3",
     ] {
         assert!(
@@ -573,7 +591,6 @@ fn slow_queries_reach_the_slow_ring() {
         DiagnosticsConfig {
             slow_ms: 0, // disabled: nothing is "slow"
             trace_sample: 0,
-            ..DiagnosticsConfig::default()
         },
     );
     let mut client = HttpClient::connect(service.addr()).unwrap();
@@ -595,7 +612,6 @@ fn slow_queries_reach_the_slow_ring() {
         DiagnosticsConfig {
             slow_ms: 1,
             trace_sample: 0,
-            ..DiagnosticsConfig::default()
         },
     );
     // A query that really outlasts the 1 ms threshold.
@@ -749,5 +765,60 @@ fn batch_priority_requests_are_served() {
     let (status, body) = client.post("/query", &bad.to_body()).unwrap();
     assert_eq!(status, 400);
     assert!(body.contains("priority"), "{body}");
+    service.shutdown();
+}
+
+#[test]
+fn a_parked_interactive_request_runs_before_an_earlier_parked_batch_request() {
+    let engine = leaked_city();
+    let service = serve_city(
+        engine,
+        BatchConfig {
+            batch_workers: 1,
+            ..BatchConfig::default()
+        },
+    );
+    let addr = service.addr();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        // A free-running 20-node Exact request holds the one permit.
+        let holder = scope.spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            let (status, body) = client
+                .post("/query", &slowest_exact_request().to_body())
+                .unwrap();
+            assert_eq!(status, 200, "{body}");
+        });
+        let queries = &service.metrics().queries;
+        while queries.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Park a batch request, then an interactive one, behind the holder.
+        let mut health = HttpClient::connect(addr).unwrap();
+        for (lane, parked) in [("batch", 1), ("interactive", 2)] {
+            let done_tx = done_tx.clone();
+            scope.spawn(move || {
+                let mut request = slow_exact_request();
+                request.priority = Some(lane.into());
+                let mut client = HttpClient::connect(addr).unwrap();
+                let (status, body) = client.post("/query", &request.to_body()).unwrap();
+                assert_eq!(status, 200, "{body}");
+                done_tx.send(lane).unwrap();
+            });
+            while queue_depth(&mut health) < parked {
+                assert!(
+                    !holder.is_finished(),
+                    "the permit holder finished before the {lane} request parked"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    });
+    drop(done_tx);
+    // The permit goes to the interactive lane first; each parked request
+    // runs a 16-node Exact, so the first answer arrives long before the
+    // second request finishes.
+    let order: Vec<&str> = done_rx.iter().collect();
+    assert_eq!(order, ["interactive", "batch"]);
     service.shutdown();
 }
