@@ -659,7 +659,7 @@ impl<'a> LcmsrEngine<'a> {
         stats.deadline = options.deadline.map(|d| d.budget());
         stats.nodes_in_region = graph.node_count();
         stats.edges_in_region = graph.edge_count();
-        stats.relevant_nodes = graph.relevant_nodes().len();
+        stats.relevant_nodes = graph.relevant_node_count();
         let solve_start = crate::cancel::now();
         // Epoch-clear the arena: every handle from the previous query dies
         // here, while the slab's capacity carries over.

@@ -104,11 +104,12 @@ pub fn run_greedy_excluding(
         });
     }
     let excluded_set: std::collections::BTreeSet<u32> = excluded.iter().copied().collect();
-    // Seed: the largest-weight node outside the excluded set.
+    // Seed: the largest-weight node outside the excluded set.  The weight
+    // test goes first, so only relevant nodes probe the set.
     let seed = graph
         .node_indices()
-        .filter(|v| !excluded_set.contains(v))
         .filter(|&v| graph.weight(v) > 0.0)
+        .filter(|v| !excluded_set.contains(v))
         .max_by(|&a, &b| {
             graph
                 .weight(a)
@@ -357,6 +358,56 @@ mod tests {
         .unwrap();
         // The second region is seeded elsewhere.
         assert!(!first.same_nodes(&second, &arena));
+    }
+
+    #[test]
+    fn seed_is_the_last_heaviest_node_outside_the_excluded_set() {
+        use lcmsr_geotext::collection::NodeWeights;
+        use lcmsr_roadnet::builder::GraphBuilder;
+        use lcmsr_roadnet::geo::Point;
+        use lcmsr_roadnet::node::NodeId;
+        use lcmsr_roadnet::subgraph::RegionView;
+        // A 6-node path with 10 m edges; nodes 0, 2 and 3 tie at the top
+        // weight and node 5 weighs nothing.
+        let mut b = GraphBuilder::new();
+        let ids: Vec<NodeId> = (0..6)
+            .map(|i| b.add_node(Point::new(f64::from(i) * 10.0, 0.0)))
+            .collect();
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1], 10.0).unwrap();
+        }
+        let network = b.build().unwrap();
+        let weights = NodeWeights::from_node_weights(
+            [0.5, 0.2, 0.5, 0.5, 0.1, 0.0]
+                .into_iter()
+                .enumerate()
+                .map(|(i, w)| (NodeId(i as u32), w)),
+        );
+        let view = RegionView::whole(&network);
+        // ∆ below one edge: the region is the seed alone.
+        let qg = QueryGraph::build(&view, &weights, 5.0, 0.5).unwrap();
+        let mut arena = TupleArena::new();
+        for (excluded, seed) in [
+            (&[][..], Some(3)),
+            (&[3][..], Some(2)),
+            (&[5, 3, 1][..], Some(2)),
+            (&[2, 3][..], Some(0)),
+            (&[3, 0, 2][..], Some(1)),
+            (&[0, 1, 2, 3][..], Some(4)),
+            (&[0, 1, 2, 3, 4][..], None),
+        ] {
+            let outcome = run_greedy_excluding(
+                &qg,
+                &mut arena,
+                &GreedyParams::default(),
+                excluded,
+                &CancelToken::none(),
+                &mut TraceCollector::disabled(),
+            )
+            .unwrap();
+            let nodes = outcome.best.map(|r| r.nodes(&arena).to_vec());
+            assert_eq!(nodes, seed.map(|s| vec![s]), "excluding {excluded:?}");
+        }
     }
 
     #[test]

@@ -125,7 +125,9 @@ impl QueryGraph {
         let theta = self.theta;
         self.scaled.clear();
         self.scaled.extend(self.weights.iter().map(|&w| {
-            if theta > 0.0 {
+            // A zero weight, most of a view's nodes, scales to 0 without the
+            // division: `(0.0 / θ + 1e-9).floor()` is 0.
+            if theta > 0.0 && w != 0.0 {
                 // A tiny epsilon guards against 0.4/0.2 = 1.999999… style
                 // floating-point artefacts at exact multiples of θ.
                 (w / theta + 1e-9).floor() as u64
@@ -227,11 +229,9 @@ impl QueryGraph {
         0..self.node_ids.len() as u32
     }
 
-    /// Local ids of nodes with a positive weight (the "relevant" nodes).
-    pub fn relevant_nodes(&self) -> Vec<u32> {
-        self.node_indices()
-            .filter(|&v| self.weights[v as usize] > 0.0)
-            .collect()
+    /// Number of nodes with a positive weight (the "relevant" nodes).
+    pub fn relevant_node_count(&self) -> usize {
+        self.weights.iter().filter(|&&w| w > 0.0).count()
     }
 
     /// Sum of all node weights in the query region (upper bound on any region's weight).
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn helper_accessors() {
         let (_network, qg) = figure2_query_graph(6.0, 0.15);
-        assert_eq!(qg.relevant_nodes().len(), 6);
+        assert_eq!(qg.relevant_node_count(), 6);
         assert!((qg.total_weight() - 1.7).abs() < 1e-12);
         assert!(qg.total_scaled_weight() >= 160);
         // Max-weight node is v3 or v4 (both 0.4).
@@ -590,7 +590,7 @@ mod tests {
         assert_eq!(qg.sigma_max(), 0.0);
         assert!(qg.max_weight_node().is_none());
         assert!(qg.node_indices().all(|v| qg.scaled_weight(v) == 0));
-        assert!(qg.relevant_nodes().is_empty());
+        assert_eq!(qg.relevant_node_count(), 0);
     }
 
     #[test]

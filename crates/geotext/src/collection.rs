@@ -16,6 +16,10 @@
 //!
 //! * an object's partial score sums from 0.0 in query-term order;
 //! * a node's weight sums its objects' scores in ascending [`ObjectId`] order.
+//!
+//! The scored objects reach both orders through a stable radix sort
+//! ([`lcmsr_roadnet::order::RadixSorter`]), first by object id and then by
+//! node, in time linear in their number.
 
 use crate::error::Result;
 use crate::grid::GridIndex;
@@ -26,6 +30,7 @@ use lcmsr_roadnet::epoch::EpochMap;
 use lcmsr_roadnet::geo::{Point, Rect};
 use lcmsr_roadnet::graph::RoadNetwork;
 use lcmsr_roadnet::node::NodeId;
+use lcmsr_roadnet::order::RadixSorter;
 use std::collections::BTreeMap;
 
 /// Default grid cell size in metres (roughly a city block neighbourhood).
@@ -52,9 +57,10 @@ pub struct NodeWeights {
 /// One object that made the cut: id, host node, slot and score.
 type Scored = (ObjectId, NodeId, u32, f64);
 
-/// Dense per-query scoring scratch: epoch-stamped slot accumulators plus the
-/// list of scored objects.  Cleared in O(1) per query; the epoch table spans
-/// the slot band of the cells scored, not the collection.
+/// Dense per-query scoring scratch: epoch-stamped slot accumulators, the
+/// list of scored objects and the sorter that orders them.  Cleared in O(1)
+/// per query; the epoch table spans the slot band of the cells scored, not
+/// the collection.
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
     /// Slot → position in `partials`, live for the current query only.
@@ -63,6 +69,8 @@ struct ScoreScratch {
     partials: Vec<(u32, f64)>,
     /// Objects kept for the answer, in no particular order.
     kept: Vec<Scored>,
+    /// Orders `kept` by object id, then by node.
+    radix: RadixSorter<Scored>,
 }
 
 impl ScoreScratch {
@@ -164,15 +172,16 @@ impl NodeWeights {
 
     /// Turns the scratch's kept objects into the answer: `by_object` in
     /// ascending id order, and each node's weight summed over its objects in
-    /// ascending id order.
+    /// ascending id order.  Object ids are unique, so a radix sort by id and
+    /// then a stable one by node give exactly the `(node, id)` order.
     fn finish(&mut self) {
-        let kept = &mut self.scratch.kept;
-        kept.sort_unstable_by_key(|&(id, ..)| id);
+        let ScoreScratch { kept, radix, .. } = &mut self.scratch;
+        radix.sort_by_key(kept, |&(id, ..)| id.0);
         self.by_object
             .extend(kept.iter().map(|&(id, _, _, score)| (id, score)));
         self.object_slots
             .extend(kept.iter().map(|&(_, _, slot, _)| slot));
-        kept.sort_unstable_by_key(|&(id, node, ..)| (node, id));
+        radix.sort_by_key(kept, |&(_, node, ..)| u64::from(node.0));
         for &(_, node, _, score) in kept.iter() {
             match self.by_node.last_mut() {
                 Some(last) if last.0 == node => last.1 += score,

@@ -10,6 +10,7 @@
 //! * [`builder::GraphBuilder`] — incremental construction with validation,
 //! * [`geo`] — planar geometry, rectangles (`Q.Λ`), WGS84→UTM projection,
 //! * [`subgraph::RegionView`] — the subgraph induced by a query rectangle,
+//! * [`order`] — linear-time orderings of unique keys for the prepare path,
 //! * [`traversal`] — connected components (used by [`generator`]) and the
 //!   Dijkstra reference for the region view's distances,
 //! * [`dimacs`] — reader for the DIMACS challenge-9 files the paper's New York
@@ -43,6 +44,7 @@ pub mod generator;
 pub mod geo;
 pub mod graph;
 pub mod node;
+pub mod order;
 pub mod spatial;
 pub mod subgraph;
 pub mod traversal;

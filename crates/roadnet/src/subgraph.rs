@@ -3,29 +3,35 @@
 //! An LCMSR query restricts processing to the rectangular region of interest
 //! `Q.Λ`.  [`RegionView`] captures the nodes of the network inside such a
 //! rectangle together with the induced edges, and exposes the restricted
-//! adjacency that all LCMSR algorithms operate on.
+//! adjacency that all LCMSR algorithms operate on.  Both lists are in
+//! ascending id order, which answers depend on; a presence bitmap over the
+//! touched id band restores that order in linear time (see [`crate::order`]).
 
 use crate::edge::EdgeId;
 use crate::epoch::EpochMap;
 use crate::geo::Rect;
 use crate::graph::RoadNetwork;
 use crate::node::NodeId;
+use crate::order::IdBitmap;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Reusable scratch buffers for building [`RegionView`]s.
 ///
-/// Extracting `Q.Λ` allocates a node list, an edge list and a node→local-id
-/// table sized to the whole network.  A long-lived scratch lets successive
-/// queries over the same network reuse all three:
+/// Extracting `Q.Λ` needs a node list, an edge list, a node→local-id table
+/// and a bitmap that puts both lists in id order.  A long-lived scratch lets
+/// successive queries over the same network reuse all four:
 /// [`RegionView::new_reusing`] takes the buffers out of the scratch and
 /// [`RegionView::recycle`] puts them back, so a steady stream of views
 /// performs no per-query allocation once the buffers have grown to size.
+/// The table and the bitmap span the widest id band a view touched, not the
+/// network.
 #[derive(Debug, Clone, Default)]
 pub struct RegionScratch {
     members: EpochMap,
     nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,
+    order: IdBitmap,
 }
 
 impl RegionScratch {
@@ -71,11 +77,12 @@ impl<'g> RegionView<'g> {
     /// Like [`RegionView::new`], but reuses the buffers held by `scratch`
     /// (see [`RegionScratch`]).  Return them with [`RegionView::recycle`].
     ///
-    /// Cost is proportional to the rectangle's grid cell cover, not to the
-    /// network: nodes are gathered from [`crate::spatial::NodeGrid`] buckets,
-    /// induced edges from member adjacency, and the membership table is
-    /// epoch-rebased at the smallest member id so it spans the touched id
-    /// band only.
+    /// Cost is proportional to the rectangle's grid cell cover and to the
+    /// id bands it touches, not to the network: nodes are gathered from
+    /// [`crate::spatial::NodeGrid`] buckets, induced edges from member
+    /// adjacency, both lists are put in id order by a presence bitmap over
+    /// their id band, and the membership table is epoch-rebased at the
+    /// smallest member id so it spans the touched id band only.
     pub fn new_reusing(graph: &'g RoadNetwork, rect: Rect, scratch: &mut RegionScratch) -> Self {
         let mut members = std::mem::take(&mut scratch.members);
         let mut nodes = std::mem::take(&mut scratch.nodes);
@@ -84,13 +91,13 @@ impl<'g> RegionView<'g> {
         edges.clear();
 
         // Gather member nodes from the rect's cell cover.  Grid buckets are
-        // keyed by cell, so the concatenation is not id sorted; one sort
+        // keyed by cell, so the concatenation is not id sorted; the bitmap
         // restores the view invariant (ids are unique — every node lives in
         // exactly one cell).
         if let Some(cover) = graph.node_grid().cover(&rect) {
             graph.node_grid().candidates_in_cover(&cover, &mut nodes);
             nodes.retain(|&id| rect.contains(&graph.point(id)));
-            nodes.sort_unstable();
+            scratch.order.sort_unique(&mut nodes, |id| id.0, NodeId);
         }
 
         // Membership table rebased at the smallest member id: its size tracks
@@ -110,9 +117,10 @@ impl<'g> RegionView<'g> {
                 }
             }
         }
-        // Adjacency order is per-endpoint, not global: sort restores the
-        // edge-id order the old whole-network filter produced.
-        edges.sort_unstable();
+        // Adjacency order is per-endpoint, not global: the bitmap restores
+        // the edge-id order a whole-network filter produces (ids are unique,
+        // as each edge is pushed once).
+        scratch.order.sort_unique(&mut edges, |id| id.0, EdgeId);
 
         RegionView {
             graph,
@@ -566,6 +574,13 @@ mod tests {
             "epoch table grew to {} entries for a 4-node view of a 2016-node network",
             scratch.members.table_len()
         );
+        // The ordering bitmap too: the view's node and edge ids (< 24) span
+        // one word, against 32 for the network's node ids.
+        assert_eq!(
+            scratch.order.word_len(),
+            1,
+            "ordering bitmap grew past the touched id band"
+        );
     }
 
     #[test]
@@ -598,6 +613,76 @@ mod tests {
             "epoch table grew to {} entries for a 10-node band at the top of the id space",
             scratch.member_table_len()
         );
+        // Its node ids 2006..=2015 and edge ids 1991..=1999 each span one
+        // bitmap word.
+        assert_eq!(
+            scratch.order.word_len(),
+            1,
+            "ordering bitmap grew past the touched id band"
+        );
+    }
+
+    #[test]
+    fn views_of_a_shuffled_network_match_a_brute_force_filter() {
+        // A 17x17 grid with diagonals whose node and edge ids are shuffled,
+        // so a rectangle's ids spread over wide bands that cross many bitmap
+        // words.  One reused scratch serves every rectangle.
+        const SIDE: usize = 17;
+        let mut rng = crate::generator::SplitRng::new(2014);
+        let mut shuffled = |n: usize| {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.below(i + 1));
+            }
+            order
+        };
+        let cells = shuffled(SIDE * SIDE);
+        let mut b = GraphBuilder::new();
+        let mut at = vec![NodeId(0); SIDE * SIDE];
+        for &cell in &cells {
+            at[cell] = b.add_node(Point::new((cell % SIDE) as f64, (cell / SIDE) as f64));
+        }
+        let mut pairs = Vec::new();
+        for y in 0..SIDE {
+            for x in 0..SIDE {
+                let i = y * SIDE + x;
+                if x + 1 < SIDE {
+                    pairs.push((i, i + 1));
+                }
+                if y + 1 < SIDE {
+                    pairs.push((i, i + SIDE));
+                }
+                if x + 1 < SIDE && y + 1 < SIDE && (x + y) % 3 == 0 {
+                    pairs.push((i, i + SIDE + 1));
+                }
+            }
+        }
+        for k in shuffled(pairs.len()) {
+            let (i, j) = pairs[k];
+            b.add_edge(at[i], at[j], 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+
+        let mut rng = crate::generator::SplitRng::new(7);
+        let mut scratch = RegionScratch::new();
+        for _ in 0..300 {
+            let (x0, x1) = (rng.range_f64(-2.0, 18.0), rng.range_f64(-2.0, 18.0));
+            let (y0, y1) = (rng.range_f64(-2.0, 18.0), rng.range_f64(-2.0, 18.0));
+            let rect = Rect::new(x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1));
+            let inside = |n: NodeId| rect.contains(&g.point(n));
+            let want_nodes: Vec<NodeId> = g.node_ids().filter(|&n| inside(n)).collect();
+            let want_edges: Vec<EdgeId> = g
+                .edge_ids()
+                .filter(|&e| inside(g.edge(e).a) && inside(g.edge(e).b))
+                .collect();
+            let v = RegionView::new_reusing(&g, rect, &mut scratch);
+            assert_eq!(v.nodes(), &want_nodes[..], "nodes of {rect:?}");
+            assert_eq!(v.edges(), &want_edges[..], "edges of {rect:?}");
+            for (i, &n) in want_nodes.iter().enumerate() {
+                assert_eq!(v.local_index(n), Some(i));
+            }
+            v.recycle(&mut scratch);
+        }
     }
 
     #[test]

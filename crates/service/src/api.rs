@@ -138,6 +138,16 @@ fn optional_f64(obj: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     }
 }
 
+/// What the wire accepts for `priority`.
+const PRIORITY_EXPECTED: &str = "field \"priority\" must be \"interactive\" or \"batch\"";
+
+/// Parses a wire `priority`; both the decoder and [`QueryRequest::to_priority`]
+/// go through here.
+fn parse_priority(lane: &str) -> Result<Priority, ApiError> {
+    Priority::parse(lane)
+        .ok_or_else(|| ApiError::new(format!("{PRIORITY_EXPECTED}, got \"{lane}\"")))
+}
+
 impl QueryRequest {
     /// Decodes a request from a JSON body.
     pub fn from_body(body: &str) -> Result<Self, ApiError> {
@@ -218,14 +228,8 @@ impl QueryRequest {
         let priority = match value.get("priority") {
             None | Some(Json::Null) => None,
             Some(v) => {
-                let lane = v.as_str().ok_or_else(|| {
-                    ApiError::new("field \"priority\" must be \"interactive\" or \"batch\"")
-                })?;
-                if Priority::parse(lane).is_none() {
-                    return Err(ApiError::new(format!(
-                        "field \"priority\" must be \"interactive\" or \"batch\", got \"{lane}\""
-                    )));
-                }
+                let lane = v.as_str().ok_or_else(|| ApiError::new(PRIORITY_EXPECTED))?;
+                parse_priority(lane)?;
                 Some(lane.to_string())
             }
         };
@@ -337,14 +341,9 @@ impl QueryRequest {
 
     /// Resolves the scheduling lane (interactive when unset).
     pub fn to_priority(&self) -> Result<Priority, ApiError> {
-        match &self.priority {
-            None => Ok(Priority::default()),
-            Some(lane) => Priority::parse(lane).ok_or_else(|| {
-                ApiError::new(format!(
-                    "field \"priority\" must be \"interactive\" or \"batch\", got \"{lane}\""
-                ))
-            }),
-        }
+        self.priority
+            .as_deref()
+            .map_or(Ok(Priority::default()), parse_priority)
     }
 
     /// Builds and validates the engine-level query.
@@ -1104,7 +1103,14 @@ mod tests {
             priority: Some("urgent".into()),
             ..sample_request()
         };
-        assert!(bad.to_priority().unwrap_err().message.contains("priority"));
+        let resolved = bad.to_priority().unwrap_err();
+        assert!(resolved.message.contains("priority"));
+        // The decoder refuses the same lane with the same message.
+        let decoded = QueryRequest::from_body(
+            r#"{"algorithm":"tgen","keywords":["x"],"rect":[0,0,1,1],"budget":1,"priority":"urgent"}"#,
+        )
+        .unwrap_err();
+        assert_eq!(decoded.message, resolved.message);
     }
 
     #[test]

@@ -48,27 +48,13 @@ pub enum Priority {
 }
 
 impl Priority {
-    /// The stable wire/display spelling ("interactive" / "batch").
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Batch => "batch",
-        }
-    }
-
-    /// Parses the wire spelling back into a priority.
+    /// Parses the wire spelling ("interactive" / "batch").
     pub fn parse(s: &str) -> Option<Priority> {
         match s {
             "interactive" => Some(Priority::Interactive),
             "batch" => Some(Priority::Batch),
             _ => None,
         }
-    }
-}
-
-impl std::fmt::Display for Priority {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -466,12 +452,10 @@ mod tests {
     }
 
     #[test]
-    fn priority_parses_and_displays_stably() {
+    fn priority_parses_the_wire_spellings() {
         assert_eq!(Priority::parse("interactive"), Some(Priority::Interactive));
         assert_eq!(Priority::parse("batch"), Some(Priority::Batch));
         assert_eq!(Priority::parse("bogus"), None);
-        assert_eq!(Priority::Interactive.to_string(), "interactive");
-        assert_eq!(Priority::Batch.as_str(), "batch");
         assert_eq!(Priority::default(), Priority::Interactive);
     }
 

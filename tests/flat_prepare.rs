@@ -16,6 +16,12 @@
 //!   copy of the current one;
 //! * the prepared [`QueryGraph`]: per-node (global id, weight bits, scaled
 //!   weight) in CSR order plus every edge with its length bits.
+//!
+//! A second case runs at sizes where the prepare path's orderings cross
+//! many words and digits: a 20 × 20 grid, over 64 scored objects with ids
+//! spread over the whole `u64` range, and views of over 64 nodes.  Its
+//! expected graph comes from a brute-force filter over every node and edge
+//! of the network, not from `RegionView` or `QueryGraph::build`.
 
 use lcmsr::core::engine::LcmsrEngine;
 use lcmsr::core::prelude::{QueryGraph, QueryWorkspace};
@@ -35,24 +41,26 @@ const KEYWORDS: [&str; 4] = ["restaurant", "cafe", "museum", "bar"];
 const UNKNOWN: usize = KEYWORDS.len();
 /// Pan and resize offsets in metres (cells are `SPACING / 2` wide).
 const PAN: [f64; 5] = [-37.0, -13.0, 0.0, 13.0, 37.0];
+/// Side of the larger grid, in nodes.
+const WIDE_SIDE: usize = 20;
 
-/// A `SIDE × SIDE` grid network with `SPACING`-metre blocks.
-fn grid_network() -> RoadNetwork {
+/// A `side × side` grid network with `SPACING`-metre blocks.
+fn square_grid(side: usize) -> RoadNetwork {
     let mut b = GraphBuilder::new();
     let mut ids = Vec::new();
-    for y in 0..SIDE {
-        for x in 0..SIDE {
+    for y in 0..side {
+        for x in 0..side {
             ids.push(b.add_node(Point::new(x as f64 * SPACING, y as f64 * SPACING)));
         }
     }
-    for y in 0..SIDE {
-        for x in 0..SIDE {
-            let i = y * SIDE + x;
-            if x + 1 < SIDE {
+    for y in 0..side {
+        for x in 0..side {
+            let i = y * side + x;
+            if x + 1 < side {
                 b.add_edge(ids[i], ids[i + 1], SPACING).unwrap();
             }
-            if y + 1 < SIDE {
-                b.add_edge(ids[i], ids[i + SIDE], SPACING).unwrap();
+            if y + 1 < side {
+                b.add_edge(ids[i], ids[i + side], SPACING).unwrap();
             }
         }
     }
@@ -142,7 +150,7 @@ proptest! {
         pan in (0usize..PAN.len(), 0usize..PAN.len(), 0usize..PAN.len()),
         delta_blocks in 1usize..7,
     ) {
-        let network = grid_network();
+        let network = square_grid(SIDE);
         let objects: Vec<GeoTextObject> = objects
             .iter()
             .enumerate()
@@ -246,6 +254,119 @@ proptest! {
                     prop_assert_eq!(weight, want.to_bits(), "node {} weight at {:?}", node, rect);
                 }
             }
+        }
+    }
+}
+
+/// The prepared graph's fingerprint computed without the index, the view
+/// or the builder: every node inside `rect` by ascending id, weighted from
+/// the reference scores and scaled by `θ = α·σ_max/|V_Q|`, `⌊σ_v/θ⌋`, and
+/// every edge with both endpoints inside, by ascending id.
+fn brute_force_graph(
+    network: &RoadNetwork,
+    reference_nodes: &[(NodeId, f64)],
+    rect: &Rect,
+    alpha: f64,
+) -> GraphFingerprint {
+    let reference: BTreeMap<NodeId, f64> = reference_nodes.iter().copied().collect();
+    let inside: Vec<NodeId> = network
+        .node_ids()
+        .filter(|&n| rect.contains(&network.point(n)))
+        .collect();
+    let weights: Vec<f64> = inside
+        .iter()
+        .map(|n| reference.get(n).copied().unwrap_or(0.0).max(0.0))
+        .collect();
+    let sigma_max = weights.iter().fold(0.0f64, |a, &b| a.max(b));
+    let theta = alpha * sigma_max / inside.len() as f64;
+    let nodes = inside
+        .iter()
+        .zip(&weights)
+        .map(|(n, &w)| {
+            let scaled = if sigma_max > 0.0 {
+                (w / theta + 1e-9).floor() as u64
+            } else {
+                0
+            };
+            (n.0, w.to_bits(), scaled)
+        })
+        .collect();
+    let local = |n: NodeId| inside.binary_search(&n).ok().map(|i| i as u32);
+    let edges = network
+        .edge_ids()
+        .filter_map(|e| {
+            let edge = network.edge(e);
+            Some((local(edge.a)?, local(edge.b)?, edge.length.to_bits()))
+        })
+        .collect();
+    (nodes, edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Over 64 scored objects with wide ids and views of over 64 nodes: the
+    /// scores match the naive reference, and the prepared graph matches a
+    /// brute-force filter of the network.
+    #[test]
+    fn prepare_at_scale_matches_a_brute_force_reference(
+        objects in collection::vec(
+            (-50.0f64..1_950.0, -50.0f64..1_950.0, collection::vec(0usize..KEYWORDS.len(), 1..4)),
+            120..300,
+        ),
+        keywords in collection::vec(0usize..KEYWORDS.len(), 1..4),
+        rect_cells in collection::vec((0usize..WIDE_SIDE - 9, 0usize..WIDE_SIDE - 9, 9usize..WIDE_SIDE, 9usize..WIDE_SIDE), 2..4),
+    ) {
+        let network = square_grid(WIDE_SIDE);
+        // An odd multiplier permutes u64, so the ids stay unique while they
+        // spread over the whole range.
+        let objects: Vec<GeoTextObject> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, (x, y, words))| {
+                GeoTextObject::from_keywords(
+                    (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    Point::new(*x, *y),
+                    words.iter().map(|&w| KEYWORDS[w]),
+                )
+            })
+            .collect();
+        let collection = ObjectCollection::build(&network, objects, SPACING * 1.5).unwrap();
+        let engine = LcmsrEngine::new(&network, &collection);
+        let mut workspace = QueryWorkspace::new();
+        let mut reused = NodeWeights::default();
+        let extent = Rect::new(-100.0, -100.0, 2_000.0, 2_000.0);
+        let mut cases = vec![(KEYWORDS.to_vec(), extent)];
+        for &(x0, y0, w, h) in &rect_cells {
+            let words = keywords.iter().map(|&k| KEYWORDS[k]).collect();
+            let rect = Rect::new(
+                x0 as f64 * SPACING - 10.0,
+                y0 as f64 * SPACING - 10.0,
+                (x0 + w).min(WIDE_SIDE) as f64 * SPACING + 10.0,
+                (y0 + h).min(WIDE_SIDE) as f64 * SPACING + 10.0,
+            );
+            cases.push((words, rect));
+        }
+        for (i, (words, rect)) in cases.iter().enumerate() {
+            let query = collection.query_vector(words);
+            let (want_objects, want_nodes) = naive_scores(&collection, &query, rect);
+            if i == 0 {
+                // Every object carries a query keyword and lies inside.
+                prop_assert!(want_objects.len() > 64);
+                prop_assert_eq!(want_objects.len(), collection.len());
+            }
+            collection.node_weights_into(&query, rect, &mut reused);
+            prop_assert_eq!(bits(reused.by_object()), bits(&want_objects), "objects at {:?}", rect);
+            prop_assert_eq!(bits(reused.by_node()), bits(&want_nodes), "nodes at {:?}", rect);
+
+            let delta = 6.0 * SPACING;
+            let lcmsr_query = LcmsrQuery::new(words.clone(), delta, *rect).unwrap();
+            let graph = engine.prepare_with(&mut workspace, &lcmsr_query, 0.5).unwrap();
+            let got = graph_fingerprint(&graph);
+            engine.release(&mut workspace, graph);
+            prop_assert!(got.0.len() > 64, "{} nodes at {:?}", got.0.len(), rect);
+            let expected = brute_force_graph(&network, &want_nodes, rect, 0.5);
+            prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
         }
     }
 }
