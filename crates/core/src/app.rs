@@ -17,7 +17,7 @@ use crate::arena::TupleArena;
 use crate::cancel::CancelToken;
 use crate::error::{LcmsrError, Result};
 use crate::kmst::garg::GargKMst;
-use crate::opt_tree::{find_opt_tree, OptTreeResult};
+use crate::opt_tree::find_opt_tree;
 use crate::query_graph::QueryGraph;
 use crate::region::RegionTuple;
 use crate::trace::TraceCollector;
@@ -86,8 +86,6 @@ pub struct BinarySearchStep {
 pub struct AppOutcome {
     /// The best feasible region found (local tuple), if any node is relevant.
     pub best: Option<RegionTuple>,
-    /// The candidate tree produced by the binary search.
-    pub candidate_tree: Option<RegionTuple>,
     /// The binary-search trace (Table 1).
     pub trace: Vec<BinarySearchStep>,
     /// Number of k-MST oracle invocations.
@@ -103,9 +101,6 @@ pub struct AppOutcome {
     pub frontier_peak: u64,
     /// Array entries evicted by dominating inserts during the DP.
     pub dominance_evictions: u64,
-    /// The tuple arrays of the candidate tree (present only when `findOptTree`
-    /// ran; used by the top-k extension).
-    pub tree_arrays: Option<OptTreeResult>,
     /// Whether any stage (binary search or DP) stopped early on cancellation.
     /// `best` is then the best feasible incumbent found before the interrupt.
     pub interrupted: bool,
@@ -221,7 +216,6 @@ pub fn run_app(
         // No relevant object in Q.Λ — the query has no answer.
         return Ok(AppOutcome {
             best: None,
-            candidate_tree: None,
             trace: Vec::new(),
             kmst_calls: 0,
             dp_tuples: 0,
@@ -229,7 +223,6 @@ pub fn run_app(
             frontier_tuples: 0,
             frontier_peak: 0,
             dominance_evictions: 0,
-            tree_arrays: None,
             interrupted: false,
         });
     }
@@ -240,18 +233,11 @@ pub fn run_app(
     let Some(candidate) = candidate else {
         // Fall back to the best single node (always feasible).
         let v = graph
-            .node_indices()
-            .max_by(|&a, &b| {
-                graph
-                    .weight(a)
-                    .partial_cmp(&graph.weight(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty graph");
+            .max_weight_node()
+            .expect("σ_max > 0, so some node is relevant");
         let best = RegionTuple::singleton(arena, v, graph.weight(v), graph.scaled_weight(v));
         return Ok(AppOutcome {
             best: Some(best),
-            candidate_tree: None,
             trace,
             kmst_calls,
             dp_tuples: 0,
@@ -259,7 +245,6 @@ pub fn run_app(
             frontier_tuples: 0,
             frontier_peak: 0,
             dominance_evictions: 0,
-            tree_arrays: None,
             interrupted: search_interrupted,
         });
     };
@@ -268,7 +253,6 @@ pub fn run_app(
     if candidate.length < graph.delta() {
         return Ok(AppOutcome {
             best: Some(candidate),
-            candidate_tree: Some(candidate),
             trace,
             kmst_calls,
             dp_tuples: 0,
@@ -276,7 +260,6 @@ pub fn run_app(
             frontier_tuples: 0,
             frontier_peak: 0,
             dominance_evictions: 0,
-            tree_arrays: None,
             interrupted: search_interrupted,
         });
     }
@@ -289,7 +272,6 @@ pub fn run_app(
     let (frontier_tuples, frontier_peak, dominance_evictions) = dp.frontier_stats();
     Ok(AppOutcome {
         best: dp.best,
-        candidate_tree: Some(candidate),
         trace,
         kmst_calls,
         dp_tuples: dp.tuples_generated,
@@ -298,7 +280,6 @@ pub fn run_app(
         frontier_peak,
         dominance_evictions,
         interrupted: search_interrupted || dp.interrupted,
-        tree_arrays: Some(dp),
     })
 }
 
@@ -433,7 +414,7 @@ mod tests {
         if let Some(last) = outcome.trace.last() {
             if last.x_beta > 0 {
                 if let Some(l) = last.tprime_length {
-                    assert!(l > three_delta - 1e-9 || outcome.candidate_tree.is_some());
+                    assert!(l > three_delta - 1e-9 || outcome.best.is_some());
                 }
             }
         }

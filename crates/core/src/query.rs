@@ -54,11 +54,6 @@ impl LcmsrQuery {
         }
         Ok(())
     }
-
-    /// The query keywords as string slices.
-    pub fn keyword_refs(&self) -> Vec<&str> {
-        self.keywords.iter().map(String::as_str).collect()
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,7 @@ mod tests {
     fn valid_query_is_accepted() {
         let q = LcmsrQuery::new(["restaurant", "cafe"], 8_000.0, rect()).unwrap();
         assert_eq!(q.keywords.len(), 2);
-        assert_eq!(q.keyword_refs(), vec!["restaurant", "cafe"]);
+        assert_eq!(q.keywords, ["restaurant", "cafe"]);
         assert!(q.validate().is_ok());
     }
 

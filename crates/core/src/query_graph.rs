@@ -5,7 +5,8 @@
 //! re-indexed into dense *local* ids (`u32`) so per-node state can live in flat
 //! vectors even when the underlying network has millions of nodes; results are
 //! translated back to global [`NodeId`]/[`EdgeId`]s when a [`crate::region::Region`]
-//! is produced.
+//! is produced.  Local node `i` is node `i` of the [`RegionView`] the graph was
+//! built from.
 //!
 //! The weight scaling of Section 4.1 is built in: `θ = α·σ_max/|V_Q|` and
 //! `σ̂_v = ⌊σ_v/θ⌋` (Example 2 / Theorem 2).
@@ -13,8 +14,6 @@
 use crate::error::{LcmsrError, Result};
 use lcmsr_geotext::collection::NodeWeights;
 use lcmsr_roadnet::edge::EdgeId;
-use lcmsr_roadnet::epoch::EpochMap;
-use lcmsr_roadnet::geo::Point;
 use lcmsr_roadnet::node::NodeId;
 use lcmsr_roadnet::subgraph::RegionView;
 
@@ -54,7 +53,6 @@ impl QgEdge {
 #[derive(Debug, Clone)]
 pub struct QueryGraph {
     node_ids: Vec<NodeId>,
-    node_points: Vec<Point>,
     edges: Vec<QgEdge>,
     /// CSR row offsets into `adj_entries`; length `node_count() + 1`.
     adj_offsets: Vec<u32>,
@@ -76,7 +74,6 @@ impl QueryGraph {
     fn empty() -> Self {
         QueryGraph {
             node_ids: Vec::new(),
-            node_points: Vec::new(),
             edges: Vec::new(),
             adj_offsets: Vec::new(),
             adj_entries: Vec::new(),
@@ -186,18 +183,6 @@ impl QueryGraph {
         self.node_ids[node as usize]
     }
 
-    /// The local id of a global node, if it lies in the query region.
-    pub fn local_node(&self, node: NodeId) -> Option<u32> {
-        // Linear probe avoided: node_ids is sorted (RegionView yields sorted ids).
-        self.node_ids.binary_search(&node).ok().map(|i| i as u32)
-    }
-
-    /// Location of a local node.
-    #[inline]
-    pub fn point(&self, node: u32) -> Point {
-        self.node_points[node as usize]
-    }
-
     /// The local edges.
     pub fn edges(&self) -> &[QgEdge] {
         &self.edges
@@ -234,11 +219,6 @@ impl QueryGraph {
         self.weights.iter().filter(|&&w| w > 0.0).count()
     }
 
-    /// Sum of all node weights in the query region (upper bound on any region's weight).
-    pub fn total_weight(&self) -> f64 {
-        self.weights.iter().sum()
-    }
-
     /// Sum of all scaled node weights in the query region.
     pub fn total_scaled_weight(&self) -> u64 {
         self.scaled.iter().sum()
@@ -261,16 +241,6 @@ impl QueryGraph {
         self.edges.iter().map(|e| e.length).fold(0.0, f64::max)
     }
 
-    /// The minimum edge length (`d_min`), or 0 for an edgeless region.
-    pub fn min_edge_length(&self) -> f64 {
-        self.edges
-            .iter()
-            .map(|e| e.length)
-            .fold(f64::INFINITY, f64::min)
-            .min(f64::INFINITY)
-            .pipe_finite()
-    }
-
     /// Lower bound `⌊|V_Q|/α⌋` of Lemma 5 (equal to the maximum scaled node weight).
     pub fn scaled_weight_lower_bound(&self) -> u64 {
         (self.node_count() as f64 / self.alpha).floor() as u64
@@ -284,22 +254,16 @@ impl QueryGraph {
 
 /// Reusable workspace for building [`QueryGraph`]s.
 ///
-/// Two things make a fresh `QueryGraph::build` allocation-heavy: the global→
-/// local node-id map (formerly a per-query `HashMap`) and the dozen vectors
-/// backing the graph itself.  The builder keeps both across calls:
-///
-/// * an [`EpochMap`] sized to the touched node-id band of `Q.Λ` maps global
-///   node ids to dense local ids in O(1) per node with O(1) clearing,
-/// * a pooled `QueryGraph` donates its spent vectors to the next build via
-///   [`QueryGraphBuilder::recycle`].
-///
-/// Repeated `build`/`recycle` cycles over the same network therefore allocate
-/// near-zero once the buffers have grown to the workload's high-water mark.
-/// Each [`crate::engine::QueryWorkspace`] owns one builder.
+/// The builder keeps no node-id map: a graph's local node ids are the
+/// [`RegionView`]'s, so the view's member table resolves every edge endpoint
+/// in O(1).  What it keeps across calls are the vectors backing the graph: a
+/// pooled `QueryGraph` donates them to the next build via
+/// [`QueryGraphBuilder::recycle`].  Repeated `build`/`recycle` cycles over the
+/// same network therefore allocate near-zero once the buffers have grown to
+/// the workload's high-water mark.  Each [`crate::engine::QueryWorkspace`]
+/// owns one builder.
 #[derive(Debug, Clone, Default)]
 pub struct QueryGraphBuilder {
-    /// Global node index → dense local id for the current build.
-    local: EpochMap,
     /// CSR fill cursors (reused between builds).
     cursor: Vec<u32>,
     /// Recycled graph whose allocations seed the next build.
@@ -315,14 +279,6 @@ impl QueryGraphBuilder {
     /// Returns a spent graph's allocations to the pool for the next build.
     pub fn recycle(&mut self, graph: QueryGraph) {
         self.pool = Some(graph);
-    }
-
-    /// Current size of the global→local scratch table, in entries — after a
-    /// build, the width of the node-id band it touched.  Scale benches use
-    /// this to evidence that prepare memory is bounded by the query rect's
-    /// cell cover rather than the network size.
-    pub fn local_table_len(&self) -> usize {
-        self.local.table_len()
     }
 
     /// Builds a query graph (see [`QueryGraph::build`]), reusing this
@@ -352,7 +308,6 @@ impl QueryGraphBuilder {
 
         let mut qg = self.pool.take().unwrap_or_else(QueryGraph::empty);
         qg.node_ids.clear();
-        qg.node_points.clear();
         qg.edges.clear();
         qg.adj_offsets.clear();
         qg.adj_entries.clear();
@@ -360,8 +315,6 @@ impl QueryGraphBuilder {
         qg.scaled.clear();
 
         qg.node_ids.extend_from_slice(view.nodes());
-        qg.node_points
-            .extend(qg.node_ids.iter().map(|&id| graph.point(id)));
         // One merge walk: view nodes and weighted nodes are both id-sorted.
         let mut weighted = node_weights.by_node().iter().peekable();
         qg.weights.extend(qg.node_ids.iter().map(|&id| {
@@ -373,29 +326,18 @@ impl QueryGraphBuilder {
         qg.sigma_max = qg.weights.iter().fold(0.0f64, |a, &b| a.max(b));
         qg.delta = delta;
 
-        // Global → dense local ids via the O(1)-clear, lazily-sized scratch
-        // table, rebased at the smallest member id so it spans the touched
-        // node-id *band* of `Q.Λ`'s cell cover — not the id-space prefix, and
-        // never the network.
-        self.local
-            .begin_at(qg.node_ids.first().map_or(0, |id| id.index()));
-        for (i, &id) in qg.node_ids.iter().enumerate() {
-            self.local.insert(id.index(), i as u32);
-        }
-
-        // Local edges plus CSR degree counts in one pass.
+        // Local edges plus CSR degree counts in one pass.  `node_ids` copies
+        // the view's node list, so the view's member table gives each
+        // endpoint's local id.
+        let local = |id: NodeId| {
+            view.local_index(id)
+                .expect("view edge endpoint inside the view") as u32
+        };
         qg.adj_offsets.resize(n + 1, 0);
         qg.edges.reserve(view.edge_count());
         for &eid in view.edges() {
             let e = graph.edge(eid);
-            let a = self
-                .local
-                .get(e.a.index())
-                .expect("view edge endpoint inside the view");
-            let b = self
-                .local
-                .get(e.b.index())
-                .expect("view edge endpoint inside the view");
+            let (a, b) = (local(e.a), local(e.b));
             qg.edges.push(QgEdge {
                 a,
                 b,
@@ -425,21 +367,6 @@ impl QueryGraphBuilder {
     }
 }
 
-/// Small helper converting +∞ (no edges) to 0 for `min_edge_length`.
-trait PipeFinite {
-    fn pipe_finite(self) -> f64;
-}
-
-impl PipeFinite for f64 {
-    fn pipe_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
     //! Shared fixtures: the Figure-2 graph of the paper with its node weights.
@@ -447,6 +374,7 @@ pub(crate) mod test_support {
     use super::*;
     use lcmsr_geotext::collection::NodeWeights;
     use lcmsr_roadnet::builder::GraphBuilder;
+    use lcmsr_roadnet::geo::Point;
     use lcmsr_roadnet::graph::RoadNetwork;
 
     /// Builds the example graph of Figure 2 (6 nodes, 8 edges).  The figure
@@ -504,11 +432,16 @@ mod tests {
         assert_eq!(qg.delta(), 6.0);
         // v2 (local 1) connects to v1, v3, v6.
         assert_eq!(qg.neighbors(1).len(), 3);
-        assert_eq!(qg.global_node(0), NodeId(0));
-        assert_eq!(qg.local_node(NodeId(3)), Some(3));
-        assert_eq!(qg.local_node(NodeId(99)), None);
+        // Local ids follow the view's id-sorted node list.
+        let globals: Vec<NodeId> = qg.node_indices().map(|v| qg.global_node(v)).collect();
+        assert_eq!(globals, (0..6).map(NodeId).collect::<Vec<_>>());
         assert_eq!(qg.max_edge_length(), 5.0);
-        assert_eq!(qg.min_edge_length(), 1.0);
+        let min = qg
+            .edges()
+            .iter()
+            .map(|e| e.length)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(min, 1.0);
     }
 
     #[test]
@@ -570,7 +503,8 @@ mod tests {
     fn helper_accessors() {
         let (_network, qg) = figure2_query_graph(6.0, 0.15);
         assert_eq!(qg.relevant_node_count(), 6);
-        assert!((qg.total_weight() - 1.7).abs() < 1e-12);
+        let total: f64 = qg.node_indices().map(|v| qg.weight(v)).sum();
+        assert!((total - 1.7).abs() < 1e-12);
         assert!(qg.total_scaled_weight() >= 160);
         // Max-weight node is v3 or v4 (both 0.4).
         let m = qg.max_weight_node().unwrap();

@@ -106,16 +106,6 @@ impl RegionTuple {
         self.edge_set.len()
     }
 
-    /// The node-set handle (diagnostics/aliasing tests).
-    pub fn node_handle(&self) -> IdSetHandle {
-        self.node_set
-    }
-
-    /// The edge-set handle (diagnostics/aliasing tests).
-    pub fn edge_handle(&self) -> IdSetHandle {
-        self.edge_set
-    }
-
     /// Whether this tuple and `other` describe the same node set.
     pub fn same_nodes(&self, other: &RegionTuple, arena: &TupleArena) -> bool {
         arena.same_ids(self.node_set, other.node_set)

@@ -102,10 +102,7 @@ pub fn usanw_like(scale: NetworkScale, seed: u64) -> Result<RoadNetwork> {
             // Copy the town into the combined builder, remembering the id offset.
             let base = builder.node_count() as u32;
             for n in town.nodes() {
-                builder.add_node_with_kind(
-                    Point::new(n.point.x + offset.x, n.point.y + offset.y),
-                    n.kind,
-                );
+                builder.add_node(Point::new(n.point.x + offset.x, n.point.y + offset.y));
             }
             for e in town.edges() {
                 builder.add_edge(NodeId(base + e.a.0), NodeId(base + e.b.0), e.length)?;

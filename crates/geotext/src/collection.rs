@@ -497,18 +497,6 @@ impl ObjectCollection {
         self.node_weights(&q, rect)
     }
 
-    /// Reusing variant of [`ObjectCollection::node_weights_for_keywords`]
-    /// (see [`ObjectCollection::node_weights_into`]).
-    pub fn node_weights_for_keywords_into(
-        &self,
-        keywords: &[impl AsRef<str>],
-        rect: &Rect,
-        out: &mut NodeWeights,
-    ) {
-        let q = self.query_vector(keywords);
-        self.node_weights_into(&q, rect, out);
-    }
-
     /// The alternative scoring strategy of Section 2 of the paper: an object's
     /// score is its rating/popularity when it matches at least one query
     /// keyword, and zero otherwise, so the region score represents the
@@ -757,13 +745,13 @@ mod tests {
         let mut reused = NodeWeights::default();
         for keywords in [vec!["restaurant"], vec!["cafe", "pizza"], vec!["spaceship"]] {
             let fresh = coll.node_weights_for_keywords(&keywords, &rect);
-            coll.node_weights_for_keywords_into(&keywords, &rect, &mut reused);
+            coll.node_weights_into(&coll.query_vector(&keywords), &rect, &mut reused);
             assert_eq!(bits(fresh.by_node()), bits(reused.by_node()));
             assert_eq!(bits(fresh.by_object()), bits(reused.by_object()));
         }
         // Stale entries from a previous query never leak into the next one.
-        coll.node_weights_for_keywords_into(&["restaurant"], &rect, &mut reused);
-        coll.node_weights_for_keywords_into(&["spaceship"], &rect, &mut reused);
+        coll.node_weights_into(&coll.query_vector(&["restaurant"]), &rect, &mut reused);
+        coll.node_weights_into(&coll.query_vector(&["spaceship"]), &rect, &mut reused);
         assert!(reused.is_empty());
         assert!(reused.by_object().is_empty());
     }

@@ -4,7 +4,7 @@ use crate::edge::{EdgeId, RoadEdge};
 use crate::error::{Result, RoadNetError};
 use crate::geo::Point;
 use crate::graph::RoadNetwork;
-use crate::node::{NodeId, NodeKind, RoadNode};
+use crate::node::{NodeId, RoadNode};
 use std::collections::HashMap;
 
 /// Builder that accumulates nodes and edges, validates them, and produces an
@@ -12,11 +12,10 @@ use std::collections::HashMap;
 ///
 /// The builder
 /// * assigns dense node/edge ids,
-/// * rejects self-loops, non-finite coordinates and non-positive lengths,
+/// * rejects self-loops, non-finite coordinates and non-positive lengths, and
 /// * deduplicates parallel edges keeping the shortest one (real road data sets
 ///   such as DIMACS contain both directions of each arc and occasional
-///   duplicates), and
-/// * classifies degree-one nodes as dead ends.
+///   duplicates).
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     nodes: Vec<RoadNode>,
@@ -51,17 +50,10 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Adds a junction node at `point` and returns its id.
+    /// Adds a node at `point` and returns its id.
     pub fn add_node(&mut self, point: Point) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(RoadNode::new(id, point));
-        id
-    }
-
-    /// Adds a node with an explicit kind and returns its id.
-    pub fn add_node_with_kind(&mut self, point: Point, kind: NodeKind) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(RoadNode::with_kind(id, point, kind));
         id
     }
 
@@ -114,21 +106,10 @@ impl GraphBuilder {
     }
 
     /// Validates all accumulated data and produces the immutable network.
-    pub fn build(mut self) -> Result<RoadNetwork> {
+    pub fn build(self) -> Result<RoadNetwork> {
         for n in &self.nodes {
             if !n.point.is_finite() {
                 return Err(RoadNetError::InvalidCoordinate { node: n.id.0 });
-            }
-        }
-        // Classify dead ends (degree 1) unless already flagged as object locations.
-        let mut degree = vec![0usize; self.nodes.len()];
-        for e in &self.edges {
-            degree[e.a.index()] += 1;
-            degree[e.b.index()] += 1;
-        }
-        for n in &mut self.nodes {
-            if degree[n.id.index()] == 1 && n.kind == NodeKind::Junction {
-                n.kind = NodeKind::DeadEnd;
             }
         }
         Ok(RoadNetwork::from_parts(self.nodes, self.edges))
@@ -210,30 +191,6 @@ mod tests {
             b.build(),
             Err(RoadNetError::InvalidCoordinate { node: 0 })
         ));
-    }
-
-    #[test]
-    fn classifies_dead_ends() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let c = b.add_node(Point::new(1.0, 0.0));
-        let d = b.add_node(Point::new(2.0, 0.0));
-        b.add_edge(a, c, 1.0).unwrap();
-        b.add_edge(c, d, 1.0).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.node(a).kind, NodeKind::DeadEnd);
-        assert_eq!(g.node(c).kind, NodeKind::Junction);
-        assert_eq!(g.node(d).kind, NodeKind::DeadEnd);
-    }
-
-    #[test]
-    fn object_location_kind_is_preserved() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_node_with_kind(Point::new(0.0, 0.0), NodeKind::ObjectLocation);
-        let c = b.add_node(Point::new(1.0, 0.0));
-        b.add_edge(a, c, 1.0).unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.node(a).kind, NodeKind::ObjectLocation);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! [`EpochMap`]: a dense-keyed map with O(1) clearing and lazy sizing.
 //!
-//! Several hot paths (query-graph construction, `Q.Λ` view membership, the
-//! exact solver's per-subset union-find) need a map from dense `usize` keys —
-//! node indices — to small ids, rebuilt for every query or subset.  Allocating
-//! or zeroing a network-sized table each time defeats the purpose, so entries
-//! are stamped with the generation that wrote them: bumping the generation
-//! counter invalidates every entry at once, and the rare counter wrap-around
-//! is handled in one audited place instead of being re-implemented per call
-//! site.
+//! Several hot paths (`Q.Λ` view membership, which also gives the query graph
+//! its local node ids, and the exact solver's per-subset union-find) need a
+//! map from dense `usize` keys — node indices — to small ids, rebuilt for
+//! every query or subset.  Allocating or zeroing a network-sized table each
+//! time defeats the purpose, so entries are stamped with the generation that
+//! wrote them: bumping the generation counter invalidates every entry at
+//! once, and the rare counter wrap-around is handled in one audited place
+//! instead of being re-implemented per call site.
 //!
 //! The table is sized **lazily**: it grows (amortised, geometrically) to the
 //! largest key actually inserted, not to the declared universe.  A one-shot
@@ -19,9 +19,9 @@
 //! base, so a region whose nodes occupy a narrow id *band* anywhere in the id
 //! space — including the highest ids of the network — costs table entries for
 //! the band width only, not for the prefix up to it.  Callers that know the
-//! smallest key of a generation up front (the `Q.Λ` view and the query-graph
-//! builder both iterate sorted node ids) pass it to `begin_at`; a key below
-//! the base is still handled correctly via a one-off downward rebase.
+//! smallest key of a generation up front (the `Q.Λ` view iterates sorted node
+//! ids) pass it to `begin_at`; a key below the base is still handled
+//! correctly via a one-off downward rebase.
 
 /// A map from dense `usize` keys to `u32` values whose clear is O(1) and
 /// whose backing table grows lazily with the keys actually inserted.

@@ -221,7 +221,7 @@ pub fn connect_components(network: RoadNetwork) -> Result<RoadNetwork> {
     let mut builder =
         GraphBuilder::with_capacity(network.node_count(), network.edge_count() + comps.len());
     for n in network.nodes() {
-        builder.add_node_with_kind(n.point, n.kind);
+        builder.add_node(n.point);
     }
     for e in network.edges() {
         builder.add_edge(e.a, e.b, e.length)?;

@@ -7,7 +7,7 @@
 
 use crate::edge::{EdgeId, RoadEdge};
 use crate::geo::{Point, Rect};
-use crate::node::{NodeId, NodeKind, RoadNode};
+use crate::node::{NodeId, RoadNode};
 use crate::spatial::NodeGrid;
 use serde::{Deserialize, Serialize};
 
@@ -200,11 +200,6 @@ impl RoadNetwork {
     /// the node grid, so the cost tracks the cells around `p`, not `|V|`.
     pub fn nearest_node(&self, p: &Point) -> Option<NodeId> {
         self.node_grid.nearest(&self.nodes, p)
-    }
-
-    /// Marks a node as hosting one or more geo-textual objects.
-    pub fn mark_object_location(&mut self, node: NodeId) {
-        self.nodes[node.index()].kind = NodeKind::ObjectLocation;
     }
 
     /// Summary statistics of the network, useful for logging and experiments.
@@ -510,13 +505,6 @@ mod tests {
         assert!((s.avg_degree - 16.0 / 6.0).abs() < 1e-12);
         assert!(s.bounding_rect.is_some());
         assert!(s.to_string().contains("6 nodes"));
-    }
-
-    #[test]
-    fn mark_object_location_changes_kind() {
-        let mut g = figure2_graph();
-        g.mark_object_location(NodeId(2));
-        assert_eq!(g.node(NodeId(2)).kind, NodeKind::ObjectLocation);
     }
 
     #[test]

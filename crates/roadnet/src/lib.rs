@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::error::{Result as RoadNetResult, RoadNetError};
     pub use crate::geo::{km, to_km, LatLon, Point, Rect};
     pub use crate::graph::{NetworkStats, RoadNetwork};
-    pub use crate::node::{NodeId, NodeKind, RoadNode};
+    pub use crate::node::{NodeId, RoadNode};
     pub use crate::spatial::{GridCover, NodeGrid};
     pub use crate::subgraph::RegionView;
 }
@@ -66,5 +66,5 @@ pub use edge::{EdgeId, RoadEdge};
 pub use error::{Result, RoadNetError};
 pub use geo::{LatLon, Point, Rect};
 pub use graph::{NetworkStats, RoadNetwork};
-pub use node::{NodeId, NodeKind, RoadNode};
+pub use node::{NodeId, RoadNode};
 pub use subgraph::RegionView;

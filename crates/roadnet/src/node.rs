@@ -1,7 +1,8 @@
 //! Road-network nodes.
 //!
-//! Each node represents a road junction, a dead end, or the mapped location of
-//! a geo-textual object (Definition 1 in the paper).
+//! Each node is a location on the network (Definition 1 in the paper): a road
+//! junction, a dead end, or the point a geo-textual object maps to.  What a
+//! node stands for is not stored; only its id and location are.
 
 use crate::geo::Point;
 use serde::{Deserialize, Serialize};
@@ -41,42 +42,19 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// What a node stands for in the underlying road network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum NodeKind {
-    /// A road junction where two or more segments meet.
-    #[default]
-    Junction,
-    /// A dead end (degree-one node).
-    DeadEnd,
-    /// The location of one or more geo-textual objects mapped onto the network.
-    ObjectLocation,
-}
-
-/// A node of the road network: a spatial location plus bookkeeping.
+/// A node of the road network: its id and spatial location.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoadNode {
     /// Identifier of the node.
     pub id: NodeId,
     /// Planar location of the node (metres, e.g. UTM).
     pub point: Point,
-    /// What the node represents.
-    pub kind: NodeKind,
 }
 
 impl RoadNode {
-    /// Creates a junction node at the given location.
+    /// Creates a node at the given location.
     pub fn new(id: NodeId, point: Point) -> Self {
-        RoadNode {
-            id,
-            point,
-            kind: NodeKind::Junction,
-        }
-    }
-
-    /// Creates a node with an explicit kind.
-    pub fn with_kind(id: NodeId, point: Point, kind: NodeKind) -> Self {
-        RoadNode { id, point, kind }
+        RoadNode { id, point }
     }
 }
 
@@ -90,14 +68,6 @@ mod tests {
         assert_eq!(id.index(), 5);
         assert_eq!(NodeId::from(5usize), id);
         assert_eq!(id.to_string(), "v5");
-    }
-
-    #[test]
-    fn node_default_kind_is_junction() {
-        let n = RoadNode::new(NodeId(1), Point::new(0.0, 0.0));
-        assert_eq!(n.kind, NodeKind::Junction);
-        let n = RoadNode::with_kind(NodeId(2), Point::new(1.0, 1.0), NodeKind::ObjectLocation);
-        assert_eq!(n.kind, NodeKind::ObjectLocation);
     }
 
     #[test]

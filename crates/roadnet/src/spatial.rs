@@ -230,7 +230,6 @@ impl NodeGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeKind;
 
     fn nodes_on_grid(side: u32, spacing: f64) -> Vec<RoadNode> {
         let mut nodes = Vec::new();
@@ -239,7 +238,6 @@ mod tests {
                 nodes.push(RoadNode {
                     id: NodeId(y * side + x),
                     point: Point::new(f64::from(x) * spacing, f64::from(y) * spacing),
-                    kind: NodeKind::Junction,
                 });
             }
         }
@@ -310,7 +308,6 @@ mod tests {
             .map(|i| RoadNode {
                 id: NodeId(i),
                 point: Point::new(3.0, 4.0),
-                kind: NodeKind::Junction,
             })
             .collect();
         let g = NodeGrid::build(&coincident);
@@ -323,7 +320,6 @@ mod tests {
             .map(|i| RoadNode {
                 id: NodeId(i),
                 point: Point::new(f64::from(i) * 10.0, 0.0),
-                kind: NodeKind::Junction,
             })
             .collect();
         let g = NodeGrid::build(&collinear);

@@ -1,11 +1,13 @@
 //! Query-region views of a road network.
 //!
 //! An LCMSR query restricts processing to the rectangular region of interest
-//! `Q.Λ`.  [`RegionView`] captures the nodes of the network inside such a
-//! rectangle together with the induced edges, and exposes the restricted
-//! adjacency that all LCMSR algorithms operate on.  Both lists are in
-//! ascending id order, which answers depend on; a presence bitmap over the
-//! touched id band restores that order in linear time (see [`crate::order`]).
+//! `Q.Λ`.  [`RegionView`] extracts the nodes of the network inside such a
+//! rectangle together with the induced edges, and maps each member to its
+//! dense local id.  The LCMSR algorithms do not walk the view: they run on
+//! the query graph built from it, which takes its nodes, edges and local ids
+//! from the view.  Both lists are in ascending id order, which answers depend
+//! on; a presence bitmap over the touched id band restores that order in
+//! linear time (see [`crate::order`]).
 
 use crate::edge::EdgeId;
 use crate::epoch::EpochMap;
@@ -19,8 +21,10 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Reusable scratch buffers for building [`RegionView`]s.
 ///
 /// Extracting `Q.Λ` needs a node list, an edge list, a node→local-id table
-/// and a bitmap that puts both lists in id order.  A long-lived scratch lets
-/// successive queries over the same network reuse all four:
+/// and a bitmap that puts both lists in id order.  The table is the only
+/// node-id map of a query: the query graph built from the view resolves its
+/// edge endpoints through it too.  A long-lived scratch lets successive
+/// queries over the same network reuse all four:
 /// [`RegionView::new_reusing`] takes the buffers out of the scratch and
 /// [`RegionView::recycle`] puts them back, so a steady stream of views
 /// performs no per-query allocation once the buffers have grown to size.
@@ -58,7 +62,6 @@ impl RegionScratch {
 #[derive(Debug, Clone)]
 pub struct RegionView<'g> {
     graph: &'g RoadNetwork,
-    rect: Rect,
     /// Nodes inside the rectangle, sorted by id.
     nodes: Vec<NodeId>,
     /// Edges with both endpoints inside the rectangle, sorted by id.
@@ -124,7 +127,6 @@ impl<'g> RegionView<'g> {
 
         RegionView {
             graph,
-            rect,
             nodes,
             edges,
             members,
@@ -151,11 +153,6 @@ impl<'g> RegionView<'g> {
     /// The underlying network.
     pub fn graph(&self) -> &'g RoadNetwork {
         self.graph
-    }
-
-    /// The rectangle that induced this view.
-    pub fn rect(&self) -> Rect {
-        self.rect
     }
 
     /// Nodes inside the view, sorted by id (`V_Q` in the paper).
@@ -191,74 +188,6 @@ impl<'g> RegionView<'g> {
     #[inline]
     pub fn local_index(&self, node: NodeId) -> Option<usize> {
         self.members.get(node.index()).map(|i| i as usize)
-    }
-
-    /// Neighbours of `node` restricted to the view, as `(neighbour, edge)` pairs.
-    pub fn neighbors(&self, node: NodeId) -> Vec<(NodeId, EdgeId)> {
-        if !self.contains(node) {
-            return Vec::new();
-        }
-        self.graph
-            .neighbors(node)
-            .iter()
-            .copied()
-            .filter(|(n, _)| self.contains(*n))
-            .collect()
-    }
-
-    /// Length of an edge (delegates to the parent network).
-    #[inline]
-    pub fn length(&self, edge: EdgeId) -> f64 {
-        self.graph.length(edge)
-    }
-
-    /// Minimum edge length inside the view (`d_min`), or `None` if edgeless.
-    pub fn min_edge_length(&self) -> Option<f64> {
-        self.edges
-            .iter()
-            .map(|&e| self.graph.length(e))
-            .fold(None, |acc, l| match acc {
-                None => Some(l),
-                Some(m) => Some(m.min(l)),
-            })
-    }
-
-    /// Maximum edge length inside the view (`τ_max` used by Greedy), or `None`.
-    pub fn max_edge_length(&self) -> Option<f64> {
-        self.edges
-            .iter()
-            .map(|&e| self.graph.length(e))
-            .fold(None, |acc, l| match acc {
-                None => Some(l),
-                Some(m) => Some(m.max(l)),
-            })
-    }
-
-    /// Connected components of the view, largest first.
-    pub fn components(&self) -> Vec<Vec<NodeId>> {
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut comps = Vec::new();
-        for &start in &self.nodes {
-            if seen[start.index()] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut q = VecDeque::new();
-            seen[start.index()] = true;
-            q.push_back(start);
-            while let Some(v) = q.pop_front() {
-                comp.push(v);
-                for (n, _) in self.neighbors(v) {
-                    if !seen[n.index()] {
-                        seen[n.index()] = true;
-                        q.push_back(n);
-                    }
-                }
-            }
-            comps.push(comp);
-        }
-        comps.sort_by_key(|c| std::cmp::Reverse(c.len()));
-        comps
     }
 
     /// Checks whether the given node set is connected within the view using
@@ -451,39 +380,28 @@ mod tests {
         assert_eq!(v.edge_count(), 4);
         assert!(v.contains(NodeId(0)));
         assert!(!v.contains(NodeId(15)));
-        assert_eq!(v.neighbors(NodeId(0)).len(), 2);
-        assert!(v.neighbors(NodeId(15)).is_empty());
     }
 
     #[test]
-    fn view_edge_lengths_delegate_to_graph() {
-        let g = grid4();
-        let v = RegionView::whole(&g);
-        assert_eq!(v.min_edge_length(), Some(1.0));
-        assert_eq!(v.max_edge_length(), Some(1.0));
-        let e = v.edges()[0];
-        assert_eq!(v.length(e), 1.0);
-    }
-
-    #[test]
-    fn empty_view_has_no_components() {
+    fn empty_view_has_no_nodes_or_edges() {
         let g = grid4();
         let v = RegionView::new(&g, Rect::new(100.0, 100.0, 101.0, 101.0));
         assert_eq!(v.node_count(), 0);
-        assert!(v.components().is_empty());
-        assert!(v.min_edge_length().is_none());
+        assert!(v.nodes().is_empty());
+        assert!(v.edges().is_empty());
     }
 
     #[test]
-    fn components_split_by_rectangle() {
+    fn thin_view_keeps_one_row_and_its_edges() {
         let g = grid4();
-        // A thin rectangle containing only rows y=0 and y=3 → two components.
+        // A thin rectangle around row y = 0: its four nodes and the three
+        // edges between them, nothing of the rows above.
         let v = RegionView::new(&g, Rect::new(-0.5, -0.5, 3.5, 0.5));
-        assert_eq!(v.components().len(), 1);
-        // Two disjoint columns: x=0 and x=3 cannot both be selected by a single
-        // rectangle, so instead check that a full view is a single component.
-        let whole = RegionView::whole(&g);
-        assert_eq!(whole.components().len(), 1);
+        assert_eq!(v.nodes(), &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        let row: Vec<EdgeId> = (0..3)
+            .map(|x| g.edge_between(NodeId(x), NodeId(x + 1)).unwrap())
+            .collect();
+        assert_eq!(v.edges(), &row[..]);
     }
 
     #[test]

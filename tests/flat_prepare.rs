@@ -22,6 +22,11 @@
 //! spread over the whole `u64` range, and views of over 64 nodes.  Its
 //! expected graph comes from a brute-force filter over every node and edge
 //! of the network, not from `RegionView` or `QueryGraph::build`.
+//!
+//! A third case shuffles the network's node and edge ids, so every view's
+//! members spread over a wide id band and one reused workspace rebases its
+//! member table from view to view.  That table gives the query graph its
+//! local ids; the brute-force filter finds them by its own binary search.
 
 use lcmsr::core::engine::LcmsrEngine;
 use lcmsr::core::prelude::{QueryGraph, QueryWorkspace};
@@ -29,6 +34,7 @@ use lcmsr::core::LcmsrQuery;
 use lcmsr::geotext::collection::NodeWeights;
 use lcmsr::geotext::vsm::{object_norm, tf_weight};
 use lcmsr::geotext::{GeoTextObject, ObjectCollection, ObjectId, QueryVector};
+use lcmsr::roadnet::generator::SplitRng;
 use lcmsr::roadnet::subgraph::RegionView;
 use lcmsr::roadnet::{GraphBuilder, NodeId, Point, Rect, RoadNetwork};
 use proptest::prelude::*;
@@ -366,6 +372,94 @@ proptest! {
             engine.release(&mut workspace, graph);
             prop_assert!(got.0.len() > 64, "{} nodes at {:?}", got.0.len(), rect);
             let expected = brute_force_graph(&network, &want_nodes, rect, 0.5);
+            prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
+        }
+    }
+}
+
+/// A `side × side` grid like [`square_grid`] whose node and edge ids are
+/// handed out in shuffled order, so the members of a rectangle spread over
+/// the whole id range instead of one band of rows.  Every edge has its own
+/// length.
+fn shuffled_grid(side: usize, seed: u64) -> RoadNetwork {
+    let mut rng = SplitRng::new(seed);
+    let mut shuffled = |n: usize| {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        order
+    };
+    let mut b = GraphBuilder::new();
+    let mut at = vec![NodeId(0); side * side];
+    for cell in shuffled(side * side) {
+        let (x, y) = (cell % side, cell / side);
+        at[cell] = b.add_node(Point::new(x as f64 * SPACING, y as f64 * SPACING));
+    }
+    let mut pairs = Vec::new();
+    for i in 0..side * side {
+        if i % side + 1 < side {
+            pairs.push((i, i + 1));
+        }
+        if i + side < side * side {
+            pairs.push((i, i + side));
+        }
+    }
+    for k in shuffled(pairs.len()) {
+        let (i, j) = pairs[k];
+        b.add_edge(at[i], at[j], SPACING + k as f64).unwrap();
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Shuffled node and edge ids, one workspace reused across rectangles of
+    /// every size: the prepared graph matches a brute-force filter of the
+    /// network.
+    #[test]
+    fn prepare_over_shuffled_ids_matches_a_brute_force_reference(
+        seed in 0u64..1_000_000,
+        objects in collection::vec(
+            (-50.0f64..1_950.0, -50.0f64..1_950.0, collection::vec(0usize..KEYWORDS.len(), 1..4)),
+            40..160,
+        ),
+        keywords in collection::vec(0usize..KEYWORDS.len(), 1..4),
+        rect_cells in collection::vec((0usize..WIDE_SIDE, 0usize..WIDE_SIDE, 0usize..WIDE_SIDE, 0usize..WIDE_SIDE), 3..7),
+    ) {
+        let network = shuffled_grid(WIDE_SIDE, seed);
+        let objects: Vec<GeoTextObject> = objects
+            .iter()
+            .enumerate()
+            .map(|(id, (x, y, words))| {
+                GeoTextObject::from_keywords(
+                    id as u64,
+                    Point::new(*x, *y),
+                    words.iter().map(|&w| KEYWORDS[w]),
+                )
+            })
+            .collect();
+        let collection = ObjectCollection::build(&network, objects, SPACING * 1.5).unwrap();
+        let engine = LcmsrEngine::new(&network, &collection);
+        let mut workspace = QueryWorkspace::new();
+        let words: Vec<&str> = keywords.iter().map(|&k| KEYWORDS[k]).collect();
+        let query = collection.query_vector(&words);
+        for &(x0, y0, w, h) in &rect_cells {
+            // From one node up to the whole grid.
+            let last = WIDE_SIDE - 1;
+            let rect = Rect::new(
+                x0 as f64 * SPACING - 10.0,
+                y0 as f64 * SPACING - 10.0,
+                (x0 + w).min(last) as f64 * SPACING + 10.0,
+                (y0 + h).min(last) as f64 * SPACING + 10.0,
+            );
+            let (_, want_nodes) = naive_scores(&collection, &query, &rect);
+            let lcmsr_query = LcmsrQuery::new(words.clone(), 6.0 * SPACING, rect).unwrap();
+            let graph = engine.prepare_with(&mut workspace, &lcmsr_query, 0.5).unwrap();
+            let got = graph_fingerprint(&graph);
+            engine.release(&mut workspace, graph);
+            let expected = brute_force_graph(&network, &want_nodes, &rect, 0.5);
             prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
         }
     }

@@ -61,7 +61,7 @@ fn query_graph_respects_the_region_of_interest() {
     let graph = engine.prepare(&query, 0.5).unwrap();
     assert!(graph.node_count() < dataset.network.node_count());
     for v in graph.node_indices() {
-        assert!(half.contains(&graph.point(v)));
+        assert!(half.contains(&dataset.network.point(graph.global_node(v))));
     }
     // Scaled weights follow Lemma 5: no node exceeds ⌊|V_Q|/α⌋.
     let bound = graph.scaled_weight_lower_bound();
