@@ -400,8 +400,19 @@ mod tests {
             &mut TraceCollector::disabled(),
         )
         .unwrap();
+        // APP's trace is the binary search's; run the search alone for its
+        // candidate tree.
+        let (tree, trace, _) = binary_search(
+            &qg,
+            &mut TupleArena::new(),
+            &mut GargKMst::new(),
+            params.beta,
+            &CancelToken::none(),
+            &mut TraceCollector::disabled(),
+        );
+        assert_eq!(trace, outcome.trace);
         let three_delta = 3.0 * qg.delta();
-        for step in &outcome.trace {
+        for step in &trace {
             assert!(step.lower <= step.x && step.x <= step.upper);
             if step.x_beta > 0 {
                 assert!(step.x_beta > step.x);
@@ -411,10 +422,10 @@ mod tests {
         }
         // The last probed step (if it stopped the search) has T'C longer than 3∆
         // or unattainable.
-        if let Some(last) = outcome.trace.last() {
+        if let Some(last) = trace.last() {
             if last.x_beta > 0 {
                 if let Some(l) = last.tprime_length {
-                    assert!(l > three_delta - 1e-9 || outcome.best.is_some());
+                    assert!(l > three_delta - 1e-9 || tree.is_some());
                 }
             }
         }

@@ -19,14 +19,14 @@
 //!
 //! A second case runs at sizes where the prepare path's orderings cross
 //! many words and digits: a 20 × 20 grid, over 64 scored objects with ids
-//! spread over the whole `u64` range, and views of over 64 nodes.  Its
-//! expected graph comes from a brute-force filter over every node and edge
-//! of the network, not from `RegionView` or `QueryGraph::build`.
-//!
-//! A third case shuffles the network's node and edge ids, so every view's
-//! members spread over a wide id band and one reused workspace rebases its
-//! member table from view to view.  That table gives the query graph its
-//! local ids; the brute-force filter finds them by its own binary search.
+//! spread over the whole `u64` range, and views of over 64 nodes between
+//! views of one to 81 nodes.  Its expected graph comes from a brute-force
+//! filter over every node and edge of the network, not from `RegionView` or
+//! `QueryGraph::build`.  It runs once with sequential node and edge ids and
+//! once with shuffled ones, so every view's members spread over a wide id
+//! band and the reused workspace rebases its member table from view to
+//! view.  That table gives the query graph its local ids; the brute-force
+//! filter finds them by its own binary search.
 
 use lcmsr::core::engine::LcmsrEngine;
 use lcmsr::core::prelude::{QueryGraph, QueryWorkspace};
@@ -308,75 +308,6 @@ fn brute_force_graph(
     (nodes, edges)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Over 64 scored objects with wide ids and views of over 64 nodes: the
-    /// scores match the naive reference, and the prepared graph matches a
-    /// brute-force filter of the network.
-    #[test]
-    fn prepare_at_scale_matches_a_brute_force_reference(
-        objects in collection::vec(
-            (-50.0f64..1_950.0, -50.0f64..1_950.0, collection::vec(0usize..KEYWORDS.len(), 1..4)),
-            120..300,
-        ),
-        keywords in collection::vec(0usize..KEYWORDS.len(), 1..4),
-        rect_cells in collection::vec((0usize..WIDE_SIDE - 9, 0usize..WIDE_SIDE - 9, 9usize..WIDE_SIDE, 9usize..WIDE_SIDE), 2..4),
-    ) {
-        let network = square_grid(WIDE_SIDE);
-        // An odd multiplier permutes u64, so the ids stay unique while they
-        // spread over the whole range.
-        let objects: Vec<GeoTextObject> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, (x, y, words))| {
-                GeoTextObject::from_keywords(
-                    (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                    Point::new(*x, *y),
-                    words.iter().map(|&w| KEYWORDS[w]),
-                )
-            })
-            .collect();
-        let collection = ObjectCollection::build(&network, objects, SPACING * 1.5).unwrap();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let mut workspace = QueryWorkspace::new();
-        let mut reused = NodeWeights::default();
-        let extent = Rect::new(-100.0, -100.0, 2_000.0, 2_000.0);
-        let mut cases = vec![(KEYWORDS.to_vec(), extent)];
-        for &(x0, y0, w, h) in &rect_cells {
-            let words = keywords.iter().map(|&k| KEYWORDS[k]).collect();
-            let rect = Rect::new(
-                x0 as f64 * SPACING - 10.0,
-                y0 as f64 * SPACING - 10.0,
-                (x0 + w).min(WIDE_SIDE) as f64 * SPACING + 10.0,
-                (y0 + h).min(WIDE_SIDE) as f64 * SPACING + 10.0,
-            );
-            cases.push((words, rect));
-        }
-        for (i, (words, rect)) in cases.iter().enumerate() {
-            let query = collection.query_vector(words);
-            let (want_objects, want_nodes) = naive_scores(&collection, &query, rect);
-            if i == 0 {
-                // Every object carries a query keyword and lies inside.
-                prop_assert!(want_objects.len() > 64);
-                prop_assert_eq!(want_objects.len(), collection.len());
-            }
-            collection.node_weights_into(&query, rect, &mut reused);
-            prop_assert_eq!(bits(reused.by_object()), bits(&want_objects), "objects at {:?}", rect);
-            prop_assert_eq!(bits(reused.by_node()), bits(&want_nodes), "nodes at {:?}", rect);
-
-            let delta = 6.0 * SPACING;
-            let lcmsr_query = LcmsrQuery::new(words.clone(), delta, *rect).unwrap();
-            let graph = engine.prepare_with(&mut workspace, &lcmsr_query, 0.5).unwrap();
-            let got = graph_fingerprint(&graph);
-            engine.release(&mut workspace, graph);
-            prop_assert!(got.0.len() > 64, "{} nodes at {:?}", got.0.len(), rect);
-            let expected = brute_force_graph(&network, &want_nodes, rect, 0.5);
-            prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
-        }
-    }
-}
-
 /// A `side × side` grid like [`square_grid`] whose node and edge ids are
 /// handed out in shuffled order, so the members of a rectangle spread over
 /// the whole id range instead of one band of rows.  Every edge has its own
@@ -415,52 +346,85 @@ fn shuffled_grid(side: usize, seed: u64) -> RoadNetwork {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shuffled node and edge ids, one workspace reused across rectangles of
-    /// every size: the prepared graph matches a brute-force filter of the
-    /// network.
+    /// Over 64 scored objects with wide ids, on a grid with sequential ids
+    /// and on one with shuffled ids, one workspace reused over views from
+    /// one node to the whole grid: the scores match the naive reference, and
+    /// the prepared graph matches a brute-force filter of the network.
     #[test]
-    fn prepare_over_shuffled_ids_matches_a_brute_force_reference(
-        seed in 0u64..1_000_000,
+    fn prepare_at_scale_matches_a_brute_force_reference(
+        shuffle_seed in 0u64..1_000_000,
         objects in collection::vec(
             (-50.0f64..1_950.0, -50.0f64..1_950.0, collection::vec(0usize..KEYWORDS.len(), 1..4)),
-            40..160,
+            120..300,
         ),
         keywords in collection::vec(0usize..KEYWORDS.len(), 1..4),
-        rect_cells in collection::vec((0usize..WIDE_SIDE, 0usize..WIDE_SIDE, 0usize..WIDE_SIDE, 0usize..WIDE_SIDE), 3..7),
+        // A view of over 64 nodes, then one of one to 81 nodes.
+        rect_cells in collection::vec(
+            (
+                (0usize..WIDE_SIDE - 9, 0usize..WIDE_SIDE - 9, 9usize..WIDE_SIDE, 9usize..WIDE_SIDE),
+                (0usize..WIDE_SIDE, 0usize..WIDE_SIDE, 0usize..9, 0usize..9),
+            ),
+            2..4,
+        ),
     ) {
-        let network = shuffled_grid(WIDE_SIDE, seed);
+        // An odd multiplier permutes u64, so the ids stay unique while they
+        // spread over the whole range.
         let objects: Vec<GeoTextObject> = objects
             .iter()
             .enumerate()
-            .map(|(id, (x, y, words))| {
+            .map(|(i, (x, y, words))| {
                 GeoTextObject::from_keywords(
-                    id as u64,
+                    (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
                     Point::new(*x, *y),
                     words.iter().map(|&w| KEYWORDS[w]),
                 )
             })
             .collect();
-        let collection = ObjectCollection::build(&network, objects, SPACING * 1.5).unwrap();
-        let engine = LcmsrEngine::new(&network, &collection);
-        let mut workspace = QueryWorkspace::new();
-        let words: Vec<&str> = keywords.iter().map(|&k| KEYWORDS[k]).collect();
-        let query = collection.query_vector(&words);
-        for &(x0, y0, w, h) in &rect_cells {
-            // From one node up to the whole grid.
-            let last = WIDE_SIDE - 1;
-            let rect = Rect::new(
+        let cell_rect = |(x0, y0, w, h): (usize, usize, usize, usize)| {
+            Rect::new(
                 x0 as f64 * SPACING - 10.0,
                 y0 as f64 * SPACING - 10.0,
-                (x0 + w).min(last) as f64 * SPACING + 10.0,
-                (y0 + h).min(last) as f64 * SPACING + 10.0,
-            );
-            let (_, want_nodes) = naive_scores(&collection, &query, &rect);
-            let lcmsr_query = LcmsrQuery::new(words.clone(), 6.0 * SPACING, rect).unwrap();
-            let graph = engine.prepare_with(&mut workspace, &lcmsr_query, 0.5).unwrap();
-            let got = graph_fingerprint(&graph);
-            engine.release(&mut workspace, graph);
-            let expected = brute_force_graph(&network, &want_nodes, &rect, 0.5);
-            prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
+                (x0 + w).min(WIDE_SIDE) as f64 * SPACING + 10.0,
+                (y0 + h).min(WIDE_SIDE) as f64 * SPACING + 10.0,
+            )
+        };
+        let words: Vec<&str> = keywords.iter().map(|&k| KEYWORDS[k]).collect();
+        let extent = Rect::new(-100.0, -100.0, 2_000.0, 2_000.0);
+        // (keywords, rectangle, whether the view holds over 64 nodes)
+        let mut cases = vec![(KEYWORDS.to_vec(), extent, true)];
+        for &(large, small) in &rect_cells {
+            cases.push((words.clone(), cell_rect(large), true));
+            cases.push((words.clone(), cell_rect(small), false));
+        }
+        for network in [square_grid(WIDE_SIDE), shuffled_grid(WIDE_SIDE, shuffle_seed)] {
+            let collection =
+                ObjectCollection::build(&network, objects.clone(), SPACING * 1.5).unwrap();
+            let engine = LcmsrEngine::new(&network, &collection);
+            let mut workspace = QueryWorkspace::new();
+            let mut reused = NodeWeights::default();
+            for (i, (words, rect, large)) in cases.iter().enumerate() {
+                let query = collection.query_vector(words);
+                let (want_objects, want_nodes) = naive_scores(&collection, &query, rect);
+                if i == 0 {
+                    // Every object carries a query keyword and lies inside.
+                    prop_assert!(want_objects.len() > 64);
+                    prop_assert_eq!(want_objects.len(), collection.len());
+                }
+                collection.node_weights_into(&query, rect, &mut reused);
+                prop_assert_eq!(bits(reused.by_object()), bits(&want_objects), "objects at {:?}", rect);
+                prop_assert_eq!(bits(reused.by_node()), bits(&want_nodes), "nodes at {:?}", rect);
+
+                let delta = 6.0 * SPACING;
+                let lcmsr_query = LcmsrQuery::new(words.clone(), delta, *rect).unwrap();
+                let graph = engine.prepare_with(&mut workspace, &lcmsr_query, 0.5).unwrap();
+                let got = graph_fingerprint(&graph);
+                engine.release(&mut workspace, graph);
+                if *large {
+                    prop_assert!(got.0.len() > 64, "{} nodes at {:?}", got.0.len(), rect);
+                }
+                let expected = brute_force_graph(&network, &want_nodes, rect, 0.5);
+                prop_assert_eq!(&got, &expected, "query graph at {:?}", rect);
+            }
         }
     }
 }
