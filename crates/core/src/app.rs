@@ -431,23 +431,60 @@ mod tests {
         }
     }
 
+    /// A 3-node path of 10-m edges with unit weights, built with α = 3
+    /// (θ = 1, so L = 1 and U = 3) and ∆ = 100 m.
+    fn unit_path_query_graph() -> QueryGraph {
+        use lcmsr_geotext::collection::NodeWeights;
+        use lcmsr_roadnet::builder::GraphBuilder;
+        use lcmsr_roadnet::geo::Point;
+        use lcmsr_roadnet::node::NodeId;
+        use lcmsr_roadnet::subgraph::RegionView;
+
+        let mut b = GraphBuilder::new();
+        let ids: Vec<_> = (0..3)
+            .map(|i| b.add_node(Point::new(i as f64 * 10.0, 0.0)))
+            .collect();
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1], 10.0).unwrap();
+        }
+        let network = b.build().unwrap();
+        let weights = NodeWeights::from_node_weights((0..3).map(|v| (NodeId(v), 1.0)));
+        QueryGraph::build(&RegionView::whole(&network), &weights, 100.0, 3.0).unwrap()
+    }
+
     #[test]
     fn binary_search_alone_returns_a_tree_within_3_delta_or_none() {
-        let (_n, qg) = figure2_query_graph(3.0, 0.15);
-        let mut arena = TupleArena::new();
-        let mut solver = GargKMst::new();
-        let (tree, trace, interrupted) = binary_search(
-            &qg,
-            &mut arena,
-            &mut solver,
-            0.1,
-            &CancelToken::none(),
-            &mut TraceCollector::disabled(),
-        );
-        assert!(!trace.is_empty());
-        assert!(!interrupted);
-        if let Some(t) = tree {
-            assert!(t.length <= 3.0 * qg.delta() + 1e-9);
+        let (_n, figure2) = figure2_query_graph(3.0, 0.15);
+        // On the path the one step probes X = 2; both X and (1+β)X = 3 are
+        // met within 3∆, so the quota range closes and the search falls
+        // through to its best feasible tree.
+        let path = unit_path_query_graph();
+        for (qg, falls_through) in [(&figure2, false), (&path, true)] {
+            let mut arena = TupleArena::new();
+            let mut solver = GargKMst::new();
+            let (tree, trace, interrupted) = binary_search(
+                qg,
+                &mut arena,
+                &mut solver,
+                0.1,
+                &CancelToken::none(),
+                &mut TraceCollector::disabled(),
+            );
+            assert!(!trace.is_empty());
+            assert!(!interrupted);
+            if let Some(t) = &tree {
+                assert!(t.length <= 3.0 * qg.delta() + 1e-9);
+            }
+            if falls_through {
+                let last = trace.last().unwrap();
+                assert_eq!(
+                    (trace.len(), last.lower, last.upper, last.x, last.x_beta),
+                    (1, 1, 3, 2, 3)
+                );
+                assert_eq!(last.tprime_length, Some(20.0));
+                let t = tree.expect("the fall-through keeps the best feasible tree");
+                assert!(t.scaled >= last.x);
+            }
         }
     }
 }

@@ -15,13 +15,23 @@
 //!
 //! A run makes at most `4n + 16` event-loop iterations, one per merge or
 //! deactivation (~72 on the tiny NY query graphs).  An iteration costs
-//! O(live edges + active roots + members of active clusters):
+//! O(edges with an active endpoint not yet found internal + active roots +
+//! boundary members of active clusters), plus one load per 64 edges:
 //!
 //! * every node carries its cluster's label, so an edge's two clusters are
 //!   two loads; a merge relabels the absorbed cluster by walking its
 //!   circular member list;
-//! * the edge scan walks the live-edge list, and drops from it, as it meets
-//!   them, the edges a merge made internal (clusters never split);
+//! * the edge scan walks a set of armed edges, one bit per edge, in
+//!   ascending edge index.  It disarms the edges a merge made internal for
+//!   good (clusters never split), and *parks* the edges whose two clusters
+//!   are both inactive: at rate 0 they cannot win the event;
+//! * a cluster becomes active only at a merge, so only a merge that leaves
+//!   an active cluster re-arms parked edges: it walks the members of each
+//!   side that was inactive and re-arms their edges not found internal;
+//! * a node whose edges have all been found internal is spliced out of its
+//!   cluster's member list by the next walk that passes it, so moat growth,
+//!   relabelling and re-arming walk only a cluster's root and its boundary
+//!   members;
 //! * deactivation candidates and moat growth come from the sorted list of
 //!   active roots, so inactive clusters cost nothing there.
 //!
@@ -37,14 +47,20 @@
 //! textbook loop over a union-find (kept as the test reference below), so
 //! its trees are bit-identical:
 //!
+//! * labels and moats are exact for every node with a live edge (one not
+//!   yet found internal), and no other node's label or moat is read: only
+//!   the edge scan and a merge read them, and only at a live edge's
+//!   endpoints.  Extraction reads forest edges and prizes;
 //! * a node's label is the root the union-find's `find` would return: a
 //!   merge along edge `e` makes the cluster of `e.b` the root;
 //! * edge events are scanned in ascending edge index and win on
 //!   `dt < best_dt − EPS`, with `slack = len − moat[a] − moat[b]` and
 //!   `dt = (slack / rate).max(0)`; deactivations follow in ascending root id
-//!   under the same rule;
-//! * time advances by `moat[v] += dt` for each node of an active cluster and
-//!   `remaining[r] −= dt` for each active root, and a merge leaves
+//!   under the same rule.  Every edge the scan skips is internal or has two
+//!   inactive clusters, and the reference skips those too;
+//! * time advances by `moat[v] += dt` for each node of an active cluster
+//!   that has a live edge (and for its root), and by `remaining[r] −= dt`
+//!   for each active root, and a merge leaves
 //!   `rem[a].max(0) + rem[b].max(0)` on the new root;
 //! * extraction keeps each node's forest neighbours in forest-edge order, so
 //!   every DFS pops in the same order and each component gets the same root
@@ -124,20 +140,28 @@ impl Forest {
 /// its graph, so one scratch serves query graphs of any size.
 #[derive(Debug, Default)]
 pub struct GwScratch {
-    /// Per node: the root of its cluster.
+    /// Per node: the root of its cluster (exact while the node has a live
+    /// edge).
     label: Vec<u32>,
-    /// Per node: the next member of its cluster (a circular list).
+    /// Per node: the next member of its cluster, in a circular list of the
+    /// root and the members that may still have a live edge.
     next: Vec<u32>,
-    /// Per node: total dual grown around it (depth of moats containing it).
+    /// Per node: total dual grown around it (depth of moats containing it;
+    /// exact while the node has a live edge).
     moat: Vec<f64>,
+    /// Per node: its live edges, those not yet found internal to a cluster.
+    live_degree: Vec<u32>,
     /// Per cluster root: remaining potential.
     remaining: Vec<f64>,
     /// Per cluster root: whether its moat grows.
     active: Vec<bool>,
     /// The roots with `active` set, ascending.
     active_roots: Vec<u32>,
-    /// Edges not yet known to be internal to a cluster, ascending.
-    live_edges: Vec<u32>,
+    /// One bit per edge: the edges the next scan visits.  A live edge is
+    /// unarmed only while it is parked between two inactive clusters.
+    armed: Vec<u64>,
+    /// Per edge: found internal to a cluster, so never armed again.
+    dead: Vec<bool>,
     /// Edges that merged two clusters, in merge order.
     forest_edges: Vec<u32>,
     forest: Forest,
@@ -183,6 +207,24 @@ pub fn pcst(
     PcstResult { tree, iterations }
 }
 
+/// Visits `root` and each other member of its circular list that has a live
+/// edge, in list order, and splices out the members that have none: no one
+/// reads their label or moat again.
+fn walk_members(next: &mut [u32], live_degree: &[u32], root: u32, mut visit: impl FnMut(u32)) {
+    visit(root);
+    let (mut prev, mut v) = (root, next[root as usize]);
+    while v != root {
+        let after = next[v as usize];
+        if live_degree[v as usize] == 0 {
+            next[prev as usize] = after;
+        } else {
+            visit(v);
+            prev = v;
+        }
+        v = after;
+    }
+}
+
 impl GwScratch {
     /// The growth phase: leaves the forest in `forest_edges` and returns the
     /// number of event-loop iterations.
@@ -195,6 +237,9 @@ impl GwScratch {
         self.next.extend(0..n as u32);
         self.moat.clear();
         self.moat.resize(n, 0.0);
+        self.live_degree.clear();
+        self.live_degree
+            .extend((0..n as u32).map(|v| graph.neighbors(v).len() as u32));
         self.remaining.clear();
         self.remaining.extend_from_slice(prizes);
         self.active.clear();
@@ -202,8 +247,14 @@ impl GwScratch {
         self.active_roots.clear();
         self.active_roots
             .extend((0..n as u32).filter(|&v| self.active[v as usize]));
-        self.live_edges.clear();
-        self.live_edges.extend(0..edges.len() as u32);
+        self.armed.clear();
+        self.armed.resize(edges.len().div_ceil(64), u64::MAX);
+        let padding = 64 * self.armed.len() - edges.len();
+        if let Some(last) = self.armed.last_mut() {
+            *last >>= padding;
+        }
+        self.dead.clear();
+        self.dead.resize(edges.len(), false);
         self.forest_edges.clear();
         let mut iterations = 0usize;
 
@@ -216,14 +267,28 @@ impl GwScratch {
             let mut best_dt = f64::INFINITY;
             let mut event = None;
             let (label, active, moat) = (&self.label, &self.active, &self.moat);
-            self.live_edges.retain(|&idx| {
-                let e = &edges[idx as usize];
-                let (ra, rb) = (label[e.a as usize], label[e.b as usize]);
-                if ra == rb {
-                    return false;
-                }
-                let rate = (active[ra as usize] as u32 + active[rb as usize] as u32) as f64;
-                if rate != 0.0 {
+            for (word_index, word) in self.armed.iter_mut().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    let bit = bits & bits.wrapping_neg();
+                    bits ^= bit;
+                    let idx = (word_index * 64) as u32 + bit.trailing_zeros();
+                    let e = &edges[idx as usize];
+                    let (ra, rb) = (label[e.a as usize], label[e.b as usize]);
+                    if ra == rb {
+                        // Internal for good: clusters never split.
+                        *word ^= bit;
+                        self.dead[idx as usize] = true;
+                        self.live_degree[e.a as usize] -= 1;
+                        self.live_degree[e.b as usize] -= 1;
+                        continue;
+                    }
+                    let rate = (active[ra as usize] as u32 + active[rb as usize] as u32) as f64;
+                    if rate == 0.0 {
+                        // Parked until a merge activates one of its clusters.
+                        *word ^= bit;
+                        continue;
+                    }
                     let slack = e.length - moat[e.a as usize] - moat[e.b as usize];
                     let dt = (slack / rate).max(0.0);
                     if dt < best_dt - EPS {
@@ -231,8 +296,7 @@ impl GwScratch {
                         event = Some(Event::Edge(idx));
                     }
                 }
-                true
-            });
+            }
             // Cluster deactivation events, in ascending root id.
             for &r in &self.active_roots {
                 let dt = self.remaining[r as usize].max(0.0);
@@ -244,18 +308,13 @@ impl GwScratch {
             let Some(event) = event.filter(|_| best_dt.is_finite()) else {
                 break;
             };
-            // Advance time by best_dt: grow moats of nodes in active clusters
-            // and spend the active clusters' potential.
+            // Advance time by best_dt: grow the moats of active clusters'
+            // members that have a live edge, and spend their potential.
             if best_dt > 0.0 {
                 for &r in &self.active_roots {
-                    let mut v = r;
-                    loop {
+                    walk_members(&mut self.next, &self.live_degree, r, |v| {
                         self.moat[v as usize] += best_dt;
-                        v = self.next[v as usize];
-                        if v == r {
-                            break;
-                        }
-                    }
+                    });
                     self.remaining[r as usize] -= best_dt;
                 }
             }
@@ -267,16 +326,20 @@ impl GwScratch {
                     let rb = self.label[e.b as usize];
                     let merged_remaining =
                         self.remaining[ra as usize].max(0.0) + self.remaining[rb as usize].max(0.0);
-                    // `rb` absorbs `ra`: relabel ra's members, then splice
-                    // the two circular member lists.
-                    let mut v = ra;
-                    loop {
-                        self.label[v as usize] = rb;
-                        v = self.next[v as usize];
-                        if v == ra {
-                            break;
+                    if merged_remaining > EPS {
+                        // The merged cluster grows, so the edges an inactive
+                        // side parked can fire again.
+                        for side in [ra, rb] {
+                            if !self.active[side as usize] {
+                                self.unpark(graph, side);
+                            }
                         }
                     }
+                    // `rb` absorbs `ra`: relabel ra's members, then splice
+                    // the two circular member lists.
+                    walk_members(&mut self.next, &self.live_degree, ra, |v| {
+                        self.label[v as usize] = rb;
+                    });
                     self.next.swap(ra as usize, rb as usize);
                     self.remaining[rb as usize] = merged_remaining;
                     self.remaining[ra as usize] = 0.0;
@@ -295,6 +358,18 @@ impl GwScratch {
             }
         }
         iterations
+    }
+
+    /// Re-arms every edge of `root`'s cluster not yet found internal.
+    fn unpark(&mut self, graph: &QueryGraph, root: u32) {
+        let (armed, dead) = (&mut self.armed, &self.dead);
+        walk_members(&mut self.next, &self.live_degree, root, |v| {
+            for &(_, e) in graph.neighbors(v) {
+                if !dead[e as usize] {
+                    armed[e as usize / 64] |= 1 << (e % 64);
+                }
+            }
+        });
     }
 
     /// Sets a root's activity flag, keeping `active_roots` sorted.
@@ -940,18 +1015,21 @@ mod tests {
         (qg, base)
     }
 
-    #[test]
-    fn matches_the_union_find_reference_bit_for_bit() {
-        let mut rng = Rng(0x6777_2014);
-        // One scratch for every run, across graphs that alternate between
-        // large and small, so no run can lean on what another size left.
+    /// Runs [`pcst`] and the union-find reference on `graphs` random graphs
+    /// of `lo..=hi` nodes at seven prize scales, and asserts that every run
+    /// agrees bit for bit, iteration count included.  One scratch serves
+    /// every run, and the sizes alternate between the range's upper and
+    /// lower halves, so no run can lean on what another size left.
+    fn assert_matches_the_reference(seed: u64, graphs: usize, lo: usize, hi: usize) {
+        let mut rng = Rng(seed);
+        let mid = (lo + hi) / 2;
         let mut scratch = GwScratch::default();
         let (mut arena, mut reference_arena) = (TupleArena::new(), TupleArena::new());
-        for i in 0..1_200 {
+        for i in 0..graphs {
             let n = if i % 2 == 0 {
-                rng.range(21, 40)
+                rng.range(mid + 1, hi)
             } else {
-                rng.range(1, 20)
+                rng.range(lo, mid)
             };
             let (qg, base) = random_graph(&mut rng, n);
             for lambda in [0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0] {
@@ -985,5 +1063,18 @@ mod tests {
             arena.reset();
             reference_arena.reset();
         }
+    }
+
+    #[test]
+    fn matches_the_union_find_reference_bit_for_bit() {
+        assert_matches_the_reference(0x6777_2014, 1_200, 1, 40);
+    }
+
+    /// Graphs of up to ~600 edges span up to ten words of the armed-edge
+    /// set, and their zero-prize nodes keep edges parked across many merges.
+    #[test]
+    #[ignore = "slow in debug; run with --release -- --ignored"]
+    fn matches_the_union_find_reference_on_graphs_of_65_to_300_nodes() {
+        assert_matches_the_reference(0x6777_2015, 200, 65, 300);
     }
 }

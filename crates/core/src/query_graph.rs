@@ -203,12 +203,6 @@ impl QueryGraph {
         &self.adj_entries[start..end]
     }
 
-    /// Degree of a local node.
-    #[inline]
-    pub fn degree(&self, node: u32) -> usize {
-        (self.adj_offsets[node as usize + 1] - self.adj_offsets[node as usize]) as usize
-    }
-
     /// Iterator over all local node ids.
     pub fn node_indices(&self) -> impl Iterator<Item = u32> {
         0..self.node_ids.len() as u32
@@ -531,7 +525,9 @@ mod tests {
     fn csr_adjacency_matches_edge_list() {
         let (_network, qg) = figure2_query_graph(6.0, 0.15);
         for v in qg.node_indices() {
-            assert_eq!(qg.neighbors(v).len(), qg.degree(v));
+            // A node's row holds one entry per edge that touches it.
+            let touching = qg.edges().iter().filter(|e| e.a == v || e.b == v).count();
+            assert_eq!(qg.neighbors(v).len(), touching);
             for &(u, e) in qg.neighbors(v) {
                 let edge = qg.edge(e);
                 assert!(edge.a == v || edge.b == v);
@@ -539,7 +535,7 @@ mod tests {
             }
         }
         // Handshake: total CSR entries = 2·|E_Q|.
-        let total: usize = qg.node_indices().map(|v| qg.degree(v)).sum();
+        let total: usize = qg.node_indices().map(|v| qg.neighbors(v).len()).sum();
         assert_eq!(total, 2 * qg.edge_count());
     }
 
