@@ -1,6 +1,6 @@
-//! Interactive exploration-session benchmark: the response cache and the
-//! delta-prepare path under a pan/zoom/keyword-refine trace — the workload
-//! the cache exists for, where successive requests repeat or overlap.
+//! Interactive exploration-session benchmark: the response cache under a
+//! pan/zoom/keyword-refine trace — the workload the cache exists for, where
+//! successive requests repeat.
 //!
 //! It writes `BENCH_session.json` (see [`lcmsr_bench::harness`] for the
 //! environment it reads).  Over an NY-like dataset it drives one
@@ -11,8 +11,7 @@
 //! * **cold** — `cache: false` on a fresh workspace: the classic path, full
 //!   grid rescore and solve per step (the baseline the paper's reader runs);
 //! * **warm** — `cache: true` on one session workspace, first pass: every
-//!   step misses the response cache, but overlapping same-keyword steps
-//!   delta-prepare from the previous step's scores;
+//!   step misses the response cache and is scored and solved cold;
 //! * **replay** — the same trace again on the warm cache: every step is a
 //!   response-cache hit (pan back / revisit, the dominant interactive case).
 //!
@@ -55,12 +54,9 @@ fn zoom(rect: &Rect, factor: f64) -> Rect {
 
 /// The synthetic exploration trace: 10 distinct steps over one base view.
 ///
-/// Pans move by up to 25% of the view (≥75% overlap with the previous rect)
-/// and the zoom-out stays at 1.3x (59% overlap) so the same-keyword steps
-/// clear the engine's [`SESSION_OVERLAP_THRESHOLD`] and exercise the delta
-/// path; the keyword refinement and the return to the full keyword set break
-/// the session on purpose (a delta from foreign keyword scores would be
-/// wrong).  Pans head toward whichever side of `bounds` (the network's node
+/// Pans move by up to 25% of the view and the zoom-out is 1.3x; a keyword
+/// refinement and a return to the full keyword set change the query's
+/// keywords.  Pans head toward whichever side of `bounds` (the network's node
 /// extent) has room, scaled down when the slack runs short — the query
 /// generator places the base view wherever objects are, which can be a
 /// corner, and panning off the populated area would make a step's region
@@ -162,46 +158,27 @@ fn main() {
     let alpha = default_tgen_alpha(&dataset, std::slice::from_ref(base));
 
     // Cold reference: classic path, cache off, dedicated workspace.  Run once
-    // for fingerprints and per-step prepare stats, then timed.
+    // for fingerprints, then timed.
     let mut cold_ws = QueryWorkspace::new();
     let cold_outcomes = run_trace(&engine, &mut cold_ws, &steps, alpha, false);
     let cold_prints = fingerprints(&cold_outcomes);
-    let cold_grid_score: f64 = cold_outcomes
-        .iter()
-        .map(|o| o.stats.grid_score_time.as_secs_f64())
-        .sum();
     assert!(
         cold_outcomes.iter().all(|o| !o.stats.cache),
         "cold pass must stay off the cache path"
     );
 
-    // Warm first pass: cache on, empty cache — all misses, delta-prepare on
-    // the overlapping same-keyword steps.  Timed once (repeating it would
-    // turn the misses into hits).
+    // Warm first pass: cache on, empty cache — all misses.  Timed once
+    // (repeating it would turn the misses into hits).
     engine.response_cache().clear();
     let mut session_ws = QueryWorkspace::new();
     let warm_start = std::time::Instant::now();
     let warm_outcomes = run_trace(&engine, &mut session_ws, &steps, alpha, true);
     let warm_secs = warm_start.elapsed().as_secs_f64();
-    let delta_steps = warm_outcomes
-        .iter()
-        .filter(|o| o.stats.delta_prepare)
-        .count();
-    let delta_grid_score: f64 = warm_outcomes
-        .iter()
-        .filter(|o| o.stats.delta_prepare)
-        .map(|o| o.stats.grid_score_time.as_secs_f64())
-        .sum();
     assert!(
         warm_outcomes
             .iter()
             .all(|o| o.stats.cache && !o.stats.cache_hit),
         "first warm pass over an empty cache must miss every step"
-    );
-    assert!(
-        delta_steps >= steps.len() / 2,
-        "the trace is built to delta-prepare most steps, got {delta_steps}/{}",
-        steps.len()
     );
 
     // Replay + timed passes under the strict gate.
@@ -226,16 +203,14 @@ fn main() {
         |&(_, _, speedup)| speedup,
     );
 
-    // Bit-identity: warm misses, delta steps and cache hits all reproduce the
-    // cold regions exactly.
+    // Bit-identity: warm misses and cache hits both reproduce the cold
+    // regions exactly.
     let replay_outcomes = run_trace(&engine, &mut session_ws, &steps, alpha, true);
     let warm_prints = fingerprints(&warm_outcomes);
     let replay_prints = fingerprints(&replay_outcomes);
     let identical = warm_prints == cold_prints && replay_prints == cold_prints;
 
     let per = steps.len() as f64;
-    let delta_speedup =
-        (cold_grid_score / per) / (delta_grid_score / (delta_steps.max(1) as f64)).max(1e-12);
     let cache = engine.response_cache();
     println!(
         "session (scale {scale:?}, {} steps: {})",
@@ -251,18 +226,12 @@ fn main() {
         cold_secs / per * 1e6
     );
     println!(
-        "  warm first pass : {:>10.1} µs/step ({delta_steps}/{} delta-prepared)",
-        warm_secs / per * 1e6,
-        steps.len()
+        "  warm first pass : {:>10.1} µs/step (all cache misses)",
+        warm_secs / per * 1e6
     );
     println!(
         "  replay pass     : {:>10.1} µs/step (all cache hits, {replay_speedup:.2}x)",
         replay_secs / per * 1e6
-    );
-    println!(
-        "  grid score      : {:>10.1} µs/step cold vs {:.1} µs/step delta ({delta_speedup:.2}x)",
-        cold_grid_score / per * 1e6,
-        delta_grid_score / delta_steps.max(1) as f64 * 1e6
     );
     println!(
         "  cache counters  : {} hits, {} misses, {} stale, {} entries, {} bytes",
@@ -276,22 +245,15 @@ fn main() {
 
     assert!(
         identical,
-        "cache hits and delta re-queries must be bit-identical to cold runs"
+        "cache misses and hits must be bit-identical to cold runs"
     );
 
     Report::new("session", "session", scale)
         .field("steps", steps.len())
-        .field("delta_steps", delta_steps)
         .field("cold_us_per_step", cold_secs / per * 1e6)
         .field("warm_first_us_per_step", warm_secs / per * 1e6)
         .field("replay_us_per_step", replay_secs / per * 1e6)
         .field("replay_speedup", replay_speedup)
-        .field("grid_score_cold_us_per_step", cold_grid_score / per * 1e6)
-        .field(
-            "grid_score_delta_us_per_step",
-            delta_grid_score / delta_steps.max(1) as f64 * 1e6,
-        )
-        .field("delta_prepare_speedup", delta_speedup)
         .field("cache_hits", cache.hits())
         .field("cache_misses", cache.misses())
         .field("cache_stale", cache.stale())

@@ -13,10 +13,11 @@
 //! Available experiment ids: `table1`, `fig7_8`, `fig9_10`, `fig11_12`,
 //! `fig13_14`, `fig15`, `fig16`, `fig17_19`, `sec7_5`, `fig21_22`, `all` —
 //! plus `serve`, which starts the `lcmsr_service` HTTP front-end over the
-//! synthetic NY dataset (flags: `--addr`, `--queue-capacity`,
-//! `--http-workers` for the most connections served at once, `--slow-ms`
-//! for the slow-query threshold and `--trace-sample` for 1-in-N span
-//! tracing; any other argument refuses to start with exit code 2), and
+//! synthetic NY dataset (flags: `--addr`, `--http-workers` for the most
+//! connections served at once, `--slow-ms` for the slow-query threshold and
+//! `--trace-sample` for 1-in-N span tracing; any other argument, a value
+//! that does not parse and a flag given last with no value each refuse to
+//! start with exit code 2, before the dataset is built), and
 //! `dump`, which renders the bit-exact golden-region snapshot (`--out FILE`,
 //! default stdout) that `tests/golden/` pins.  Engine worker counts honour
 //! `--workers N` / `LCMSR_WORKERS` everywhere they apply (the `table1`
@@ -102,7 +103,7 @@ fn main() {
 fn dump_command(mut args: Vec<String>, scale: NetworkScale) {
     let dataset = ny_dataset(scale);
     let dump = render_golden_dump(&dataset);
-    match take_flag(&mut args, "--out") {
+    match take_flag_or_report(&mut args, "--out") {
         Some(path) => {
             std::fs::write(&path, &dump).expect("write golden dump");
             eprintln!(
@@ -120,27 +121,28 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
     use lcmsr_service::http::ServerConfig;
     use lcmsr_service::{leak_engine, serve, BatchConfig, DiagnosticsConfig, ServiceConfig};
 
-    let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    // Malformed numeric flags are reported, not silently defaulted — an
-    // operator tuning the scheduler must know when a knob did not take.
-    let mut parse_or = |flag: &str, default: usize| match take_flag(&mut args, flag) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("ignoring invalid {flag} value '{v}' (expected a number); using {default}");
-            default
-        }),
+    // A flag given last with no value, a value that does not parse and an
+    // argument `serve` does not take (a typo, or a removed knob such as
+    // `--max-batch`) all refuse to start, before the dataset is built: the
+    // server must not run with a default the operator meant to override.
+    let refuse = |message: String| -> ! {
+        eprintln!("serve: {message}");
+        std::process::exit(2)
     };
-    let queue_capacity = parse_or("--queue-capacity", 1024);
+    let mut value = |flag: &str| take_flag(&mut args, flag).unwrap_or_else(|e| refuse(e));
+    let addr = value("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let mut parse_or = |flag: &str, default: usize| match value(flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| refuse(format!("invalid {flag} value '{v}' (expected a number)"))),
+    };
     let http_workers = parse_or("--http-workers", (workers * 4).max(8));
     let diag_defaults = DiagnosticsConfig::default();
     let slow_ms = parse_or("--slow-ms", diag_defaults.slow_ms as usize) as u64;
     let trace_sample = parse_or("--trace-sample", diag_defaults.trace_sample as usize) as u64;
-    // Whatever is left is an argument `serve` does not take (a typo, or a
-    // removed knob such as `--max-batch`): refuse to start rather than run
-    // without a setting the operator believes is in effect.
     if let Some(unknown) = args.first() {
-        eprintln!("serve: unknown argument '{unknown}'");
-        std::process::exit(2);
+        refuse(format!("unknown argument '{unknown}'"));
     }
 
     println!("# lcmsr serve");
@@ -161,7 +163,6 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
             ..ServerConfig::default()
         },
         batch: BatchConfig {
-            queue_capacity,
             batch_workers: workers,
             ..BatchConfig::default()
         },
@@ -171,7 +172,7 @@ fn serve_command(mut args: Vec<String>, workers: usize, scale: NetworkScale) {
         },
     };
     println!(
-        "# scheduler  : {workers} permits (queries run on their connection's thread), queue {queue_capacity}, at most {http_workers} connections at once"
+        "# scheduler  : {workers} permits (queries run on their connection's thread), at most {http_workers} connections at once"
     );
     println!(
         "# diagnostics: slow-query threshold {slow_ms} ms (0 = off), span tracing 1-in-{trace_sample} (0 = off)"

@@ -22,26 +22,36 @@ use std::time::Instant;
 
 /// Removes every `name VALUE` and `name=VALUE` occurrence from `args`,
 /// leaving the other arguments in place, and returns the last value given.
-/// A trailing `name` with no value is reported on stderr and removed.
-pub fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let mut found = None;
+/// A trailing `name` with no value is removed too, and is an error that
+/// names the flag.
+pub fn take_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
+    let mut found = Ok(None);
     let mut i = 0;
     while i < args.len() {
         if args[i] == name {
-            if i + 1 < args.len() {
-                found = Some(args.remove(i + 1));
-            } else {
-                eprintln!("{name} requires a value; ignoring");
-            }
             args.remove(i);
+            found = if i < args.len() {
+                Ok(Some(args.remove(i)))
+            } else {
+                Err(format!("{name} requires a value"))
+            };
         } else if let Some(value) = args[i].strip_prefix(name).and_then(|v| v.strip_prefix('=')) {
-            found = Some(value.to_string());
+            found = Ok(Some(value.to_string()));
             args.remove(i);
         } else {
             i += 1;
         }
     }
     found
+}
+
+/// [`take_flag`] for a flag whose faults are reported and ignored: a
+/// missing value is reported on stderr and reads as an absent flag.
+pub fn take_flag_or_report(args: &mut Vec<String>, name: &str) -> Option<String> {
+    take_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("{e}; ignoring");
+        None
+    })
 }
 
 /// Resolves the engine worker count shared by the experiments CLI and the
@@ -80,7 +90,7 @@ fn parse_workers_value(value: Option<&str>) -> usize {
 /// missing value is reported on stderr and ignored (the caller falls back to
 /// `LCMSR_WORKERS` / auto-detection) rather than silently dropped.
 pub fn take_workers_flag(args: &mut Vec<String>) -> Option<usize> {
-    let value = take_flag(args, "--workers")?;
+    let value = take_flag_or_report(args, "--workers")?;
     match value.parse::<usize>() {
         Ok(w) => Some(w.max(1)),
         Err(_) => {
@@ -129,7 +139,7 @@ fn parse_scale_value(value: Option<&str>) -> NetworkScale {
 /// or missing value is reported on stderr and ignored (the caller falls back
 /// to `LCMSR_SCALE` / the tiny default) rather than silently dropped.
 pub fn take_scale_flag(args: &mut Vec<String>) -> Option<NetworkScale> {
-    let value = take_flag(args, "--scale")?;
+    let value = take_flag_or_report(args, "--scale")?;
     let scale = scale_by_name(&value);
     if scale.is_none() {
         eprintln!(
@@ -524,6 +534,27 @@ mod tests {
         assert_eq!(args, vec!["serve"]);
         let mut args: Vec<String> = vec!["--workers=bad".into()];
         assert_eq!(take_workers_flag(&mut args), None);
+        assert!(args.is_empty());
+    }
+
+    #[test]
+    fn a_flag_given_last_without_a_value_is_an_error() {
+        let mut args: Vec<String> = ["--slow-ms", "5", "--addr=x", "--addr"]
+            .iter()
+            .map(|s| (*s).to_string())
+            .collect();
+        assert_eq!(take_flag(&mut args, "--slow-ms"), Ok(Some("5".into())));
+        assert_eq!(
+            take_flag(&mut args, "--addr"),
+            Err("--addr requires a value".into())
+        );
+        assert!(args.is_empty());
+        // The last occurrence wins, a valueless one included.
+        let mut args: Vec<String> = vec!["--out=a".into(), "--out".into(), "b".into()];
+        assert_eq!(take_flag(&mut args, "--out"), Ok(Some("b".into())));
+        assert!(args.is_empty());
+        let mut args: Vec<String> = vec!["--out=a".into(), "--out".into()];
+        assert_eq!(take_flag_or_report(&mut args, "--out"), None);
         assert!(args.is_empty());
     }
 

@@ -41,7 +41,6 @@ use crate::topk::{topk_app, topk_greedy, topk_tgen};
 use crate::trace::{QueryTrace, TraceCollector};
 use lcmsr_geotext::collection::{NodeWeights, ObjectCollection};
 use lcmsr_geotext::object::ObjectId;
-use lcmsr_roadnet::geo::Rect;
 use lcmsr_roadnet::graph::RoadNetwork;
 use lcmsr_roadnet::node::NodeId;
 use lcmsr_roadnet::subgraph::{RegionScratch, RegionView};
@@ -110,11 +109,10 @@ pub struct QueryOptions {
     /// trace.  `true` fills [`QueryOutcome::trace`] with the span tree.
     pub trace: bool,
     /// Runs the request in cache mode: the engine consults its response
-    /// cache before solving, stores complete results afterwards, and lets
-    /// successive overlapping requests on the same workspace delta-prepare
-    /// from the previous keyword scores.  `false` (the default) keeps the
-    /// classic paths bit-identical to a cacheless engine.  Either way the
-    /// response is bit-identical to a cold run; serving front-ends default
+    /// cache before solving and stores complete results afterwards.  `false`
+    /// (the default) leaves the cache untouched.  Either way the request is
+    /// prepared and solved by the same cold path, so the response is
+    /// bit-identical to a cacheless engine's; serving front-ends default
     /// this on for interactive-lane traffic.
     pub cache: bool,
 }
@@ -237,18 +235,15 @@ pub struct MaxRsRegion {
 /// [`TupleArena`], so repeated [`LcmsrEngine::execute_with`] calls over the
 /// same network allocate near-zero.  A caller answering a stream of
 /// requests on one thread can own a workspace; [`LcmsrEngine::execute`]
-/// checks one out of the engine's [`WorkspacePool`] per call.
+/// checks one out of the engine's [`WorkspacePool`] per call.  A workspace
+/// carries only scratch from one request to the next: every request is
+/// scored and prepared cold, so which workspace answers it never matters.
 #[derive(Debug, Clone, Default)]
 pub struct QueryWorkspace {
     builder: QueryGraphBuilder,
     region: RegionScratch,
     weights: NodeWeights,
     arena: TupleArena,
-    /// Scratch retained between cache-mode prepares on this workspace: the
-    /// previous query's identity plus its keyword scores, enabling
-    /// delta-prepare when the next rectangle mostly overlaps this one.
-    /// `None` until a cache-mode request runs; ignored by the classic paths.
-    session: Option<SessionState>,
     /// Timing split of the most recent `prepare_with` call on this workspace.
     prepare_breakdown: PrepareBreakdown,
     /// Per-query span collector, re-armed (or left inert) by `execute_with`
@@ -266,36 +261,6 @@ pub struct PrepareBreakdown {
     pub grid_score_time: Duration,
     /// `Q.Λ` extraction plus scaled query-graph construction.
     pub graph_build_time: Duration,
-    /// Whether the scoring component was delta-built from the workspace's
-    /// session scratch instead of rescanning the whole region of interest.
-    pub delta_prepare: bool,
-    /// Grid cells rescanned by a delta prepare (0 on cold prepares).
-    pub rescanned_cells: usize,
-}
-
-/// The previous cache-mode query answered on a workspace: everything needed
-/// to decide delta-eligibility of the next one, plus the keyword scores it
-/// would reuse.  The scores depend only on `(epoch, keywords)` per object —
-/// the rectangle merely filters them — so survivors of a pan are reused
-/// verbatim and stay bit-identical to a cold rescore.  `weights` is a
-/// [`NodeWeights::snapshot`]: the answer only, never the scoring scratch.
-#[derive(Debug, Clone)]
-struct SessionState {
-    epoch: u64,
-    keywords: Vec<String>,
-    rect: Rect,
-    weights: NodeWeights,
-}
-
-/// Minimum `area(old ∩ new) / area(new)` for a session re-query to
-/// delta-prepare from the previous scratch instead of rescoring `Q.Λ` cold.
-/// Below this, a cold rescan touches few enough shared cells that the delta
-/// bookkeeping stops paying for itself.
-pub const SESSION_OVERLAP_THRESHOLD: f64 = 0.5;
-
-/// Fraction of `new`'s area covered by `old` (0 when disjoint).
-fn session_overlap(old: &Rect, new: &Rect) -> f64 {
-    old.intersection(new).map_or(0.0, |i| i.area()) / new.area()
 }
 
 impl QueryWorkspace {
@@ -406,8 +371,8 @@ pub struct LcmsrEngine<'a> {
     /// by cache-mode requests ([`QueryOptions::cache`]).
     cache: ResponseCache,
     /// The dataset epoch stamped into cache fingerprints.  Bumping it
-    /// ([`LcmsrEngine::bump_dataset_epoch`]) marks every cached response and
-    /// session scratch stale.
+    /// ([`LcmsrEngine::bump_dataset_epoch`]) marks every cached response
+    /// stale; nothing else reads it.
     epoch: AtomicU64,
 }
 
@@ -434,9 +399,8 @@ impl<'a> LcmsrEngine<'a> {
     }
 
     /// Declares the underlying dataset changed: bumps the epoch so every
-    /// cached response and per-workspace session scratch becomes stale (lazy
-    /// invalidation — entries are evicted as they are next looked up).
-    /// Returns the new epoch.
+    /// cached response becomes stale (lazy invalidation — entries are
+    /// evicted as they are next looked up).  Returns the new epoch.
     pub fn bump_dataset_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, AtomicOrdering::Relaxed) + 1
     }
@@ -481,71 +445,15 @@ impl<'a> LcmsrEngine<'a> {
         query: &LcmsrQuery,
         alpha: f64,
     ) -> Result<QueryGraph> {
-        self.prepare_session(workspace, query, alpha, false)
-    }
-
-    /// The prepare phase shared by the classic and cache-mode paths.  With
-    /// `session` set, the workspace remembers this query's keyword scores;
-    /// the next session prepare with the same epoch and keywords whose
-    /// rectangle overlaps this one by at least [`SESSION_OVERLAP_THRESHOLD`]
-    /// delta-builds from them — reusing the surviving per-object scores and
-    /// rescanning only the grid cells the old rectangle did not fully cover —
-    /// instead of rescoring `Q.Λ` from scratch.  Either way the produced
-    /// graph is bit-identical to a cold prepare.
-    fn prepare_session(
-        &self,
-        workspace: &mut QueryWorkspace,
-        query: &LcmsrQuery,
-        alpha: f64,
-        session: bool,
-    ) -> Result<QueryGraph> {
         query.validate()?;
-        let epoch = self.dataset_epoch();
         let prepare_span = workspace.tracer.start("prepare");
-        let delta_session = if session {
-            workspace.session.as_ref().filter(|s| {
-                s.epoch == epoch
-                    && s.keywords == query.keywords
-                    && session_overlap(&s.rect, &query.region_of_interest)
-                        >= SESSION_OVERLAP_THRESHOLD
-            })
-        } else {
-            None
-        };
-        let delta_prepare = delta_session.is_some();
-        let score_span = workspace.tracer.start(if delta_prepare {
-            "delta_prepare"
-        } else {
-            "grid_score"
-        });
+        let score_span = workspace.tracer.start("grid_score");
         let score_start = crate::cancel::now();
         let q = self.collection.query_vector(&query.keywords);
-        let rescanned_cells = if let Some(sess) = delta_session {
-            self.collection.node_weights_delta_into(
-                &q,
-                &sess.rect,
-                &query.region_of_interest,
-                &sess.weights,
-                &mut workspace.weights,
-            )
-        } else {
-            self.collection.node_weights_into(
-                &q,
-                &query.region_of_interest,
-                &mut workspace.weights,
-            );
-            0
-        };
+        self.collection
+            .node_weights_into(&q, &query.region_of_interest, &mut workspace.weights);
         let grid_score_time = score_start.elapsed();
         workspace.tracer.end(score_span);
-        if session {
-            workspace.session = Some(SessionState {
-                epoch,
-                keywords: query.keywords.clone(),
-                rect: query.region_of_interest,
-                weights: workspace.weights.snapshot(),
-            });
-        }
         let build_span = workspace.tracer.start("graph_build");
         let build_start = crate::cancel::now();
         let view = RegionView::new_reusing(
@@ -560,8 +468,6 @@ impl<'a> LcmsrEngine<'a> {
         workspace.prepare_breakdown = PrepareBreakdown {
             grid_score_time,
             graph_build_time: build_start.elapsed(),
-            delta_prepare,
-            rescanned_cells,
         };
         workspace.tracer.end(build_span);
         if let Ok(g) = &graph {
@@ -631,7 +537,6 @@ impl<'a> LcmsrEngine<'a> {
                     stats.cache = true;
                     stats.cache_hit = true;
                     stats.cache_stale = false;
-                    stats.delta_prepare = false;
                     workspace.tracer.end(query_span);
                     let trace = workspace.tracer.finish();
                     stats.elapsed = start.elapsed();
@@ -646,8 +551,7 @@ impl<'a> LcmsrEngine<'a> {
             }
             cache_key = Some((key, epoch));
         }
-        let graph =
-            self.prepare_session(workspace, request.query, algorithm.alpha(), options.cache)?;
+        let graph = self.prepare_with(workspace, request.query, algorithm.alpha())?;
         let prepare_time = start.elapsed();
         let mut stats = RunStats::new(algorithm.name());
         stats.prepare_time = prepare_time;
@@ -655,7 +559,6 @@ impl<'a> LcmsrEngine<'a> {
         stats.graph_build_time = workspace.prepare_breakdown.graph_build_time;
         stats.cache = options.cache;
         stats.cache_stale = cache_stale;
-        stats.delta_prepare = workspace.prepare_breakdown.delta_prepare;
         stats.deadline = options.deadline.map(|d| d.budget());
         stats.nodes_in_region = graph.node_count();
         stats.edges_in_region = graph.edge_count();
@@ -1772,93 +1675,49 @@ mod tests {
     }
 
     #[test]
-    fn session_delta_prepare_matches_cold_runs_bit_for_bit() {
+    fn overlapping_cache_mode_requests_score_cold() {
+        // Two traced cache-mode requests on one workspace, the second rect
+        // overlapping the first by 90%: each scores its whole rect with
+        // `grid_score` and answers as a cacheless run does.
         let (network, collection) = small_world();
-        let warm = LcmsrEngine::new(&network, &collection);
-        let cold = LcmsrEngine::new(&network, &collection);
+        let engine = LcmsrEngine::new(&network, &collection);
         let algorithm = Algorithm::Tgen(TgenParams { alpha: 1.0 });
         let mut workspace = QueryWorkspace::new();
-        // A pan/zoom trace: big-overlap steps delta-prepare, the zoom-out
-        // falls back to a cold rescan, the final jump is fully contained in
-        // the previous view and delta-prepares again.
-        let rects = [
+        for rect in [
             Rect::new(-50.0, -50.0, 250.0, 250.0),
             Rect::new(-20.0, -50.0, 280.0, 250.0),
-            Rect::new(0.0, -20.0, 260.0, 300.0),
-            Rect::new(-50.0, -50.0, 560.0, 560.0),
-            Rect::new(350.0, 250.0, 560.0, 560.0),
-        ];
-        let mut deltas = 0;
-        for (i, rect) in rects.iter().enumerate() {
-            let query = LcmsrQuery::new(["restaurant", "cafe"], 400.0, *rect).unwrap();
-            let warm_out = warm
+        ] {
+            let query = LcmsrQuery::new(["restaurant", "cafe"], 400.0, rect).unwrap();
+            let traced = engine
                 .execute_with(
                     &mut workspace,
-                    &QueryRequest::new(&query, algorithm.clone()).cache(true),
+                    &QueryRequest::new(&query, algorithm.clone())
+                        .cache(true)
+                        .trace(true),
                 )
                 .unwrap();
-            let cold_out = cold
+            assert!(!traced.stats.cache_hit, "distinct rects never hit");
+            let trace = traced.trace.expect("traced run");
+            trace.validate().expect("well-formed trace");
+            let (prepare, _) = trace.find("prepare").expect("prepare span");
+            let children: Vec<&str> = trace
+                .children_of(prepare)
+                .map(|i| trace.spans[i as usize].label)
+                .collect();
+            assert_eq!(children, ["grid_score", "graph_build"], "rect {rect:?}");
+            let cold = engine
                 .execute(&QueryRequest::new(&query, algorithm.clone()))
                 .unwrap();
-            assert!(!warm_out.stats.cache_hit, "distinct rects never hit");
             assert_eq!(
-                regions_fingerprint(&warm_out.regions),
-                regions_fingerprint(&cold_out.regions),
-                "step {i} must be bit-identical to a cold run"
+                regions_fingerprint(&traced.regions),
+                regions_fingerprint(&cold.regions),
+                "rect {rect:?}"
             );
-            if warm_out.stats.delta_prepare {
-                deltas += 1;
-            }
         }
-        assert!(
-            deltas >= 2,
-            "overlapping pan steps must delta-prepare, got {deltas}"
-        );
-        // A keyword refinement on the same rect cannot reuse the scores.
-        let refined =
-            LcmsrQuery::new(["restaurant"], 400.0, Rect::new(350.0, 250.0, 560.0, 560.0)).unwrap();
-        let refined_out = warm
-            .execute_with(
-                &mut workspace,
-                &QueryRequest::new(&refined, algorithm.clone()).cache(true),
-            )
-            .unwrap();
-        assert!(!refined_out.stats.delta_prepare);
-        // A traced delta step replaces grid_score with delta_prepare.
-        let panned =
-            LcmsrQuery::new(["restaurant"], 400.0, Rect::new(340.0, 240.0, 560.0, 560.0)).unwrap();
-        let traced = warm
-            .execute_with(
-                &mut workspace,
-                &QueryRequest::new(&panned, algorithm.clone())
-                    .cache(true)
-                    .trace(true),
-            )
-            .unwrap();
-        assert!(traced.stats.delta_prepare);
-        let cold_panned = cold
-            .execute(&QueryRequest::new(&panned, algorithm.clone()))
-            .unwrap();
-        assert_eq!(
-            regions_fingerprint(&traced.regions),
-            regions_fingerprint(&cold_panned.regions)
-        );
-        let trace = traced.trace.expect("traced run");
-        trace.validate().expect("well-formed delta trace");
-        let (prepare, _) = trace.find("prepare").expect("prepare span");
-        let children: Vec<&str> = trace
-            .children_of(prepare)
-            .map(|i| trace.spans[i as usize].label)
-            .collect();
-        assert!(
-            children.contains(&"delta_prepare") && children.contains(&"graph_build"),
-            "{children:?}"
-        );
-        assert!(trace.find("grid_score").is_none());
     }
 
     #[test]
-    fn epoch_bump_invalidates_cache_and_session_scratch() {
+    fn epoch_bump_invalidates_cached_responses() {
         let (network, collection) = small_world();
         let engine = LcmsrEngine::new(&network, &collection);
         let query = LcmsrQuery::new(["restaurant"], 400.0, whole_rect(&network)).unwrap();
@@ -1878,10 +1737,6 @@ mod tests {
         let after = engine.execute_with(&mut workspace, &request).unwrap();
         assert!(!after.stats.cache_hit);
         assert!(after.stats.cache_stale, "old-epoch entry must read stale");
-        assert!(
-            !after.stats.delta_prepare,
-            "old-epoch session scratch must not be reused"
-        );
         assert_eq!(
             regions_fingerprint(&after.regions),
             regions_fingerprint(&first.regions),

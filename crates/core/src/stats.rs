@@ -99,9 +99,6 @@ pub struct RunStats {
     /// Whether the lookup found a fingerprint cached under an older dataset
     /// epoch (the stale entry was evicted and the query recomputed).
     pub cache_stale: bool,
-    /// Whether the prepare phase was delta-built from the session's previous
-    /// keyword scores instead of rescoring the whole region of interest.
-    pub delta_prepare: bool,
 }
 
 impl RunStats {
@@ -187,9 +184,6 @@ impl std::fmt::Display for RunStats {
         } else if self.cache_stale {
             write!(f, " [cache stale]")?;
         }
-        if self.delta_prepare {
-            write!(f, " [delta prepare]")?;
-        }
         Ok(())
     }
 }
@@ -227,11 +221,10 @@ mod tests {
         assert!(!s.cache);
         assert!(!s.cache_hit);
         assert!(!s.cache_stale);
-        assert!(!s.delta_prepare);
     }
 
     #[test]
-    fn display_marks_cache_and_delta_paths() {
+    fn display_marks_cache_paths() {
         let mut s = RunStats::new("TGEN");
         assert!(!s.to_string().contains("cache"));
         s.cache = true;
@@ -239,10 +232,8 @@ mod tests {
         assert!(s.to_string().contains("[cache hit]"));
         let mut d = RunStats::new("TGEN");
         d.cache_stale = true;
-        d.delta_prepare = true;
         let shown = d.to_string();
         assert!(shown.contains("[cache stale]"), "{shown}");
-        assert!(shown.contains("[delta prepare]"), "{shown}");
     }
 
     #[test]

@@ -41,21 +41,18 @@ pub const DEFAULT_CELL_SIZE: f64 = 500.0;
 ///
 /// Both are vectors sorted by id.  A `NodeWeights` filled by an
 /// [`ObjectCollection`] also keeps that query's dense scoring scratch, so
-/// reusing one across queries allocates nothing once the scratch has grown;
-/// [`NodeWeights::snapshot`] copies the answer without it.
+/// reusing one across queries allocates nothing once the scratch has grown.
 #[derive(Debug, Clone, Default)]
 pub struct NodeWeights {
     /// `(node, σ_v)`, ascending node; only nodes hosting a scored object.
     by_node: Vec<(NodeId, f64)>,
     /// `(object, score)`, ascending object id; only objects scoring above 0.
     by_object: Vec<(ObjectId, f64)>,
-    /// Collection slot of each `by_object` entry (the delta path reads it).
-    object_slots: Vec<u32>,
     scratch: ScoreScratch,
 }
 
-/// One object that made the cut: id, host node, slot and score.
-type Scored = (ObjectId, NodeId, u32, f64);
+/// One object that made the cut: id, host node and score.
+type Scored = (ObjectId, NodeId, f64);
 
 /// Dense per-query scoring scratch: epoch-stamped slot accumulators, the
 /// list of scored objects and the sorter that orders them.  Cleared in O(1)
@@ -153,21 +150,9 @@ impl NodeWeights {
         self.by_node.is_empty()
     }
 
-    /// A copy of the answer — node and object scores — without the scoring
-    /// scratch.
-    pub fn snapshot(&self) -> NodeWeights {
-        NodeWeights {
-            by_node: self.by_node.clone(),
-            by_object: self.by_object.clone(),
-            object_slots: self.object_slots.clone(),
-            scratch: ScoreScratch::default(),
-        }
-    }
-
     fn clear(&mut self) {
         self.by_node.clear();
         self.by_object.clear();
-        self.object_slots.clear();
     }
 
     /// Turns the scratch's kept objects into the answer: `by_object` in
@@ -178,11 +163,9 @@ impl NodeWeights {
         let ScoreScratch { kept, radix, .. } = &mut self.scratch;
         radix.sort_by_key(kept, |&(id, ..)| id.0);
         self.by_object
-            .extend(kept.iter().map(|&(id, _, _, score)| (id, score)));
-        self.object_slots
-            .extend(kept.iter().map(|&(_, _, slot, _)| slot));
-        radix.sort_by_key(kept, |&(_, node, ..)| u64::from(node.0));
-        for &(_, node, _, score) in kept.iter() {
+            .extend(kept.iter().map(|&(id, _, score)| (id, score)));
+        radix.sort_by_key(kept, |&(_, node, _)| u64::from(node.0));
+        for &(_, node, score) in kept.iter() {
             match self.by_node.last_mut() {
                 Some(last) if last.0 == node => last.1 += score,
                 _ => self.by_node.push((node, score)),
@@ -393,31 +376,22 @@ impl ObjectCollection {
 
     /// Like [`ObjectCollection::node_weights`], but writes into a caller-owned
     /// [`NodeWeights`], reusing its output vectors and scoring scratch.
+    ///
+    /// Sums the Equation-2 partial of every slot the postings of the covering
+    /// cells touch, then keeps the objects that lie inside `rect` (cells only
+    /// approximate it) and score above 0.
     pub fn node_weights_into(&self, query: &QueryVector, rect: &Rect, out: &mut NodeWeights) {
         out.clear();
         if query.norm == 0.0 {
             return;
         }
-        self.score_cells(query, rect, self.grid.cover_cells(rect), &mut out.scratch);
-        out.finish();
-    }
-
-    /// Sums the Equation-2 partial of every slot the postings of `cells`
-    /// (ascending occupied-cell indices) touch, then keeps the objects that
-    /// lie inside `rect` (cells only approximate it) and score above 0.
-    fn score_cells(
-        &self,
-        query: &QueryVector,
-        rect: &Rect,
-        cells: impl IntoIterator<Item = usize>,
-        scratch: &mut ScoreScratch,
-    ) {
         let query_terms: Vec<(TermId, f64)> = query
             .terms
             .iter()
             .filter_map(|t| t.id.map(|id| (id, t.weight)))
             .collect();
-        let mut cells = cells.into_iter().peekable();
+        let scratch = &mut out.scratch;
+        let mut cells = self.grid.cover_cells(rect).peekable();
         scratch.begin(cells.peek().map_or(0, |&c| self.grid.slot_range(c).start));
         for c in cells {
             self.grid
@@ -434,57 +408,9 @@ impl ObjectCollection {
             }
             scratch
                 .kept
-                .push((self.slot_ids[s], self.slot_nodes[s], slot, score));
-        }
-    }
-
-    /// Delta variant of [`ObjectCollection::node_weights_into`] for an
-    /// interactive session step: `prev` holds the weights of the same query
-    /// vector over `old_rect`; only the grid cells that `new_rect` covers
-    /// *beyond* `old_rect` are rescanned, and per-object scores surviving the
-    /// pan (object inside both rects) are carried over unchanged.  Returns
-    /// the number of cells rescanned.
-    ///
-    /// Bit-identical to a cold [`ObjectCollection::node_weights_into`] over
-    /// `new_rect`: an object's Equation-2 partial accumulates entirely within
-    /// its single grid cell, so per-object scores are rect-independent, and
-    /// the per-node sums are rebuilt in the same ascending-id order the cold
-    /// pass uses.
-    pub fn node_weights_delta_into(
-        &self,
-        query: &QueryVector,
-        old_rect: &Rect,
-        new_rect: &Rect,
-        prev: &NodeWeights,
-        out: &mut NodeWeights,
-    ) -> usize {
-        out.clear();
-        if query.norm == 0.0 {
-            return 0;
-        }
-        // Rescan: cells the new rect covers that the old rect did not fully
-        // contain.  Fully-contained cells were already scored exhaustively
-        // (every object of theirs passed the old inside-the-rect filter or
-        // scored zero, which the cold pass also drops).
-        let fresh: Vec<usize> = self
-            .grid
-            .cover_cells(new_rect)
-            .filter(|&c| !old_rect.contains_rect(&self.grid.cell_rect(self.grid.cell_id(c))))
-            .collect();
-        let scratch = &mut out.scratch;
-        self.score_cells(query, new_rect, fresh.iter().copied(), scratch);
-        // Survivors: a previously scored object still inside the new rect
-        // keeps its score bit for bit.  One in a rescanned cell was touched
-        // by the rescan, which recomputed the identical score.
-        for (&(id, score), &slot) in prev.by_object.iter().zip(&prev.object_slots) {
-            let s = slot as usize;
-            if scratch.touched.contains(s) || !new_rect.contains(&self.slot_points[s]) {
-                continue;
-            }
-            scratch.kept.push((id, self.slot_nodes[s], slot, score));
+                .push((self.slot_ids[s], self.slot_nodes[s], score));
         }
         out.finish();
-        fresh.len()
     }
 
     /// Convenience wrapper: computes node weights from raw keyword strings.
@@ -534,7 +460,7 @@ impl ObjectCollection {
                 weights
                     .scratch
                     .kept
-                    .push((object.id, self.slot_nodes[slot], slot as u32, score));
+                    .push((object.id, self.slot_nodes[slot], score));
             }
         }
         weights.finish();
@@ -757,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn fixture_weights_and_snapshots() {
+    fn fixture_weights_keep_the_last_weight_per_node() {
         let w = NodeWeights::from_node_weights([
             (NodeId(3), 0.5),
             (NodeId(1), 0.25),
@@ -771,51 +697,6 @@ mod tests {
         assert_eq!(w.weight(NodeId(2)), 0.0);
         assert_eq!(w.relevant_node_count(), 2);
         assert!(w.by_object().is_empty());
-        let snap = w.snapshot();
-        assert_eq!(bits(snap.by_node()), bits(w.by_node()));
-    }
-
-    #[test]
-    fn delta_weights_are_bit_identical_to_cold_weights() {
-        let (network, objects) = network_and_objects();
-        // A small cell size so pans genuinely change the cell cover.
-        let coll = ObjectCollection::build(&network, objects, 60.0).unwrap();
-        let q = coll.query_vector(&["restaurant", "pizza"]);
-        // A pan/zoom trace of overlapping rects (plus one disjoint jump).
-        let rects = [
-            Rect::new(-20.0, -20.0, 150.0, 20.0),
-            Rect::new(30.0, -20.0, 200.0, 25.0),  // pan right
-            Rect::new(-10.0, -30.0, 420.0, 30.0), // zoom out
-            Rect::new(80.0, -5.0, 130.0, 10.0),   // zoom in
-            Rect::new(300.0, -20.0, 420.0, 20.0), // disjoint-ish jump
-        ];
-        let mut prev_rect = rects[0];
-        let mut prev = coll.node_weights(&q, &prev_rect).snapshot();
-        let mut delta = NodeWeights::default();
-        for rect in &rects[1..] {
-            let cold = coll.node_weights(&q, rect);
-            let rescanned = coll.node_weights_delta_into(&q, &prev_rect, rect, &prev, &mut delta);
-            assert!(rescanned <= coll.grid().cells_intersecting(rect).len());
-            assert_eq!(
-                bits(cold.by_object()),
-                bits(delta.by_object()),
-                "rect={rect:?}"
-            );
-            assert_eq!(bits(cold.by_node()), bits(delta.by_node()), "rect={rect:?}");
-            prev_rect = *rect;
-            prev = delta.snapshot();
-        }
-        // An identical rect rescans only the cells it does not fully contain
-        // (possibly zero) and reproduces the previous answer.
-        let mut same = NodeWeights::default();
-        coll.node_weights_delta_into(&q, &prev_rect, &prev_rect, &prev, &mut same);
-        assert_eq!(bits(same.by_object()), bits(prev.by_object()));
-        // An unknown-keyword query yields empty output either way.
-        let empty_q = coll.query_vector(&["spaceship"]);
-        let mut out = NodeWeights::default();
-        let empty_prev = NodeWeights::default();
-        coll.node_weights_delta_into(&empty_q, &rects[0], &rects[1], &empty_prev, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

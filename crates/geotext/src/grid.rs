@@ -227,18 +227,6 @@ impl GridIndex {
         Some(CellId { col, row })
     }
 
-    /// Rectangle covered by a cell.
-    pub fn cell_rect(&self, cell: CellId) -> Rect {
-        let min_x = self.extent.min_x + cell.col as f64 * self.cell_size;
-        let min_y = self.extent.min_y + cell.row as f64 * self.cell_size;
-        Rect::new(
-            min_x,
-            min_y,
-            (min_x + self.cell_size).min(self.extent.max_x),
-            (min_y + self.cell_size).min(self.extent.max_y),
-        )
-    }
-
     /// Validates an object and resolves its cell.
     fn validate_and_locate(&self, object: &GeoTextObject) -> Result<CellId> {
         if !object.point.is_finite() {
@@ -260,11 +248,6 @@ impl GridIndex {
     /// Slot range of occupied cell index `c`.
     pub(crate) fn slot_range(&self, c: usize) -> Range<usize> {
         self.cell_slots[c] as usize..self.cell_slots[c + 1] as usize
-    }
-
-    /// The id of occupied cell index `c`.
-    pub(crate) fn cell_id(&self, c: usize) -> CellId {
-        self.cells[c]
     }
 
     /// Indices of the occupied cells intersecting `rect`, ascending: per
@@ -432,16 +415,6 @@ mod tests {
         assert_eq!(cell_slots(&grid, CellId { col: 4, row: 4 }), Some(3..4));
         assert_eq!(cell_slots(&grid, CellId { col: 9, row: 9 }), Some(4..5));
         assert!(cell_slots(&grid, CellId { col: 5, row: 5 }).is_none());
-    }
-
-    #[test]
-    fn cell_rect_tiles_the_extent() {
-        let (grid, _) = build(&make_objects());
-        let r = grid.cell_rect(CellId { col: 1, row: 0 });
-        assert_eq!(r, Rect::new(100.0, 0.0, 200.0, 100.0));
-        let last = grid.cell_rect(CellId { col: 9, row: 9 });
-        assert_eq!(last.max_x, 1000.0);
-        assert_eq!(last.max_y, 1000.0);
     }
 
     #[test]

@@ -153,14 +153,6 @@ impl Rect {
             && self.max_y >= other.min_y
     }
 
-    /// Whether `other` is fully contained in this rectangle.
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        other.min_x >= self.min_x
-            && other.max_x <= self.max_x
-            && other.min_y >= self.min_y
-            && other.max_y <= self.max_y
-    }
-
     /// The intersection of two rectangles, or `None` if they do not overlap.
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
         if !self.intersects(other) {
@@ -316,8 +308,6 @@ mod tests {
         assert!(!r.intersects(&Rect::new(11.0, 11.0, 12.0, 12.0)));
         let inter = r.intersection(&other).unwrap();
         assert_eq!(inter, Rect::new(9.0, 9.0, 10.0, 10.0));
-        assert!(r.contains_rect(&Rect::new(1.0, 1.0, 2.0, 2.0)));
-        assert!(!r.contains_rect(&other));
     }
 
     #[test]

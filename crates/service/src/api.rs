@@ -14,15 +14,17 @@
 //!   "mu": 0.2,                      // optional: Greedy trade-off override
 //!   "deadline_ms": 50,              // optional: anytime-answer deadline
 //!   "priority": "interactive",      // optional: "interactive" | "batch" lane
-//!   "cache": true                   // optional: response cache + sessions
+//!   "cache": true                   // optional: response cache
 //! }
 //! ```
 //!
-//! `cache` opts a query in or out of the engine's response cache and
-//! incremental re-query sessions; unset, it defaults to **on** for the
-//! interactive lane and off for the batch lane.  Cache replays are
-//! byte-identical to cold runs, so the knob never changes an answer — only
-//! `stats.cache_hit` / `stats.delta_prepare` reveal which path ran.
+//! `cache` opts a query in or out of the engine's response cache; unset, it
+//! defaults to **on** for the interactive lane and off for the batch lane.
+//! Cache replays are byte-identical to cold runs, so the knob never changes
+//! an answer — only `stats.cache_hit` / `stats.cache_stale` reveal which
+//! path ran.  Every query the cache does not answer is scored cold, so
+//! responses carry no `stats.delta_prepare`; the decoder ignores the flag in
+//! a body from an older peer.
 //!
 //! `rect` corners are order-normalized at admission (swapped corners denote
 //! the same rectangle), while non-finite or zero-area rectangles are
@@ -495,8 +497,10 @@ pub struct StatsDto {
     pub cache_hit: bool,
     /// Whether the lookup evicted a stale-epoch entry before recomputing.
     pub cache_stale: bool,
-    /// Whether the prepare phase was delta-built from the previous session
-    /// step's keyword scores.
+    /// Always `false`: every query the cache does not answer is scored
+    /// cold.  Neither encoded nor decoded; kept only until the benchmark
+    /// stops reading it, then deleted.
+    #[deprecated(note = "always false: there is no delta-prepare path")]
     pub delta_prepare: bool,
 }
 
@@ -517,6 +521,7 @@ fn optional_flag(value: &Json, key: &str) -> Result<bool, ApiError> {
 
 impl StatsDto {
     /// Converts engine statistics into their wire form.
+    #[allow(deprecated)]
     pub fn from_stats(stats: &RunStats) -> Self {
         StatsDto {
             algorithm: stats.algorithm.clone(),
@@ -542,7 +547,7 @@ impl StatsDto {
             cache: stats.cache,
             cache_hit: stats.cache_hit,
             cache_stale: stats.cache_stale,
-            delta_prepare: stats.delta_prepare,
+            delta_prepare: false,
         }
     }
 
@@ -612,7 +617,6 @@ impl StatsDto {
             ("cache", self.cache),
             ("cache_hit", self.cache_hit),
             ("cache_stale", self.cache_stale),
-            ("delta_prepare", self.delta_prepare),
         ] {
             if flag {
                 fields.push((name.into(), Json::Bool(true)));
@@ -621,6 +625,7 @@ impl StatsDto {
         Json::Object(fields)
     }
 
+    #[allow(deprecated)]
     fn from_json(value: &Json) -> Result<Self, ApiError> {
         let int = |key: &str| -> Result<u64, ApiError> {
             value
@@ -686,7 +691,7 @@ impl StatsDto {
             cache: optional_flag(value, "cache")?,
             cache_hit: optional_flag(value, "cache_hit")?,
             cache_stale: optional_flag(value, "cache_stale")?,
-            delta_prepare: optional_flag(value, "delta_prepare")?,
+            delta_prepare: false,
         })
     }
 }
@@ -1016,6 +1021,7 @@ mod tests {
                 cache: false,
                 cache_hit: false,
                 cache_stale: false,
+                #[allow(deprecated)]
                 delta_prepare: false,
             },
         };
@@ -1058,18 +1064,26 @@ mod tests {
         assert!(body.contains("\"cache_hit\":true"), "{body}");
         assert!(!body.contains("cache_stale"), "{body}");
         assert_eq!(QueryResponse::from_body(&body).unwrap(), hit);
-        // A delta-prepared recompute after a stale eviction round-trips too.
+        // A recompute after a stale eviction round-trips too.
         let mut stats = RunStats::new("TGEN");
         stats.cache = true;
         stats.cache_stale = true;
-        stats.delta_prepare = true;
-        let delta = QueryResponse {
+        let stale = QueryResponse {
             regions: vec![],
             stats: StatsDto::from_stats(&stats),
         };
-        let back = QueryResponse::from_body(&delta.to_body()).unwrap();
-        assert_eq!(back, delta);
-        assert!(back.stats.cache_stale && back.stats.delta_prepare);
+        let body = stale.to_body();
+        let back = QueryResponse::from_body(&body).unwrap();
+        assert_eq!(back, stale);
+        assert!(back.stats.cache_stale);
+        // An older peer's body that still carries `delta_prepare` decodes,
+        // and the flag is ignored.
+        let older = body.replace(
+            "\"cache_stale\":true",
+            "\"cache_stale\":true,\"delta_prepare\":true",
+        );
+        assert!(older.contains("\"delta_prepare\":true"), "{older}");
+        assert_eq!(QueryResponse::from_body(&older).unwrap(), stale);
         // Malformed flags are rejected with the field named.
         let bad = r#"{"regions":[],"stats":{"algorithm":"TGEN","elapsed_ns":0,
             "prepare_ns":0,"solve_ns":0,"queue_ns":0,"nodes_in_region":0,

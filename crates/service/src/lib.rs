@@ -23,11 +23,11 @@
 //!   query runs on the thread of the connection that received it, once one of
 //!   `batch_workers` permits is free; callers wait for a permit in their
 //!   lane, FIFO.  There is no batching window, so an idle service starts a
-//!   query as soon as it is admitted.  A request that finds `queue_capacity`
-//!   callers already parked is shed with `503`, and a request whose
-//!   `deadline_ms` is already blown — or predicted to be blown by the
-//!   callers ahead of it in its lane — is shed up front with `503` +
-//!   `Retry-After` instead of burning engine time; deadlines that expire
+//!   query as soon as it is admitted.  The connection slots bound how many
+//!   callers can park, and a request whose `deadline_ms` is already blown
+//!   — or predicted to be blown by the callers ahead of it in its lane — is
+//!   shed up front with `503` + `Retry-After` instead of burning engine
+//!   time; deadlines that expire
 //!   while parked or mid-solve yield the solver's best-so-far answer with
 //!   `"partial": true`;
 //! * [`metrics`] — atomically-maintained counters and a fixed-bucket latency

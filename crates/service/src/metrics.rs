@@ -70,8 +70,10 @@ pub struct ServiceMetrics {
     pub responses_ok: AtomicU64,
     /// `4xx` responses (malformed or invalid requests).
     pub responses_client_error: AtomicU64,
-    /// `503` load-shed responses (`queue_capacity` callers already parked;
-    /// only possible when `queue_capacity` is below `http_workers`).
+    /// Always 0: the scheduler bounds parked callers only by the connection
+    /// slots and sheds only on deadlines (`deadline_shed`).  Not exported;
+    /// kept only until the benchmark stops reading it, then deleted.
+    #[deprecated(note = "always 0: the scheduler sheds only on deadlines")]
     pub shed: AtomicU64,
     /// `503` responses shed because the request's deadline was already blown
     /// or would be blown by the predicted wait for a permit.
@@ -107,8 +109,10 @@ pub struct ServiceMetrics {
     /// Cache-mode queries whose entry was cached under an older dataset
     /// epoch (evicted and recomputed).
     pub cache_stale: AtomicU64,
-    /// Served queries whose prepare phase was delta-built from the previous
-    /// session step instead of rescoring the whole region of interest.
+    /// Always 0: every query the cache does not answer is scored cold.  Not
+    /// exported; kept only until the benchmark stops reading it, then
+    /// deleted.
+    #[deprecated(note = "always 0: there is no delta-prepare path")]
     pub delta_prepares: AtomicU64,
 }
 
@@ -130,9 +134,7 @@ impl ServiceMetrics {
     }
 
     /// Accumulates one answered query's cache-path outcome.  Only cache-mode
-    /// queries count: a hit, a stale recompute, or a miss, exclusively; delta
-    /// prepares are counted independently (a delta-prepared step is also a
-    /// miss for its own fingerprint).
+    /// queries count: a hit, a stale recompute, or a miss, exclusively.
     pub fn record_cache_path(&self, stats: &lcmsr_core::stats::RunStats) {
         if stats.cache {
             if stats.cache_hit {
@@ -142,9 +144,6 @@ impl ServiceMetrics {
             } else {
                 self.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        if stats.delta_prepare {
-            self.delta_prepares.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -193,12 +192,6 @@ impl ServiceMetrics {
             "counter",
             "4xx responses (malformed or invalid requests).",
             load(&self.responses_client_error),
-        );
-        series(
-            "lcmsr_shed_total",
-            "counter",
-            "503 responses shed because queue_capacity callers were already parked.",
-            load(&self.shed),
         );
         series(
             "lcmsr_deadline_shed_total",
@@ -278,12 +271,6 @@ impl ServiceMetrics {
             "Cache-mode queries recomputed after a stale-epoch eviction.",
             load(&self.cache_stale),
         );
-        series(
-            "lcmsr_delta_prepares_total",
-            "counter",
-            "Served queries whose prepare phase was delta-built from the previous session step.",
-            load(&self.delta_prepares),
-        );
         out.push_str("# HELP lcmsr_latency End-to-end query latency, microseconds.\n");
         out.push_str("# TYPE lcmsr_latency histogram\n");
         for (bound, cumulative) in self.latency.cumulative() {
@@ -350,14 +337,13 @@ mod tests {
         stats.grid_score_time = Duration::from_nanos(600);
         stats.graph_build_time = Duration::from_nanos(250);
         m.record_prepare_split(&stats);
-        // One hit, one miss-with-delta, one stale recompute, one classic run.
+        // One hit, one miss, one stale recompute, one classic run.
         let mut hit = lcmsr_core::stats::RunStats::new("TGEN");
         hit.cache = true;
         hit.cache_hit = true;
         m.record_cache_path(&hit);
         let mut miss = lcmsr_core::stats::RunStats::new("TGEN");
         miss.cache = true;
-        miss.delta_prepare = true;
         m.record_cache_path(&miss);
         let mut stale = lcmsr_core::stats::RunStats::new("TGEN");
         stale.cache = true;
@@ -370,7 +356,6 @@ mod tests {
             "lcmsr_queries_total 0",
             "lcmsr_responses_ok_total",
             "lcmsr_responses_client_error_total",
-            "lcmsr_shed_total",
             "lcmsr_deadline_shed_total 3",
             "lcmsr_partial_total 4",
             "lcmsr_slow_queries_total 0",
@@ -384,7 +369,6 @@ mod tests {
             "lcmsr_cache_hits_total 1",
             "lcmsr_cache_misses_total 1",
             "lcmsr_cache_stale_total 1",
-            "lcmsr_delta_prepares_total 1",
             "lcmsr_latency_sum 3000",
             "lcmsr_latency_count 1",
             "lcmsr_latency_bucket{le=\"+Inf\"} 1",

@@ -12,19 +12,19 @@
 //! its permit on.  There is no batching window: on an idle service a query
 //! starts the moment it is admitted.
 //!
-//! Admission control bounds the parked callers and sheds doomed deadlines.
-//! When `queue_capacity` callers are already parked, [`Scheduler::submit`]
-//! returns [`SubmitError::Overloaded`].  When a request carries a
-//! [`Deadline`] that has already expired — or that an EWMA of recent
-//! per-query engine times predicts will expire while the callers ahead of it
-//! run — submit returns [`SubmitError::DeadlineUnmeetable`].  Only the parked callers
-//! that take a permit first count as ahead: the interactive lane for an
-//! interactive request, both lanes for a batch-lane request.  The HTTP layer
-//! sheds both with a `503` + `Retry-After` instead of letting latency
-//! collapse for everyone.  Requests admitted *with* a deadline carry it into
-//! the engine, so a deadline that expires while parked or mid-solve still
-//! yields the solver's best-so-far incumbent (`partial: true`) rather than
-//! nothing.
+//! Admission control sheds doomed deadlines.  Every parked caller is a
+//! connection thread, so the HTTP server's connection slots bound how many
+//! callers can park.  When a request carries a [`Deadline`] that has
+//! already expired — or that an EWMA of recent per-query engine times
+//! predicts will expire while the callers ahead of it run —
+//! [`Scheduler::submit`] returns [`SubmitError::DeadlineUnmeetable`].  Only
+//! the parked callers that take a permit first count as ahead: the
+//! interactive lane for an interactive request, both lanes for a batch-lane
+//! request.  The HTTP layer sheds it with a `503` + `Retry-After` instead of
+//! letting latency collapse for everyone.  Requests admitted *with* a
+//! deadline carry it into the engine, so a deadline that expires while
+//! parked or mid-solve still yields the solver's best-so-far incumbent
+//! (`partial: true`) rather than nothing.
 
 use crate::metrics::ServiceMetrics;
 use crate::sync::{lock_or_recover, wait_or_recover};
@@ -64,11 +64,6 @@ pub struct BatchConfig {
     /// Ignored: the scheduler has no batching window.  Defaults to zero.
     #[deprecated(note = "the scheduler has no batching window; this field is ignored")]
     pub max_delay: Duration,
-    /// Submissions are shed once this many callers are parked.  Behind the
-    /// HTTP server every parked caller is a connection thread, so at most
-    /// `http_workers` callers can park: this bound sheds only when it is set
-    /// below `http_workers`, and the default of 1 024 never does.
-    pub queue_capacity: usize,
     /// Permits: how many queries run on the engine at once (at least one).
     pub batch_workers: usize,
 }
@@ -80,7 +75,6 @@ impl Default for BatchConfig {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         BatchConfig {
             max_delay: Duration::ZERO,
-            queue_capacity: 1024,
             batch_workers: parallelism,
         }
     }
@@ -89,10 +83,6 @@ impl Default for BatchConfig {
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// `queue_capacity` callers are already parked — shed with `503`.  Behind
-    /// the HTTP server this fires only when `queue_capacity` is set below
-    /// `http_workers`, the most connection threads that can park.
-    Overloaded,
     /// The request's deadline has already expired, or the predicted wait for
     /// a permit exceeds what is left of it — shed with `503` + `Retry-After`
     /// now instead of burning engine time on an answer nobody is waiting for.
@@ -102,7 +92,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Overloaded => write!(f, "service overloaded, request shed"),
             SubmitError::DeadlineUnmeetable => {
                 write!(f, "deadline unmeetable given queue wait, request shed")
             }
@@ -270,10 +259,6 @@ impl Scheduler {
         deadline: Option<&Deadline>,
     ) -> Result<Permit<'_>, SubmitError> {
         let mut lanes = lock_or_recover(&self.lanes);
-        if lanes.parked() >= self.config.queue_capacity {
-            self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Overloaded);
-        }
         let ahead = lanes.ahead_of(priority);
         if deadline.is_some_and(|d| self.deadline_unmeetable(d, ahead)) {
             self.metrics.deadline_shed.fetch_add(1, Ordering::Relaxed);
@@ -529,46 +514,6 @@ mod tests {
         drop(order_tx);
         let order: Vec<&str> = order_rx.iter().collect();
         assert_eq!(order, ["interactive", "batch"]);
-    }
-
-    #[test]
-    fn callers_beyond_queue_capacity_are_shed_with_overloaded() {
-        let engine = leaked_engine();
-        let metrics = Arc::new(ServiceMetrics::new());
-        let scheduler = Scheduler::new(
-            engine,
-            BatchConfig {
-                queue_capacity: 2,
-                batch_workers: 1,
-                ..BatchConfig::default()
-            },
-            Arc::clone(&metrics),
-        );
-        let held = scheduler.admit(Priority::Interactive, None).unwrap();
-        let queries = [100.0, 200.0, 300.0].map(|delta| query(engine, delta));
-        std::thread::scope(|scope| {
-            let parked: Vec<_> = queries[..2]
-                .iter()
-                .map(|q| {
-                    let scheduler = &scheduler;
-                    scope.spawn(move || scheduler.submit(&request(q), Priority::Interactive))
-                })
-                .collect();
-            wait_parked(&scheduler, 2);
-            assert_eq!(
-                scheduler
-                    .submit(&request(&queries[2]), Priority::Interactive)
-                    .unwrap_err(),
-                SubmitError::Overloaded
-            );
-            assert_eq!(metrics.shed.load(Ordering::Relaxed), 1);
-            drop(held);
-            for handle in parked {
-                served(handle.join().unwrap());
-            }
-        });
-        // The shed submission was never admitted.
-        assert_eq!(metrics.queries.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -143,7 +143,6 @@ fn served_answers_are_bit_identical_to_direct_engine_calls() {
     let service = serve_city(
         engine,
         BatchConfig {
-            queue_capacity: 256,
             batch_workers: 2,
             ..BatchConfig::default()
         },

@@ -11,9 +11,7 @@
 //! no nodes or lie outside the extent, and with unknown and zero-IDF query
 //! terms.  Compared bit for bit (`f64::to_bits`):
 //!
-//! * the keyword scores — cold, through one reused `NodeWeights`, and via
-//!   the delta path from the previous rectangle and to a panned, resized
-//!   copy of the current one;
+//! * the keyword scores — cold and through one reused `NodeWeights`;
 //! * the prepared [`QueryGraph`]: per-node (global id, weight bits, scaled
 //!   weight) in CSR order plus every edge with its length bits.
 //!
@@ -45,8 +43,6 @@ const SPACING: f64 = 100.0;
 const KEYWORDS: [&str; 4] = ["restaurant", "cafe", "museum", "bar"];
 /// Query keyword index naming a term no object carries.
 const UNKNOWN: usize = KEYWORDS.len();
-/// Pan and resize offsets in metres (cells are `SPACING / 2` wide).
-const PAN: [f64; 5] = [-37.0, -13.0, 0.0, 13.0, 37.0];
 /// Side of the larger grid, in nodes.
 const WIDE_SIDE: usize = 20;
 
@@ -141,8 +137,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random objects, keywords and rectangles: the flat scorer's node and
-    /// object scores, its delta path and the prepared query graph are
-    /// bit-identical to the naive reference.
+    /// object scores and the prepared query graph are bit-identical to the
+    /// naive reference.
     #[test]
     fn flat_scorer_matches_the_naive_reference(
         objects in collection::vec(
@@ -153,7 +149,6 @@ proptest! {
         zeroed_term in 0usize..6,
         rect_cells in collection::vec((0usize..SIDE + 2, 0usize..SIDE + 2, 1usize..SIDE, 1usize..SIDE), 1..5),
         shift_third in 0usize..3,
-        pan in (0usize..PAN.len(), 0usize..PAN.len(), 0usize..PAN.len()),
         delta_blocks in 1usize..7,
     ) {
         let network = square_grid(SIDE);
@@ -206,33 +201,12 @@ proptest! {
 
         let delta = delta_blocks as f64 * SPACING;
         let mut reused = NodeWeights::default();
-        let mut delta_out = NodeWeights::default();
         let mut workspace = QueryWorkspace::new();
-        let mut prev: Option<(Rect, NodeWeights)> = None;
         for rect in &rects {
             let (want_objects, want_nodes) = naive_scores(&collection, &query, rect);
             collection.node_weights_into(&query, rect, &mut reused);
             prop_assert_eq!(bits(reused.by_object()), bits(&want_objects), "objects at {:?}", rect);
             prop_assert_eq!(bits(reused.by_node()), bits(&want_nodes), "nodes at {:?}", rect);
-
-            // Delta steps: from the previous rect, and a pan plus resize of
-            // this one whose borders cut through cells.
-            let moved = Rect::new(
-                rect.min_x + PAN[pan.0],
-                rect.min_y + PAN[pan.1],
-                rect.max_x + PAN[pan.0] + PAN[pan.2],
-                rect.max_y + PAN[pan.1] + PAN[pan.2],
-            );
-            let here = (*rect, reused.snapshot());
-            for (old_rect, old_weights, new_rect) in
-                prev.iter().map(|(r, w)| (r, w, rect)).chain([(&here.0, &here.1, &moved)])
-            {
-                let (want_objects, want_nodes) = naive_scores(&collection, &query, new_rect);
-                collection.node_weights_delta_into(&query, old_rect, new_rect, old_weights, &mut delta_out);
-                prop_assert_eq!(bits(delta_out.by_object()), bits(&want_objects), "delta objects at {:?}", new_rect);
-                prop_assert_eq!(bits(delta_out.by_node()), bits(&want_nodes), "delta nodes at {:?}", new_rect);
-            }
-            prev = Some(here);
 
             // The engine's prepared graph equals one built from the reference
             // weights; a rect with no node fails the same way on both paths.
@@ -380,7 +354,7 @@ proptest! {
                 )
             })
             .collect();
-        let cell_rect = |(x0, y0, w, h): (usize, usize, usize, usize)| {
+        let rect_of = |(x0, y0, w, h): (usize, usize, usize, usize)| {
             Rect::new(
                 x0 as f64 * SPACING - 10.0,
                 y0 as f64 * SPACING - 10.0,
@@ -393,8 +367,8 @@ proptest! {
         // (keywords, rectangle, whether the view holds over 64 nodes)
         let mut cases = vec![(KEYWORDS.to_vec(), extent, true)];
         for &(large, small) in &rect_cells {
-            cases.push((words.clone(), cell_rect(large), true));
-            cases.push((words.clone(), cell_rect(small), false));
+            cases.push((words.clone(), rect_of(large), true));
+            cases.push((words.clone(), rect_of(small), false));
         }
         for network in [square_grid(WIDE_SIDE), shuffled_grid(WIDE_SIDE, shuffle_seed)] {
             let collection =

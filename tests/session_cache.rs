@@ -1,9 +1,9 @@
-//! Exploration-session integration tests: the response cache and the
-//! delta-prepare path must be invisible in the answers.  Whatever mix of
-//! cold runs, cache-mode misses, delta re-queries and cache hits a session
-//! produces, every step's regions are bit-identical to a cacheless engine —
-//! and the cache's bookkeeping (LRU eviction, epoch invalidation) only ever
-//! changes *when* the engine recomputes, never *what* it answers.
+//! Exploration-session integration tests: the response cache must be
+//! invisible in the answers.  Whatever mix of cold runs, cache-mode misses
+//! and cache hits a session produces, every step's regions are
+//! bit-identical to a cacheless engine — and the cache's bookkeeping (LRU
+//! eviction, epoch invalidation) only ever changes *when* the engine
+//! recomputes, never *what* it answers.
 
 use lcmsr::core::engine::{Algorithm, LcmsrEngine, QueryRequest, QueryWorkspace};
 use lcmsr::core::{GreedyParams, LcmsrQuery, TgenParams};
@@ -58,10 +58,10 @@ fn print_regions(outcome: &lcmsr::core::engine::QueryOutcome) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole invariant, end to end: a random pan/zoom trace answered
-    /// three ways — cold (cache off), in a cache-mode session (misses and
-    /// delta re-queries on one workspace), and replayed over the warm cache
-    /// (hits) — produces three bit-identical answer streams.
+    /// The cache's invariant, end to end: a random pan/zoom trace answered
+    /// three ways — cold (cache off), in a cache-mode session (misses on one
+    /// workspace), and replayed over the warm cache (hits) — produces three
+    /// bit-identical answer streams.
     #[test]
     fn session_steps_replay_bit_identically(
         restaurants in collection::btree_set(0usize..36, 3..12),
@@ -75,7 +75,7 @@ proptest! {
 
         // A viewport walk over the grid: each move pans by a fraction of the
         // view and/or rescales it, so successive rects overlap by varying
-        // amounts — above and below the delta-eligibility threshold both.
+        // amounts.
         let mut rect = Rect::new(-10.0, -10.0, 330.0, 330.0);
         let mut queries = vec![LcmsrQuery::new(["restaurant"], delta, rect).unwrap()];
         for &(dx, dy, scale) in &moves {
@@ -111,8 +111,7 @@ proptest! {
                 prop_assert!(!outcome.stats.cache);
                 cold.push(print_regions(&outcome));
             }
-            // Session pass: one workspace, cache on — mostly misses (some of
-            // them delta-prepared from the previous step's scores); a walk
+            // Session pass: one workspace, cache on — mostly misses; a walk
             // that revisits a viewport exactly hits, which is the point.
             let mut ws = QueryWorkspace::new();
             for (q, expect) in queries.iter().zip(&cold) {
@@ -129,7 +128,6 @@ proptest! {
                     .execute_with(&mut ws, &QueryRequest::new(q, algorithm.clone()).cache(true))
                     .expect("replay step");
                 prop_assert!(outcome.stats.cache_hit, "replay must hit: {:?}", outcome.stats);
-                prop_assert!(!outcome.stats.delta_prepare);
                 prop_assert_eq!(&print_regions(&outcome), expect);
             }
         }
@@ -166,7 +164,7 @@ fn epoch_bump_invalidates_cached_responses_and_sessions() {
     let engine = LcmsrEngine::new(&network, &collection);
     let algorithm = Algorithm::Greedy(GreedyParams::default());
     let rect_a = Rect::new(-10.0, -10.0, 310.0, 310.0);
-    let rect_b = Rect::new(40.0, -10.0, 360.0, 310.0); // 84% overlap with A
+    let rect_b = Rect::new(40.0, -10.0, 360.0, 310.0); // A panned east
     let qa = LcmsrQuery::new(["restaurant"], 300.0, rect_a).unwrap();
     let qb = LcmsrQuery::new(["restaurant"], 300.0, rect_b).unwrap();
     let mut ws = QueryWorkspace::new();
@@ -176,15 +174,13 @@ fn epoch_bump_invalidates_cached_responses_and_sessions() {
             .expect("cached run")
     };
 
-    // Warm up: A misses, B delta-prepares from A's scores, A replays as a hit.
+    // Warm up: A and B miss, A replays as a hit.
     let cold_a = print_regions(&run(&qa, &mut ws));
-    let warm_b = run(&qb, &mut ws);
-    assert!(warm_b.stats.delta_prepare, "B overlaps A: delta path");
+    let cold_b = print_regions(&run(&qb, &mut ws));
     let hit_a = run(&qa, &mut ws);
     assert!(hit_a.stats.cache_hit);
 
-    // Declare the dataset changed: both the cached responses and the
-    // workspace's session scratch are now stale.
+    // Declare the dataset changed: every cached response is now stale.
     engine.bump_dataset_epoch();
     let stale_a = run(&qa, &mut ws);
     assert!(
@@ -192,19 +188,17 @@ fn epoch_bump_invalidates_cached_responses_and_sessions() {
         "a stale entry must be recomputed, not replayed: {:?}",
         stale_a.stats
     );
-    assert!(
-        !stale_a.stats.delta_prepare,
-        "the pre-bump session scratch must not seed a delta"
-    );
     assert_eq!(
         print_regions(&stale_a),
         cold_a,
         "same dataset bits, so the recomputed answer still matches"
     );
-    // The recompute re-primed cache and session at the new epoch.
+    // The recompute re-primed the cache at the new epoch.
     assert!(run(&qa, &mut ws).stats.cache_hit);
-    assert!(run(&qb, &mut ws).stats.delta_prepare);
-    // One stale lookup per pre-bump entry: A's (the recompute above) and B's
-    // (evicted when its post-bump delta re-query consulted the cache).
+    let stale_b = run(&qb, &mut ws);
+    assert!(stale_b.stats.cache_stale, "{:?}", stale_b.stats);
+    assert_eq!(print_regions(&stale_b), cold_b);
+    // One stale lookup per pre-bump entry: A's and B's (the recomputes
+    // above).
     assert_eq!(engine.response_cache().stale(), 2);
 }
